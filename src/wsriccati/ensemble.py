@@ -5,16 +5,22 @@ independent per-component marginals (point mass, normal, or Laplace) and a
 diagonal covariance. Sample banks are fixed, seeded draws from such a
 distribution; every expectation the solvers take is an empirical mean over
 one bank, so repeated evaluations see common random numbers.
+
+Each of those expectations is a (weighted) second moment of the stacked draw
+Z_i = [A_i B_i]: it is linear in the products z_p z_q of the entries of
+z = vec(Z_i). A bank therefore stores its moment matrix once, when it is
+built, and every expectation is a product with it (see :class:`SampleBank`).
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -29,6 +35,7 @@ __all__ = [
     "point_mass",
     "draw_bank",
     "expect",
+    "quadratic_expect",
     "stream_rng",
     "derive_seed",
     "save_bank_csv",
@@ -222,14 +229,68 @@ def _stddev_entries(stddev, mean, scale, name) -> np.ndarray:
     return scale * np.abs(mean)
 
 
+@functools.lru_cache(maxsize=None)
+def _pair_index(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index pairs (p, q), p <= q, of the moment columns, and their inverse.
+
+    Column k of the moment matrix holds z_p z_q for (p, q) = (rows[k],
+    cols[k]), ordered as vech of the lower triangle (equivalently the rows of
+    the upper one). ``full[p, q]`` is the column of the pair {p, q}.
+    """
+    rows, cols = np.triu_indices(dim)
+    full = np.empty((dim, dim), dtype=np.intp)
+    full[rows, cols] = np.arange(rows.size)
+    full[cols, rows] = np.arange(rows.size)
+    for arr in (rows, cols, full):
+        arr.setflags(write=False)
+    return rows, cols, full
+
+
+def _moment_features(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # Row i holds z_p z_q, p <= q, of z = vec([A_i B_i]) = [vec A_i; vec B_i],
+    # written one block of columns at a time into the output.
+    size = a.shape[0]
+    z = np.concatenate(
+        [a.transpose(0, 2, 1).reshape(size, -1), b.transpose(0, 2, 1).reshape(size, -1)],
+        axis=1,
+    )
+    dim = z.shape[1]
+    phi = np.empty((size, dim * (dim + 1) // 2))
+    col = 0
+    for p in range(dim):
+        np.multiply(z[:, p : p + 1], z[:, p:], out=phi[:, col : col + dim - p])
+        col += dim - p
+    return phi
+
+
 @dataclass(frozen=True)
 class SampleBank:
-    """A fixed set of (A, B) draws shared by every expectation in a run."""
+    """A fixed set of (A, B) draws shared by every expectation in a run.
+
+    With z_i = vec(Z_i), Z_i = [A_i B_i] and d = n(n+m), the bank keeps its
+    moment matrix ``phi`` (N by d(d+1)/2, row i the products z_p z_q, p <= q)
+    and the unweighted moment E[z z'] computed from it. Every bank expectation
+    is read off these: the weighted moment (1/N) sum_i w_i z_i z_i' is one
+    product w' phi (:meth:`moment`), the per-draw quadratic forms z_i' H z_i
+    are one product phi c (:meth:`quadratic_forms`), and E_w[Z' P Z] is a
+    contraction of the moment with P (:func:`quadratic_expect`). None of them
+    loops over draws.
+
+    Limits: ``phi`` takes 8 N d(d+1)/2 bytes (1.7 MB at N = 10k for n = 2,
+    m = 1; 119 MB for n = 6, m = 3), and each product with it costs
+    N d(d+1)/2 multiply-adds: it grows with d^2, against n (n+m)^2 for
+    per-sample products. At N = 10k on one BLAS thread (2-vCPU x86 VM) one
+    weighted evaluation of the coupled maps took about 0.5 ms against 3 ms
+    with per-sample products for n = 2, m = 1, and about the same time
+    (14-17 ms) near n = 6, m = 3, where the moment stops paying off.
+    """
 
     a: np.ndarray
     b: np.ndarray
     seed: int | None = None
     provenance: str = ""
+    phi: np.ndarray = field(init=False, repr=False, compare=False)
+    _plain: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float)
@@ -246,10 +307,15 @@ class SampleBank:
             raise NonFiniteError("bank contains non-finite samples")
         a = a.copy()
         b = b.copy()
-        a.setflags(write=False)
-        b.setflags(write=False)
+        phi = _moment_features(a, b)
+        for arr in (a, b, phi):
+            arr.setflags(write=False)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
+        object.__setattr__(self, "phi", phi)
+        # The unweighted moment is the weighted one at w = 1, by the same
+        # expression, so unit weights reproduce it bit for bit.
+        object.__setattr__(self, "_plain", self.moment(np.ones(a.shape[0])))
 
     @property
     def size(self) -> int:
@@ -262,6 +328,29 @@ class SampleBank:
     @property
     def m(self) -> int:
         return self.b.shape[2]
+
+    def moment(self, weights: np.ndarray | None = None) -> np.ndarray:
+        """E_w[z z'] = (1/N) sum_i w_i z_i z_i', d by d; ``None`` is the unweighted moment."""
+        if weights is None:
+            return self._plain
+        flat = np.asarray(weights, dtype=float) @ self.phi / self.size
+        out = flat[_pair_index(self.n * (self.n + self.m))[2]]
+        out.setflags(write=False)
+        return out
+
+    def quadratic_forms(self, h: np.ndarray) -> np.ndarray:
+        """z_i' H z_i for every draw, as phi c with c the pair coefficients of H."""
+        rows, cols, _ = _pair_index(self.n * (self.n + self.m))
+        h = np.asarray(h, dtype=float)
+        coef = np.where(rows == cols, h[rows, cols], h[rows, cols] + h[cols, rows])
+        return self.phi @ coef
+
+
+def quadratic_expect(moment: np.ndarray, value: np.ndarray) -> np.ndarray:
+    """E_w[Z' P Z], (n+m) by (n+m), from the moment E_w[z z'] of z = vec(Z)."""
+    n = value.shape[0]
+    k = moment.shape[0] // n
+    return np.einsum("arbs,rs->ab", moment.reshape(k, n, k, n), value)
 
 
 def draw_bank(dist: ParameterDistribution, size: int, seed: int) -> SampleBank:

@@ -1,7 +1,8 @@
 """Weighted stochastic Riccati solver.
 
 The design equations couple a quadratic value matrix P and a gain L through
-weighted empirical expectations E_w[.] taken at the current policy:
+weighted empirical expectations E_w[.] taken at the current policy, each a
+block of E_w[Z^T P Z], Z = [A B], read off the bank's moment matrix:
 
     value map   F(P, L) = E_w[A^T P A] + Q - E_w[A^T P B] G(P, L)
     gain map    G(P, L) = E_w[B^T P B + R]^{-1} E_w[B^T P A]
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import SampleBank
+from .ensemble import SampleBank, quadratic_expect
 from .errors import (
     ConfigurationError,
     ConvergenceError,
@@ -47,7 +48,7 @@ from .matops import (
     vech,
     unvech,
 )
-from .weights import WeightSpec, weight_vector
+from .weights import WeightSpec, _unit_weights, weight_vector
 
 __all__ = [
     "DEFAULT_FP_TOL",
@@ -151,25 +152,28 @@ class DesignSolution:
     trace: tuple | None = None
 
 
-def _weights_at(problem: DesignProblem, value, gain, theta=None) -> np.ndarray:
+def _weights_at(problem: DesignProblem, value, gain, theta=None) -> np.ndarray | None:
+    """Weights at the policy, or None where they are exactly one (RN, theta = 0)."""
     if theta is None:
         theta = problem.theta
+    if _unit_weights(problem.weights, theta):
+        return None
     return weight_vector(
         problem.bank, problem.weights, theta, gain, value, problem.q, problem.r
     )
 
 
-def _expectations(bank: SampleBank, w: np.ndarray, value: np.ndarray):
-    """Weighted means E_w[A^T P A], E_w[A^T P B], E_w[B^T P B]."""
-    size = bank.size
-    pa = np.matmul(value, bank.a)
-    pb = np.matmul(value, bank.b)
-    aw = bank.a * w[:, None, None]
-    bw = bank.b * w[:, None, None]
-    eapa = np.einsum("sij,sik->jk", aw, pa) / size
-    eapb = np.einsum("sij,sik->jk", aw, pb) / size
-    ebpb = np.einsum("sij,sik->jk", bw, pb) / size
-    return 0.5 * (eapa + eapa.T), eapb, 0.5 * (ebpb + ebpb.T)
+def _zpz(bank: SampleBank, w: np.ndarray | None, value: np.ndarray) -> np.ndarray:
+    """E_w[Z^T P Z] with Z = [A B], from the bank's moment (w None: unweighted)."""
+    zpz = quadratic_expect(bank.moment(w), value)
+    return 0.5 * (zpz + zpz.T)
+
+
+def _expectations(bank: SampleBank, w: np.ndarray | None, value: np.ndarray):
+    """Weighted means E_w[A^T P A], E_w[A^T P B], E_w[B^T P B]: blocks of E_w[Z^T P Z]."""
+    n = bank.n
+    zpz = _zpz(bank, w, value)
+    return zpz[:n, :n], zpz[:n, n:], zpz[n:, n:]
 
 
 def _gain_from(ebpb_r: np.ndarray, eapb: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -383,16 +387,11 @@ def implicit_residual(z, problem: DesignProblem, theta=None) -> np.ndarray:
     """Stacked residual h(z) whose root is the design solution."""
     n, m = problem.n, problem.m
     value, gain = unpack_solution(z, n, m)
-    if theta is None:
-        theta = problem.theta
-    w = _weights_at(problem, value, gain, theta)
-    bank = problem.bank
-    closed = bank.a - np.matmul(bank.b, gain)
-    pc = np.matmul(value, closed)
-    cw = closed * w[:, None, None]
-    empm = np.einsum("sij,sik->jk", cw, pc) / bank.size
+    zpz = _zpz(problem.bank, _weights_at(problem, value, gain, theta), value)
+    k_mat = np.vstack([np.eye(n), -gain])
+    empm = k_mat.T @ zpz @ k_mat  # E_w[(A-BL)^T P (A-BL)]
     empm = 0.5 * (empm + empm.T)
-    _, eapb, ebpb = _expectations(bank, w, value)
+    eapb, ebpb = zpz[:n, n:], zpz[n:, n:]
     f_part = vech(empm + gain.T @ problem.r @ gain + problem.q - value)
     g_mat = (ebpb + problem.r) @ gain - eapb.T
     g_part = g_mat.reshape(-1, order="F")

@@ -13,7 +13,9 @@ the un-normalized weights are
     RRSL  1 + theta / (1 + exp(-alpha * J + beta * mean(J)))
 
 where mean(J) is the unweighted bank average. Weights are then normalized
-by their empirical mean so the weighted expectation of 1 is exactly 1.
+by their empirical mean so the weighted expectation of 1 is exactly 1. The
+costs of a whole bank are one product with its moment matrix (see
+:class:`~wsriccati.ensemble.SampleBank`).
 """
 
 from __future__ import annotations
@@ -104,7 +106,11 @@ def predictive_cost(a, b, gain, value, sigma, q, r) -> float:
 def predictive_costs(
     a: np.ndarray, b: np.ndarray, gain, value, sigma, q, r
 ) -> np.ndarray:
-    """Vectorized :func:`predictive_cost` over stacked sample arrays."""
+    """:func:`predictive_cost` over stacked sample arrays, one draw at a time.
+
+    Banks take their costs from the moment matrix instead (see
+    :func:`weight_vector`); this per-sample form serves as the reference.
+    """
     closed = a - np.matmul(b, gain)
     pm = np.matmul(value, closed)
     quad = np.matmul(closed.transpose(0, 2, 1), pm)
@@ -167,6 +173,31 @@ def normalize_weights(raw: np.ndarray) -> np.ndarray:
     return raw / mean
 
 
+def _unit_weights(spec: WeightSpec, theta: float) -> bool:
+    """RN and theta = 0 give weights that are exactly one."""
+    return spec.family == FAMILY_RN or theta == 0.0
+
+
+def _weigh(bank: SampleBank, spec: WeightSpec, theta: float, gain, value, q, r):
+    """Predictive costs, raw and normalized weights of every draw.
+
+    With K = [I; -L] the cost of a draw is z' kron(K S K', P) z + tr((Q +
+    L' R L) S), z = vec([A B]), so all N costs are one product with the
+    bank's moment matrix (:meth:`SampleBank.quadratic_forms`).
+    """
+    gain, value, q, r = (np.asarray(x, dtype=float) for x in (gain, value, q, r))
+    sigma = spec.resolved_sigma(bank.n)
+    k_mat = np.vstack([np.eye(bank.n), -gain])
+    base = float(np.trace((q + gain.T @ r @ gain) @ sigma))
+    costs = bank.quadratic_forms(np.kron(k_mat @ sigma @ k_mat.T, value)) + base
+    if not np.all(np.isfinite(costs)):
+        idx = int(np.argmax(~np.isfinite(costs)))
+        raise NonFiniteError(f"predictive cost non-finite at sample {idx}")
+    mean_predictive = float(costs.mean()) if spec.family == FAMILY_RRSL else None
+    raw = _raw_from_costs(spec, theta, costs, mean_predictive)
+    return costs, raw, normalize_weights(raw)
+
+
 def weight_vector(
     bank: SampleBank, spec: WeightSpec, theta: float, gain, value, q, r
 ) -> np.ndarray:
@@ -175,12 +206,9 @@ def weight_vector(
     RN and theta = 0 short-circuit to exact ones, matching the defining
     property that zero sensitivity reproduces the unweighted expectation.
     """
-    if spec.family == FAMILY_RN or theta == 0.0:
+    if _unit_weights(spec, theta):
         return np.ones(bank.size)
-    sigma = spec.resolved_sigma(bank.n)
-    costs = predictive_costs(bank.a, bank.b, gain, value, sigma, q, r)
-    mean_predictive = float(costs.mean()) if spec.family == FAMILY_RRSL else None
-    return normalize_weights(_raw_from_costs(spec, theta, costs, mean_predictive))
+    return _weigh(bank, spec, theta, gain, value, q, r)[2]
 
 
 @dataclass(frozen=True)
@@ -218,22 +246,19 @@ class WeightedBank:
 def build_weighted_bank(
     bank: SampleBank, spec: WeightSpec, theta: float, gain, value, q, r
 ) -> WeightedBank:
-    """Evaluate and normalize the weights of every sample in the bank."""
+    """Evaluate and normalize the weights of every sample in the bank.
+
+    The weights come from the same computation as :func:`weight_vector`, so
+    at a symmetric value matrix they equal the solver's weights bit for bit.
+    """
     gain = np.asarray(gain, dtype=float)
     value = symmetrize(value, "value matrix")
-    sigma = spec.resolved_sigma(bank.n)
-    costs = predictive_costs(bank.a, bank.b, gain, value, sigma, q, r)
-    if not np.all(np.isfinite(costs)):
-        idx = int(np.argmax(~np.isfinite(costs)))
-        raise NonFiniteError(f"predictive cost non-finite at sample {idx}")
-    mean_predictive = float(costs.mean()) if spec.family == FAMILY_RRSL else None
-    raw = _raw_from_costs(spec, theta, costs, mean_predictive)
-    weights = normalize_weights(raw)
+    predictive, raw, weights = _weigh(bank, spec, theta, gain, value, q, r)
     return WeightedBank(
         bank=bank,
         weights=weights,
         raw_weights=raw,
-        predictive=costs,
+        predictive=predictive,
         spec=spec,
         theta=theta,
         gain=gain,

@@ -1,0 +1,184 @@
+"""Property tests of the bank-moment kernel against per-sample loops.
+
+Every bank expectation (the coupled maps, the stacked residual, the
+predictive costs behind the weights) is read off the bank's moment matrix.
+Here each one is recomputed draw by draw with straight-line numpy on random
+small systems and all three weight families, and the two must agree to
+1e-12 relative to the size of the quantity.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import wsriccati as ws
+from wsriccati import riccati
+from wsriccati.weights import RSL_MAX_EXPONENT, predictive_costs
+
+from conftest import Q2, R1
+
+REL = 1e-12
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+def _spd(rng, size, shift):
+    x = rng.standard_normal((size, size))
+    return x @ x.T + shift * np.eye(size)
+
+
+@st.composite
+def cases(draw):
+    """A random bank, policy, costs and weight specification with theta > 0."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 2))
+    size = draw(st.integers(1, 50))
+    family = draw(st.sampled_from(["RN", "RSL", "RRSL"]))
+    theta = draw(st.floats(0.001, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = 0.5 * rng.standard_normal((size, n, n))
+    b = 0.5 * rng.standard_normal((size, n, m))
+    sigma = _spd(rng, n, 0.1) if draw(st.booleans()) else None
+    spec = ws.WeightSpec(
+        family=family,
+        theta=theta,
+        alpha=float(rng.uniform(0.1, 10.0)),
+        beta=float(rng.uniform(0.0, 11.0)),
+        sigma=sigma,
+    )
+    problem = ws.DesignProblem(
+        bank=ws.SampleBank(a=a, b=b),
+        q=_spd(rng, n, 0.5),
+        r=_spd(rng, m, 0.5),
+        weights=spec,
+    )
+    value = _spd(rng, n, 0.0)
+    gain = rng.standard_normal((m, n))
+    if family == "RSL":
+        # Larger exponents raise WeightOverflowError by design.
+        assume(theta * loop_costs(problem, value, gain).max() < RSL_MAX_EXPONENT)
+    return problem, value, gain
+
+
+def loop_costs(problem, value, gain):
+    bank, sigma = problem.bank, problem.weights.resolved_sigma(problem.n)
+    out = np.empty(bank.size)
+    for i in range(bank.size):
+        closed = bank.a[i] - bank.b[i] @ gain
+        inner = closed.T @ value @ closed + problem.q + gain.T @ problem.r @ gain
+        out[i] = np.trace(inner @ sigma)
+    return out
+
+
+def loop_weights(problem, value, gain):
+    spec, theta = problem.weights, problem.theta
+    costs = loop_costs(problem, value, gain)
+    if spec.family == "RN":
+        raw = np.ones_like(costs)
+    elif spec.family == "RSL":
+        raw = np.exp(theta * costs)
+    else:
+        # 1 + theta * sigmoid(x), the sigmoid written as 0.5 + 0.5 tanh(x / 2)
+        x = spec.alpha * costs - spec.beta * costs.mean()
+        raw = 1.0 + theta * (0.5 + 0.5 * np.tanh(0.5 * x))
+    return raw / raw.mean()
+
+
+def loop_means(problem, value, gain):
+    """E_w[A'PA], E_w[A'PB], E_w[B'PB], E_w[(A-BL)'P(A-BL)] draw by draw."""
+    bank = problem.bank
+    w = loop_weights(problem, value, gain)
+    n, m = problem.n, problem.m
+    eapa, eapb = np.zeros((n, n)), np.zeros((n, m))
+    ebpb, ecpc = np.zeros((m, m)), np.zeros((n, n))
+    for i in range(bank.size):
+        a_i, b_i = bank.a[i], bank.b[i]
+        closed = a_i - b_i @ gain
+        eapa += w[i] * a_i.T @ value @ a_i
+        eapb += w[i] * a_i.T @ value @ b_i
+        ebpb += w[i] * b_i.T @ value @ b_i
+        ecpc += w[i] * closed.T @ value @ closed
+    return eapa / bank.size, eapb / bank.size, ebpb / bank.size, ecpc / bank.size
+
+
+def assert_close(got, ref, scale=None):
+    scale = np.abs(ref).max() if scale is None else scale
+    assert np.abs(got - ref).max() <= REL * scale
+
+
+@PROPERTY
+@given(cases())
+def test_maps_match_per_sample_loop(case):
+    problem, value, gain = case
+    eapa, eapb, ebpb, _ = loop_means(problem, value, gain)
+    ref_gain = np.linalg.solve(ebpb + problem.r, eapb.T)
+    ref_value = eapa + problem.q - eapb @ ref_gain
+    got_value, got_gain = riccati._maps(problem, value, gain)
+    assert_close(got_value, ref_value)
+    assert_close(got_gain, ref_gain)
+
+
+@PROPERTY
+@given(cases())
+def test_residual_matches_per_sample_loop(case):
+    problem, value, gain = case
+    _, eapb, ebpb, ecpc = loop_means(problem, value, gain)
+    f_mat = ecpc + gain.T @ problem.r @ gain + problem.q - value
+    g_mat = (ebpb + problem.r) @ gain - eapb.T
+    z = ws.pack_solution(value, gain)
+    got = ws.implicit_residual(z, problem)
+    head = problem.n * (problem.n + 1) // 2
+    # The residual is a difference of terms; its error is measured against
+    # the largest of them, not against the (possibly small) difference.
+    f_scale = max(np.abs(t).max() for t in (ecpc, problem.q, value))
+    g_scale = max(np.abs(ebpb + problem.r).max() * np.abs(gain).max(), np.abs(eapb).max())
+    assert_close(got[:head], ws.vech(f_mat), f_scale)
+    assert_close(got[head:], g_mat.reshape(-1, order="F"), g_scale)
+
+
+@PROPERTY
+@given(cases())
+def test_weights_and_costs_match_per_sample_loop(case):
+    problem, value, gain = case
+    spec, theta, bank = problem.weights, problem.theta, problem.bank
+    wbank = ws.build_weighted_bank(bank, spec, theta, gain, value, problem.q, problem.r)
+    ref_costs = predictive_costs(
+        bank.a, bank.b, gain, value, spec.resolved_sigma(problem.n), problem.q, problem.r
+    )
+    assert_close(wbank.predictive, ref_costs)
+    assert_close(wbank.predictive, loop_costs(problem, value, gain))
+    weights = ws.weight_vector(bank, spec, theta, gain, value, problem.q, problem.r)
+    assert_close(weights, loop_weights(problem, value, gain))
+    assert np.array_equal(wbank.weights, weights)
+
+
+@PROPERTY
+@given(cases())
+def test_closed_loop_kron_matches_per_sample_loop(case):
+    problem, value, gain = case
+    bank = problem.bank
+    wbank = ws.build_weighted_bank(
+        bank, problem.weights, problem.theta, gain, value, problem.q, problem.r
+    )
+    plain = np.zeros((problem.n**2, problem.n**2))
+    weighted = np.zeros_like(plain)
+    for i in range(bank.size):
+        closed = bank.a[i] - bank.b[i] @ gain
+        plain += np.kron(closed, closed)
+        weighted += wbank.weights[i] * np.kron(closed, closed)
+    assert_close(ws.closed_loop_kron_expect(bank, gain), plain / bank.size)
+    assert_close(ws.closed_loop_kron_expect(wbank, gain), weighted / bank.size)
+
+
+def test_unit_weights_reproduce_the_plain_moment(bank2k):
+    assert np.array_equal(bank2k.moment(np.ones(bank2k.size)), bank2k.moment())
+
+
+@pytest.mark.parametrize("family, theta", [("RRSL", 1.0), ("RSL", 0.00125)])
+def test_weighted_bank_sees_the_solver_weights(bank2k, family, theta):
+    spec = ws.WeightSpec(family=family, theta=theta, alpha=10.0, beta=11.0)
+    problem = ws.DesignProblem(bank=bank2k, q=Q2, r=R1, weights=spec)
+    sol = ws.fixed_point_solve(problem)
+    wbank = ws.build_weighted_bank(bank2k, spec, theta, sol.gain, sol.value, Q2, R1)
+    solver = ws.weight_vector(bank2k, spec, theta, sol.gain, sol.value, Q2, R1)
+    assert np.array_equal(wbank.weights, solver)
