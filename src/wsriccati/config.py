@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -111,7 +111,6 @@ class RunConfig:
     solver: SolverConfig
     task: TaskConfig
     output_dir: str = "out"
-    raw: dict = field(default_factory=dict, repr=False)
 
 
 class _Block:
@@ -286,7 +285,6 @@ def parse_config(data: dict) -> RunConfig:
         solver=solver,
         task=task,
         output_dir=_coerce(data.get("output_dir", "out"), str, "output_dir"),
-        raw=data,
     )
     # Building the distribution and weight spec validates shapes and ranges
     # up front, so a malformed file fails before any output is written.

@@ -14,18 +14,17 @@ built, and every expectation is a product with it (see :class:`SampleBank`).
 
 from __future__ import annotations
 
-import csv
 import functools
 import hashlib
 import json
 import math
-import re
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigurationError, NonFiniteError
+from .matops import unvech
 
 __all__ = [
     "FAMILIES",
@@ -38,8 +37,6 @@ __all__ = [
     "quadratic_expect",
     "stream_rng",
     "derive_seed",
-    "save_bank_csv",
-    "load_bank_csv",
 ]
 
 FAMILIES = ("point", "normal", "laplace")
@@ -353,6 +350,23 @@ def quadratic_expect(moment: np.ndarray, value: np.ndarray) -> np.ndarray:
     return np.einsum("arbs,rs->ab", moment.reshape(k, n, k, n), value)
 
 
+def _closed_loop_operator(moment: np.ndarray, gain: np.ndarray):
+    """The operator S -> E_w[C' S C], C = A - B L, on symmetric S in vech coordinates.
+
+    With K = [I; -L], C = Z K. Column k is vech(K' E_w[Z' S_k Z] K) for
+    S_k = unvech(e_k), k < n(n+1)/2, each E_w[Z' S_k Z] read off the moment
+    by :func:`quadratic_expect`. Also returns the stack of E_w[Z' S_k C],
+    n(n+1)/2 by (n+m) by n, whose last m rows are the E_w[B' S_k C] of the
+    gain residual's derivative.
+    """
+    n = gain.shape[1]
+    k_mat = np.vstack([np.eye(n), -gain])
+    zsz = [quadratic_expect(moment, unvech(e, n)) for e in np.eye(n * (n + 1) // 2)]
+    zsc = np.stack(zsz) @ k_mat
+    rows, cols = np.triu_indices(n)  # vech order: the lower triangle by columns
+    return (k_mat.T @ zsc)[:, cols, rows].T, zsc
+
+
 def draw_bank(dist: ParameterDistribution, size: int, seed: int) -> SampleBank:
     """Draw an i.i.d. bank; identical (dist, size, seed) reproduce it exactly."""
     if size < 1:
@@ -399,45 +413,3 @@ def derive_seed(seed: int, index: int) -> int:
     """Integer sub-seed for worker ``index``, a pure function of (seed, index)."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
     return int(ss.generate_state(1, np.uint64)[0])
-
-
-def save_bank_csv(bank: SampleBank, path) -> None:
-    """Write one sample per row, vec(A) entries then vec(B) entries."""
-    n, m = bank.n, bank.m
-    header = [f"A_{i + 1}_{j + 1}" for j in range(n) for i in range(n)]
-    header += [f"B_{i + 1}_{j + 1}" for j in range(m) for i in range(n)]
-    seed_text = "none" if bank.seed is None else str(bank.seed)
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# bank n={n} m={m} size={bank.size} seed={seed_text}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for idx in range(bank.size):
-            row = list(bank.a[idx].reshape(-1, order="F")) + list(
-                bank.b[idx].reshape(-1, order="F")
-            )
-            writer.writerow([repr(float(v)) for v in row])
-
-
-def load_bank_csv(path) -> SampleBank:
-    """Read a bank written by :func:`save_bank_csv`."""
-    with open(path, newline="") as fh:
-        meta_line = fh.readline()
-        match = re.match(
-            r"#\s*bank\s+n=(\d+)\s+m=(\d+)\s+size=(\d+)\s+seed=(\S+)", meta_line
-        )
-        if not match:
-            raise ConfigurationError(f"{path}: missing or malformed bank header")
-        n, m, size = int(match.group(1)), int(match.group(2)), int(match.group(3))
-        seed = None if match.group(4) == "none" else int(match.group(4))
-        reader = csv.reader(fh)
-        next(reader)  # column names
-        rows = [[float(v) for v in row] for row in reader if row]
-    if len(rows) != size:
-        raise ConfigurationError(
-            f"{path}: expected {size} samples, found {len(rows)}"
-        )
-    lam = np.asarray(rows, dtype=float)
-    if lam.shape[1] != n * (n + m):
-        raise ConfigurationError(f"{path}: row length {lam.shape[1]} inconsistent")
-    a, b = _split_stacked(lam, n, m)
-    return SampleBank(a=a, b=b, seed=seed, provenance=f"csv:{path}")

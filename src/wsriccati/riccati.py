@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import SampleBank, quadratic_expect
+from .ensemble import SampleBank, _closed_loop_operator, quadratic_expect
 from .errors import (
     ConfigurationError,
     ConvergenceError,
@@ -41,13 +41,7 @@ from .errors import (
     NumericalError,
     SingularJacobianError,
 )
-from .matops import (
-    compress,
-    duplication_matrix,
-    symmetrize,
-    vech,
-    unvech,
-)
+from .matops import symmetrize, unvech, vech
 from .weights import WeightSpec, _unit_weights, weight_vector
 
 __all__ = [
@@ -417,30 +411,19 @@ def _fd_jacobian(z: np.ndarray, problem: DesignProblem, theta) -> np.ndarray:
 
 def _analytic_jacobian_theta0(z: np.ndarray, problem: DesignProblem) -> np.ndarray:
     # Valid only at theta = 0, where the weights are identically one and
-    # contribute no derivative terms.
+    # contribute no derivative terms. In the direction S_k = unvech(e_k),
+    # dF = vech(E[C^T S_k C]) - e_k and dG = -vec(E[B^T S_k C]), C = A - B L.
     n, m = problem.n, problem.m
     value, gain = unpack_solution(z, n, m)
     bank = problem.bank
-    size = bank.size
-    closed = bank.a - np.matmul(bank.b, gain)
-    closed_t = closed.transpose(0, 2, 1)
-    b_t = bank.b.transpose(0, 2, 1)
-
-    kron_cc = (
-        np.einsum("sij,skl->sikjl", closed_t, closed_t).reshape(size, n * n, n * n)
-    ).mean(axis=0)
-    kron_cb = (
-        np.einsum("sij,skl->sikjl", closed_t, b_t).reshape(size, n * m, n * n)
-    ).mean(axis=0)
-
     head = n * (n + 1) // 2
-    w = np.ones(size)
-    _, eapb, ebpb = _expectations(bank, w, value)
+    operator, zsc = _closed_loop_operator(bank.moment(), gain)
+    _, eapb, ebpb = _expectations(bank, None, value)
     ebpb_r = ebpb + problem.r
     s_mat = ebpb_r @ gain - eapb.T
     t_mat = gain.T @ ebpb_r - eapb
 
-    df_dvalue = compress(kron_cc) - np.eye(head)
+    df_dvalue = operator - np.eye(head)
     df_dgain = np.empty((head, m * n))
     col = 0
     for j in range(n):
@@ -449,7 +432,7 @@ def _analytic_jacobian_theta0(z: np.ndarray, problem: DesignProblem) -> np.ndarr
             unit[i, j] = 1.0
             df_dgain[:, col] = vech(unit.T @ s_mat + t_mat @ unit)
             col += 1
-    dg_dvalue = -kron_cb @ duplication_matrix(n)
+    dg_dvalue = -zsc[:, n:, :].transpose(0, 2, 1).reshape(head, m * n).T
     dg_dgain = np.kron(np.eye(n), ebpb_r)
 
     top = np.hstack([df_dvalue, df_dgain])
@@ -571,9 +554,11 @@ def solve(
 ) -> DesignSolution:
     """Front-end dispatching to the configured solution route.
 
-    ``newton-continuation`` solves at theta = 0 first and then walks theta
-    through the continuation grid (default: half the target, then the
-    target), warm-starting each Newton run at the previous solution.
+    Both Newton routes solve at theta = 0 with the fixed-point route first
+    and then run Newton through a grid of theta values, warm-starting each
+    run at the previous solution. ``newton`` uses the one-point grid (theta,);
+    ``newton-continuation`` uses ``continuation`` (default: half the target,
+    then the target).
     """
     if method == "fixed-point":
         return fixed_point_solve(
@@ -585,23 +570,10 @@ def solve(
             residual_tol=residual_tol,
             record_trace=record_trace,
         )
+    target = problem.theta
     if method == "newton":
-        base = fixed_point_solve(
-            problem.with_theta(0.0),
-            value0=value0,
-            gain0=gain0,
-            tol=fp_tol,
-            max_iters=fp_max_iters,
-            residual_tol=residual_tol,
-        )
-        return newton_solve(
-            problem,
-            z0=pack_solution(base.value, base.gain),
-            tol=newton_tol,
-            max_iters=newton_max_iters,
-        )
-    if method == "newton-continuation":
-        target = problem.theta
+        steps = (target,)
+    elif method == "newton-continuation":
         if continuation is None:
             steps = (target / 2.0, target) if target != 0.0 else (0.0,)
         else:
@@ -612,28 +584,26 @@ def solve(
                 raise ConfigurationError(
                     f"continuation grid must end at theta={target}, got {steps[-1]}"
                 )
-        base = fixed_point_solve(
-            problem.with_theta(0.0),
-            value0=value0,
-            gain0=gain0,
-            tol=fp_tol,
-            max_iters=fp_max_iters,
-            residual_tol=residual_tol,
+    else:
+        raise ConfigurationError(f"unknown solve method {method!r}")
+    base = fixed_point_solve(
+        problem.with_theta(0.0),
+        value0=value0,
+        gain0=gain0,
+        tol=fp_tol,
+        max_iters=fp_max_iters,
+        residual_tol=residual_tol,
+    )
+    z = pack_solution(base.value, base.gain)
+    total_iterations = 0
+    for theta_step in steps:
+        solution = newton_solve(
+            problem,
+            theta=theta_step,
+            z0=z,
+            tol=newton_tol,
+            max_iters=newton_max_iters,
         )
-        z = pack_solution(base.value, base.gain)
-        solution = base
-        total_iterations = 0
-        for theta_step in steps:
-            solution = newton_solve(
-                problem,
-                theta=theta_step,
-                z0=z,
-                tol=newton_tol,
-                max_iters=newton_max_iters,
-            )
-            z = pack_solution(solution.value, solution.gain)
-            total_iterations += solution.iterations
-        return dataclasses.replace(
-            solution, method="newton-continuation", iterations=total_iterations
-        )
-    raise ConfigurationError(f"unknown solve method {method!r}")
+        z = pack_solution(solution.value, solution.gain)
+        total_iterations += solution.iterations
+    return dataclasses.replace(solution, method=method, iterations=total_iterations)

@@ -1,13 +1,19 @@
 """Second-moment stability checks for a candidate gain.
 
 The closed loop x_{t+1} = (A_t - B_t L) x_t is mean-square stable exactly
-when the compressed expected Kronecker matrix
+when the operator
 
-    C(E[(A - B L) kron (A - B L)])
+    S -> E[(A - B L)^T S (A - B L)]
 
-has spectral radius below one. Replacing the plain expectation with a
-weighted one gives the weighted mean-square verdict for the policy the
-weights encode.
+on symmetric matrices has spectral radius below one (De Koning, Automatica
+1982). Its matrix in vech coordinates is built from the bank's moment, one
+column vech(K^T E[Z^T S_k Z] K) per basis matrix S_k = unvech(e_k), with
+Z = [A B] and K = [I; -L]; no per-draw product is formed. It is the adjoint,
+under the trace inner product, of S -> E[C S C^T], C = A - B L, whose matrix
+is the compressed Kronecker matrix C(E[C kron C]) of
+:func:`closed_loop_kron_expect`, so the two have the same eigenvalues.
+Replacing the plain expectation with a weighted one gives the weighted
+mean-square verdict for the policy the weights encode.
 """
 
 from __future__ import annotations
@@ -16,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import SampleBank
-from .matops import compress, spectral_radius
+from .ensemble import SampleBank, _closed_loop_operator
+from .matops import spectral_radius
 from .weights import WeightedBank
 
 __all__ = ["StabilityReport", "closed_loop_kron_expect", "ms_check", "wms_check"]
@@ -85,11 +91,13 @@ def closed_loop_kron_expect(bank, gain) -> np.ndarray:
 
 def ms_check(bank: SampleBank, gain) -> StabilityReport:
     """Mean-square stability verdict under the plain empirical distribution."""
-    radius = spectral_radius(compress(closed_loop_kron_expect(bank, gain)))
-    return StabilityReport(gain=np.asarray(gain, dtype=float), radius_plain=radius)
+    gain = np.asarray(gain, dtype=float)
+    radius = spectral_radius(_closed_loop_operator(bank.moment(), gain)[0])
+    return StabilityReport(gain=gain, radius_plain=radius)
 
 
 def wms_check(wbank: WeightedBank, gain) -> StabilityReport:
     """Weighted mean-square verdict under the policy the weights encode."""
-    radius = spectral_radius(compress(closed_loop_kron_expect(wbank, gain)))
-    return StabilityReport(gain=np.asarray(gain, dtype=float), radius_weighted=radius)
+    gain = np.asarray(gain, dtype=float)
+    operator = _closed_loop_operator(wbank.bank.moment(wbank.weights), gain)[0]
+    return StabilityReport(gain=gain, radius_weighted=spectral_radius(operator))

@@ -1,10 +1,11 @@
 """Property tests of the bank-moment kernel against per-sample loops.
 
 Every bank expectation (the coupled maps, the stacked residual, the
-predictive costs behind the weights) is read off the bank's moment matrix.
-Here each one is recomputed draw by draw with straight-line numpy on random
-small systems and all three weight families, and the two must agree to
-1e-12 relative to the size of the quantity.
+predictive costs behind the weights, the closed-loop operator of the
+stability checks) is read off the bank's moment matrix. Here each one is
+recomputed draw by draw with straight-line numpy on random small systems and
+all three weight families, and the two must agree to 1e-12 relative to the
+size of the quantity.
 """
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 import wsriccati as ws
 from wsriccati import riccati
+from wsriccati.ensemble import _closed_loop_operator
 from wsriccati.weights import RSL_MAX_EXPONENT, predictive_costs
 
 from conftest import Q2, R1
@@ -168,6 +170,30 @@ def test_closed_loop_kron_matches_per_sample_loop(case):
         weighted += wbank.weights[i] * np.kron(closed, closed)
     assert_close(ws.closed_loop_kron_expect(bank, gain), plain / bank.size)
     assert_close(ws.closed_loop_kron_expect(wbank, gain), weighted / bank.size)
+
+
+@PROPERTY
+@given(cases())
+def test_closed_loop_operator_matches_compressed_kron(case):
+    """S -> E_w[C'SC] from the moment is compress(E_w[C kron C]'), plain and weighted.
+
+    The stability radii are that matrix's spectral radius.
+    """
+    problem, value, gain = case
+    bank = problem.bank
+    wbank = ws.build_weighted_bank(
+        bank, problem.weights, problem.theta, gain, value, problem.q, problem.r
+    )
+    for source, moment, radius in (
+        (bank, bank.moment(), ws.ms_check(bank, gain).radius_plain),
+        (wbank, bank.moment(wbank.weights), ws.wms_check(wbank, gain).radius_weighted),
+    ):
+        ref = ws.compress(ws.closed_loop_kron_expect(source, gain).T)
+        # An entry sums terms K' E_w[Z' S_k Z] K that may cancel, as in a - b l
+        # close to 0; its error is measured against the size of those terms.
+        scale = np.abs(moment).max() * max(1.0, np.abs(gain).max()) ** 2
+        assert_close(_closed_loop_operator(moment, gain)[0], ref, scale)
+        assert_close(radius, ws.spectral_radius(ref), scale)
 
 
 def test_unit_weights_reproduce_the_plain_moment(bank2k):

@@ -147,24 +147,6 @@ def test_bank_is_immutable(bank2k):
         bank2k.a[0, 0, 0] = 99.0
 
 
-def test_bank_csv_roundtrip(tmp_path, benchmark_dist):
-    bank = ws.draw_bank(benchmark_dist, 40, seed=5)
-    path = tmp_path / "bank.csv"
-    ws.save_bank_csv(bank, path)
-    loaded = ws.load_bank_csv(path)
-    assert loaded.size == bank.size
-    assert loaded.seed == 5
-    assert np.array_equal(loaded.a, bank.a)
-    assert np.array_equal(loaded.b, bank.b)
-
-
-def test_bank_csv_rejects_malformed_header(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("no header here\n1,2\n")
-    with pytest.raises(ConfigurationError):
-        ws.load_bank_csv(path)
-
-
 def test_stream_rng_and_derive_seed_are_pure():
     a = ws.stream_rng(99, 3).standard_normal(4)
     b = ws.stream_rng(99, 3).standard_normal(4)
