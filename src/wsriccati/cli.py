@@ -20,6 +20,7 @@ import numpy as np
 from . import config as config_mod
 from .config import RunConfig, design_fingerprint, load_config
 from .errors import ConfigurationError, NumericalError
+from .matops import unvech, vec, vech
 from .riccati import solve
 from .simulate import mc_cost_study, robustness_study
 from .stability import ms_check, wms_check
@@ -55,15 +56,6 @@ def _vec_names(prefix: str, rows: int, cols: int) -> list[str]:
     return [f"{prefix}_{i + 1}_{j + 1}" for j in range(cols) for i in range(rows)]
 
 
-def _vech_entries(mat: np.ndarray) -> list[float]:
-    n = mat.shape[0]
-    return [float(mat[i, j]) for j in range(n) for i in range(j, n)]
-
-
-def _vec_entries(mat: np.ndarray) -> list[float]:
-    return [float(v) for v in np.asarray(mat).reshape(-1, order="F")]
-
-
 def _solution_header(n: int, m: int) -> list[str]:
     return (
         ["n", "m", "weight_family", "theta", "method", "iterations", "residual",
@@ -78,8 +70,8 @@ def _write_solution(path: Path, config: RunConfig, solution) -> None:
     row = (
         [n, m, config.weight.family, config.weight.theta, solution.method,
          solution.iterations, solution.residual, design_fingerprint(config)]
-        + _vech_entries(solution.value)
-        + _vec_entries(solution.gain)
+        + vech(solution.value).tolist()
+        + vec(solution.gain).tolist()
     )
     _write_csv(path, _solution_header(n, m), [row])
 
@@ -93,14 +85,10 @@ def _load_solution(path: Path) -> dict:
             raise ConfigurationError(f"{path}: empty solution file")
     try:
         n, m = int(record["n"]), int(record["m"])
-        value = np.zeros((n, n))
-        for j in range(n):
-            for i in range(j, n):
-                value[i, j] = value[j, i] = float(record[f"pi_{i + 1}_{j + 1}"])
-        gain = np.zeros((m, n))
-        for j in range(n):
-            for i in range(m):
-                gain[i, j] = float(record[f"l_{i + 1}_{j + 1}"])
+        value = unvech([float(record[k]) for k in _vech_names("pi", n)], n)
+        gain = np.array(
+            [float(record[k]) for k in _vec_names("l", m, n)]
+        ).reshape(m, n, order="F")
         return {
             "n": n,
             "m": m,
@@ -138,13 +126,8 @@ def _resolve_gain(config: RunConfig):
                 f"configuration (fingerprint mismatch)"
             )
         return record
-    if task.gain is not None:
-        gain = np.asarray(task.gain, dtype=float)
-        n, m = config.system.n, config.system.m
-        try:
-            gain = gain.reshape(m, n)
-        except ValueError as exc:
-            raise ConfigurationError(f"task.gain: {exc}") from exc
+    gain, _ = config_mod._task_arrays(config)
+    if gain is not None:
         return {"gain": gain, "value": None, "theta": None, "family": None}
     raise ConfigurationError("task.solution or task.gain is required")
 
@@ -167,7 +150,7 @@ def cmd_design(config: RunConfig, out_dir: Path) -> int:
             ["s"] + _vech_names("pi", n) + _vec_names("l", m, n) + ["delta", "residual"]
         )
         rows = [
-            [s] + _vech_entries(value) + _vec_entries(gain) + [delta, residual]
+            [s] + vech(value).tolist() + vec(gain).tolist() + [delta, residual]
             for s, value, gain, delta, residual in solution.trace
         ]
         _write_csv(out_dir / "trace.csv", header, rows)
@@ -249,7 +232,7 @@ def cmd_simulate(config: RunConfig, out_dir: Path) -> int:
         raise ConfigurationError("task.x0 is required for simulate")
     dist = config_mod.make_distribution(config)
     q, r = config_mod._cost_matrices(config)
-    x0 = np.asarray(config.task.x0, dtype=float).reshape(config.system.n)
+    _, x0 = config_mod._task_arrays(config)
     summary = mc_cost_study(
         dist,
         record["gain"],
@@ -315,7 +298,7 @@ def cmd_robustness(config: RunConfig, out_dir: Path) -> int:
             gain_rows.append([k, "error"] + [None] * (m * n) + [failed[k]])
         else:
             gain = next(ok_gains)
-            gain_rows.append([k, "ok"] + _vec_entries(gain) + [""])
+            gain_rows.append([k, "ok"] + vec(gain).tolist() + [""])
     _write_csv(
         out_dir / "gains.csv",
         ["repetition", "status"] + _vec_names("l", m, n) + ["error"],

@@ -1,16 +1,20 @@
 """Run configuration: one YAML file drives every subcommand.
 
 All science parameters live in the file; the command line only selects the
-subcommand and may override the output directory and a seed. Validation
-reports the exact dotted path of an offending field.
+subcommand and may override the output directory and a seed. Each setting is
+declared once, as a field of a section dataclass below: its name is the YAML
+key, its default applies when the key is absent, and its annotation decides
+how the value is checked. Validation reports the exact dotted path of an
+offending field.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
-from typing import Any
+from dataclasses import MISSING, dataclass, fields, is_dataclass
+from types import UnionType
+from typing import Any, get_args, get_origin, get_type_hints
 
 import numpy as np
 import yaml
@@ -57,6 +61,10 @@ class SystemConfig:
     stddev_b: list | None = None
     stddev_scale: float | None = None
 
+    def __post_init__(self):
+        if self.n < 1 or self.m < 1:
+            raise ConfigurationError("system.n and system.m must be >= 1")
+
 
 @dataclass(frozen=True)
 class CostConfig:
@@ -87,6 +95,14 @@ class SolverConfig:
     trace: bool = False
     dump_weights: bool = False
 
+    def __post_init__(self):
+        if self.method not in _METHODS:
+            raise ConfigurationError(
+                f"solver.method: unknown method {self.method!r}, expected one of {_METHODS}"
+            )
+        if self.bank_size < 1:
+            raise ConfigurationError("solver.bank_size must be >= 1")
+
 
 @dataclass(frozen=True)
 class TaskConfig:
@@ -113,58 +129,61 @@ class RunConfig:
     output_dir: str = "out"
 
 
-class _Block:
-    """Typed accessor over one nested mapping with dotted-path errors."""
-
-    def __init__(self, data: dict, path: str, known: tuple[str, ...]):
-        if not isinstance(data, dict):
-            raise ConfigurationError(f"{path}: expected a mapping")
-        for key in data:
-            if key not in known:
-                raise ConfigurationError(f"{path}.{key}: unknown field")
-        self.data = data
-        self.path = path
-
-    def has(self, key: str) -> bool:
-        return key in self.data
-
-    def get(self, key: str, kind, default=..., required: bool = False):
-        if key not in self.data:
-            if required:
-                raise ConfigurationError(f"{self.path}.{key}: required field missing")
-            return None if default is ... else default
-        value = self.data[key]
-        return _coerce(value, kind, f"{self.path}.{key}")
-
-
 def _coerce(value, kind, path: str):
+    """Check or convert one YAML value to a field annotation.
+
+    ``X | None`` coerces as X (an explicit null is rejected; leaving the key
+    out gives the default). ``Any`` and unions of several types pass through
+    for the consumer to validate. ``tuple[float, ...]`` takes a list of
+    finite floats.
+    """
+    if get_origin(kind) is UnionType:
+        options = [a for a in get_args(kind) if a is not type(None)]
+        if len(options) > 1:
+            return value
+        kind = options[0]
+    if kind is Any:
+        return value
+    if get_origin(kind) is tuple:
+        if not isinstance(value, list):
+            raise ConfigurationError(f"{path}: cannot interpret {value!r} as a list of floats")
+        return tuple(_coerce(v, float, f"{path}[{i}]") for i, v in enumerate(value))
     try:
-        if kind is int:
-            if isinstance(value, bool) or int(value) != value:
-                raise ValueError
+        if kind is int and not isinstance(value, bool) and int(value) == value:
             return int(value)
-        if kind is float:
-            out = float(value)
-            if not np.isfinite(out):
-                raise ValueError
-            return out
-        if kind is bool:
-            if not isinstance(value, bool):
-                raise ValueError
+        if kind is float and np.isfinite(float(value)):
+            return float(value)
+        if kind in (bool, str, list) and isinstance(value, kind):
             return value
-        if kind is str:
-            if not isinstance(value, str):
-                raise ValueError
-            return value
-        if kind is list:
-            if not isinstance(value, list):
-                raise ValueError
-            return value
-        if kind == "floats":
-            return tuple(float(v) for v in value)
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"{path}: cannot interpret {value!r} as {kind}")
-    raise ConfigurationError(f"{path}: unsupported field kind {kind!r}")
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigurationError(f"{path}: cannot interpret {value!r} as {kind.__name__}")
+
+
+def _build(cls, data, path: str = ""):
+    """Build dataclass ``cls`` from a mapping, one key per field.
+
+    Unknown keys are errors, a missing field without a default is reported
+    as required, and a nested dataclass field is built from its own mapping.
+    """
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"{path or 'config'}: expected a mapping")
+    kinds = get_type_hints(cls)
+    for key in data:
+        if key not in kinds:
+            raise ConfigurationError(
+                f"{path}.{key}: unknown field" if path else f"unknown top-level section {key!r}"
+            )
+    values = {}
+    for f in fields(cls):
+        where = f"{path}.{f.name}" if path else f.name
+        if is_dataclass(kinds[f.name]):
+            values[f.name] = _build(kinds[f.name], data.get(f.name, {}), where)
+        elif f.name in data:
+            values[f.name] = _coerce(data[f.name], kinds[f.name], where)
+        elif f.default is MISSING:
+            raise ConfigurationError(f"{where}: required field missing")
+    return cls(**values)
 
 
 def load_config(path) -> RunConfig:
@@ -180,117 +199,14 @@ def load_config(path) -> RunConfig:
 
 
 def parse_config(data: dict) -> RunConfig:
-    known = {"system", "cost", "weight", "solver", "task", "output_dir"}
-    for key in data:
-        if key not in known:
-            raise ConfigurationError(f"unknown top-level section {key!r}")
-
-    sys_block = _Block(
-        data.get("system", {}), "system",
-        ("n", "m", "mean_a", "mean_b", "family_a", "family_b",
-         "stddev_a", "stddev_b", "stddev_scale"),
-    )
-    n = sys_block.get("n", int, required=True)
-    m = sys_block.get("m", int, required=True)
-    if n < 1 or m < 1:
-        raise ConfigurationError("system.n and system.m must be >= 1")
-    system = SystemConfig(
-        n=n,
-        m=m,
-        mean_a=sys_block.get("mean_a", list, required=True),
-        mean_b=sys_block.get("mean_b", list, required=True),
-        family_a=sys_block.data.get("family_a", "normal"),
-        family_b=sys_block.data.get("family_b", "laplace"),
-        stddev_a=sys_block.get("stddev_a", list, default=None),
-        stddev_b=sys_block.get("stddev_b", list, default=None),
-        stddev_scale=sys_block.get("stddev_scale", float, default=None),
-    )
-
-    cost_block = _Block(data.get("cost", {}), "cost", ("q", "r"))
-    cost = CostConfig(
-        q=cost_block.get("q", list, required=True),
-        r=cost_block.get("r", list, required=True),
-    )
-
-    weight_block = _Block(
-        data.get("weight", {}), "weight",
-        ("family", "theta", "alpha", "beta", "sigma"),
-    )
-    weight = WeightConfig(
-        family=weight_block.get("family", str, default=FAMILY_RN),
-        theta=weight_block.get("theta", float, default=0.0),
-        alpha=weight_block.get("alpha", float, default=0.0),
-        beta=weight_block.get("beta", float, default=0.0),
-        sigma=weight_block.data.get("sigma", "identity"),
-    )
-
-    solver_block = _Block(
-        data.get("solver", {}), "solver",
-        ("method", "bank_size", "seed", "fp_tol", "fp_max_iters",
-         "residual_tol", "newton_tol", "newton_max_iters", "continuation",
-         "trace", "dump_weights"),
-    )
-    method = solver_block.get("method", str, default="fixed-point")
-    if method not in _METHODS:
-        raise ConfigurationError(
-            f"solver.method: unknown method {method!r}, expected one of {_METHODS}"
-        )
-    continuation = None
-    if solver_block.has("continuation"):
-        continuation = solver_block.get("continuation", "floats")
-    solver = SolverConfig(
-        method=method,
-        bank_size=solver_block.get("bank_size", int, default=10_000),
-        seed=solver_block.get("seed", int, default=0),
-        fp_tol=solver_block.get("fp_tol", float, default=DEFAULT_FP_TOL),
-        fp_max_iters=solver_block.get("fp_max_iters", int, default=DEFAULT_FP_MAX_ITERS),
-        residual_tol=solver_block.get("residual_tol", float, default=DEFAULT_RESIDUAL_TOL),
-        newton_tol=solver_block.get("newton_tol", float, default=DEFAULT_NEWTON_TOL),
-        newton_max_iters=solver_block.get(
-            "newton_max_iters", int, default=DEFAULT_NEWTON_MAX_ITERS
-        ),
-        continuation=continuation,
-        trace=solver_block.get("trace", bool, default=False),
-        dump_weights=solver_block.get("dump_weights", bool, default=False),
-    )
-    if solver.bank_size < 1:
-        raise ConfigurationError("solver.bank_size must be >= 1")
-
-    task_block = _Block(
-        data.get("task", {}), "task",
-        ("x0", "horizon", "trials", "rho_list", "theta_grid", "repetitions",
-         "robustness_bank_size", "trajectory_count", "seed", "gain",
-         "solution"),
-    )
-    task = TaskConfig(
-        x0=task_block.get("x0", list, default=None),
-        horizon=task_block.get("horizon", int, default=300),
-        trials=task_block.get("trials", int, default=10_000),
-        rho_list=task_block.get(
-            "rho_list", "floats", default=(1.0, 5.0, 10.0, 20.0, 50.0, 100.0)
-        ),
-        theta_grid=task_block.get("theta_grid", "floats", default=None),
-        repetitions=task_block.get("repetitions", int, default=20),
-        robustness_bank_size=task_block.get("robustness_bank_size", int, default=2_000),
-        trajectory_count=task_block.get("trajectory_count", int, default=10),
-        seed=task_block.get("seed", int, default=1),
-        gain=task_block.get("gain", list, default=None),
-        solution=task_block.get("solution", str, default=None),
-    )
-
-    config = RunConfig(
-        system=system,
-        cost=cost,
-        weight=weight,
-        solver=solver,
-        task=task,
-        output_dir=_coerce(data.get("output_dir", "out"), str, "output_dir"),
-    )
-    # Building the distribution and weight spec validates shapes and ranges
-    # up front, so a malformed file fails before any output is written.
+    config = _build(RunConfig, data)
+    # Building the distribution, the weight spec and the matrices validates
+    # shapes and ranges up front, so a malformed file fails before any output
+    # is written.
     make_distribution(config)
     make_weight_spec(config)
     _cost_matrices(config)
+    _task_arrays(config)
     return config
 
 
@@ -333,14 +249,29 @@ def make_weight_spec(config: RunConfig, theta: float | None = None) -> WeightSpe
         raise ConfigurationError(f"weight: {exc}") from exc
 
 
+def _array(value, shape: tuple[int, ...], path: str) -> np.ndarray:
+    """Finite float array of the given shape (entries read in row-major order)."""
+    try:
+        arr = np.asarray(value, dtype=float).reshape(shape)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{path}: {exc}") from exc
+    if not np.all(np.isfinite(arr)):
+        raise ConfigurationError(f"{path}: entries must be finite")
+    return arr
+
+
 def _cost_matrices(config: RunConfig) -> tuple[np.ndarray, np.ndarray]:
     n, m = config.system.n, config.system.m
-    try:
-        q = np.asarray(config.cost.q, dtype=float).reshape(n, n)
-        r = np.asarray(config.cost.r, dtype=float).reshape(m, m)
-    except ValueError as exc:
-        raise ConfigurationError(f"cost: {exc}") from exc
-    return q, r
+    return _array(config.cost.q, (n, n), "cost.q"), _array(config.cost.r, (m, m), "cost.r")
+
+
+def _task_arrays(config: RunConfig) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """The inline gain (m x n) and initial state (n,) of the task block, if set."""
+    n, m = config.system.n, config.system.m
+    task = config.task
+    gain = None if task.gain is None else _array(task.gain, (m, n), "task.gain")
+    x0 = None if task.x0 is None else _array(task.x0, (n,), "task.x0")
+    return gain, x0
 
 
 def make_problem(

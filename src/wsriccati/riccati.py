@@ -146,14 +146,12 @@ class DesignSolution:
     trace: tuple | None = None
 
 
-def _weights_at(problem: DesignProblem, value, gain, theta=None) -> np.ndarray | None:
+def _weights_at(problem: DesignProblem, value, gain) -> np.ndarray | None:
     """Weights at the policy, or None where they are exactly one (RN, theta = 0)."""
-    if theta is None:
-        theta = problem.theta
-    if _unit_weights(problem.weights, theta):
+    if _unit_weights(problem.weights, problem.theta):
         return None
     return weight_vector(
-        problem.bank, problem.weights, theta, gain, value, problem.q, problem.r
+        problem.bank, problem.weights, problem.theta, gain, value, problem.q, problem.r
     )
 
 
@@ -182,26 +180,26 @@ def _gain_from(ebpb_r: np.ndarray, eapb: np.ndarray, r: np.ndarray) -> np.ndarra
     return np.linalg.solve(ebpb_r, eapb.T)
 
 
-def _maps(problem: DesignProblem, value, gain, theta=None):
-    w = _weights_at(problem, value, gain, theta)
+def _maps(problem: DesignProblem, value, gain):
+    w = _weights_at(problem, value, gain)
     eapa, eapb, ebpb = _expectations(problem.bank, w, value)
     new_gain = _gain_from(ebpb + problem.r, eapb, problem.r)
     new_value = symmetrize(eapa + problem.q - eapb @ new_gain, tol=1e-6)
     return new_value, new_gain
 
 
-def gain_map(value, gain, problem: DesignProblem, theta=None) -> np.ndarray:
+def gain_map(value, gain, problem: DesignProblem) -> np.ndarray:
     """One application of the gain map G at the given policy."""
     value = symmetrize(value, "value matrix")
     gain = np.asarray(gain, dtype=float)
-    return _maps(problem, value, gain, theta)[1]
+    return _maps(problem, value, gain)[1]
 
 
-def value_map(value, gain, problem: DesignProblem, theta=None) -> np.ndarray:
+def value_map(value, gain, problem: DesignProblem) -> np.ndarray:
     """One application of the value map F at the given policy."""
     value = symmetrize(value, "value matrix")
     gain = np.asarray(gain, dtype=float)
-    return _maps(problem, value, gain, theta)[0]
+    return _maps(problem, value, gain)[0]
 
 
 def _check_stabilizing(value: np.ndarray, q: np.ndarray, label: str) -> None:
@@ -378,10 +376,12 @@ def unpack_solution(z: np.ndarray, n: int, m: int) -> tuple[np.ndarray, np.ndarr
 
 
 def implicit_residual(z, problem: DesignProblem, theta=None) -> np.ndarray:
-    """Stacked residual h(z) whose root is the design solution."""
+    """Stacked residual h(z) whose root is the design solution (at ``theta`` if given)."""
+    if theta is not None:
+        problem = problem.with_theta(theta)
     n, m = problem.n, problem.m
     value, gain = unpack_solution(z, n, m)
-    zpz = _zpz(problem.bank, _weights_at(problem, value, gain, theta), value)
+    zpz = _zpz(problem.bank, _weights_at(problem, value, gain), value)
     k_mat = np.vstack([np.eye(n), -gain])
     empm = k_mat.T @ zpz @ k_mat  # E_w[(A-BL)^T P (A-BL)]
     empm = 0.5 * (empm + empm.T)
@@ -392,7 +392,7 @@ def implicit_residual(z, problem: DesignProblem, theta=None) -> np.ndarray:
     return np.concatenate([f_part, g_part])
 
 
-def _fd_jacobian(z: np.ndarray, problem: DesignProblem, theta) -> np.ndarray:
+def _fd_jacobian(z: np.ndarray, problem: DesignProblem) -> np.ndarray:
     dim = z.size
     jac = np.empty((dim, dim))
     step_base = float(np.finfo(float).eps) ** (1.0 / 3.0)
@@ -402,10 +402,8 @@ def _fd_jacobian(z: np.ndarray, problem: DesignProblem, theta) -> np.ndarray:
         zp[j] += h
         zm = z.copy()
         zm[j] -= h
-        jac[:, j] = (
-            implicit_residual(zp, problem, theta)
-            - implicit_residual(zm, problem, theta)
-        ) / (2.0 * h)
+        diff = implicit_residual(zp, problem) - implicit_residual(zm, problem)
+        jac[:, j] = diff / (2.0 * h)
     return jac
 
 
@@ -440,9 +438,7 @@ def _analytic_jacobian_theta0(z: np.ndarray, problem: DesignProblem) -> np.ndarr
     return np.vstack([top, bottom])
 
 
-def residual_jacobian(
-    z, problem: DesignProblem, theta=None, mode: str = "finite-diff"
-) -> np.ndarray:
+def residual_jacobian(z, problem: DesignProblem, mode: str = "finite-diff") -> np.ndarray:
     """Jacobian of the residual with respect to the solution vector.
 
     ``finite-diff`` uses central differences with per-coordinate steps
@@ -450,12 +446,10 @@ def residual_jacobian(
     blocks that hold at zero sensitivity and rejects any other theta.
     """
     z = np.asarray(z, dtype=float).reshape(-1)
-    if theta is None:
-        theta = problem.theta
     if mode == "finite-diff":
-        return _fd_jacobian(z, problem, theta)
+        return _fd_jacobian(z, problem)
     if mode == "analytic-theta0":
-        if theta != 0.0:
+        if problem.theta != 0.0:
             raise ConfigurationError(
                 "analytic-theta0 Jacobian is only valid at theta = 0"
             )
@@ -469,24 +463,24 @@ def newton_solve(
     z0: np.ndarray | None = None,
     tol: float = DEFAULT_NEWTON_TOL,
     max_iters: int = DEFAULT_NEWTON_MAX_ITERS,
-    max_halvings: int = DEFAULT_MAX_HALVINGS,
 ) -> DesignSolution:
-    """Damped Newton iteration on the stacked residual.
+    """Damped Newton iteration on the stacked residual (at ``theta`` if given).
 
     When ``z0`` is omitted the zero-sensitivity solution is computed with
     the fixed-point route and used as the start, which is the initialization
     with a convergence guarantee near theta = 0. Steps are halved (at most
-    ``max_halvings`` times) whenever the residual norm fails to decrease.
+    ``DEFAULT_MAX_HALVINGS`` times) whenever the residual norm fails to
+    decrease.
     """
-    if theta is None:
-        theta = problem.theta
+    if theta is not None:
+        problem = problem.with_theta(theta)
     if z0 is None:
         base = fixed_point_solve(problem.with_theta(0.0))
         z = pack_solution(base.value, base.gain)
     else:
         z = np.asarray(z0, dtype=float).reshape(-1).copy()
 
-    residual = implicit_residual(z, problem, theta)
+    residual = implicit_residual(z, problem)
     norm = float(np.linalg.norm(residual))
     history = [norm]
     iterations = 0
@@ -497,7 +491,7 @@ def newton_solve(
                 f"(residual {norm:.3e})",
                 history=tuple(history),
             )
-        jac = residual_jacobian(z, problem, theta)
+        jac = residual_jacobian(z, problem)
         try:
             step = np.linalg.solve(jac, residual)
         except np.linalg.LinAlgError as exc:
@@ -508,9 +502,9 @@ def newton_solve(
             ) from exc
         scale = 1.0
         accepted = False
-        for _ in range(max_halvings + 1):
+        for _ in range(DEFAULT_MAX_HALVINGS + 1):
             candidate = z - scale * step
-            cand_res = implicit_residual(candidate, problem, theta)
+            cand_res = implicit_residual(candidate, problem)
             cand_norm = float(np.linalg.norm(cand_res))
             if cand_norm < norm:
                 accepted = True
@@ -518,7 +512,7 @@ def newton_solve(
             scale *= 0.5
         if not accepted:
             raise ConvergenceError(
-                f"Newton made no progress after {max_halvings} halvings "
+                f"Newton made no progress after {DEFAULT_MAX_HALVINGS} halvings "
                 f"(residual {norm:.3e})",
                 history=tuple(history),
             )
@@ -542,8 +536,6 @@ def newton_solve(
 def solve(
     problem: DesignProblem,
     method: str = "fixed-point",
-    value0=None,
-    gain0=None,
     fp_tol: float = DEFAULT_FP_TOL,
     fp_max_iters: int = DEFAULT_FP_MAX_ITERS,
     residual_tol: float = DEFAULT_RESIDUAL_TOL,
@@ -563,8 +555,6 @@ def solve(
     if method == "fixed-point":
         return fixed_point_solve(
             problem,
-            value0=value0,
-            gain0=gain0,
             tol=fp_tol,
             max_iters=fp_max_iters,
             residual_tol=residual_tol,
@@ -588,8 +578,6 @@ def solve(
         raise ConfigurationError(f"unknown solve method {method!r}")
     base = fixed_point_solve(
         problem.with_theta(0.0),
-        value0=value0,
-        gain0=gain0,
         tol=fp_tol,
         max_iters=fp_max_iters,
         residual_tol=residual_tol,

@@ -1,0 +1,184 @@
+import dataclasses
+import math
+import re
+from pathlib import Path
+from typing import get_type_hints
+
+import pytest
+import yaml
+
+from wsriccati.cli import main
+from wsriccati.config import RunConfig, design_fingerprint, load_config, parse_config
+from wsriccati.errors import ConfigurationError
+
+from test_cli import base_config, write_config
+
+EXAMPLE = Path(__file__).resolve().parent.parent / "configs" / "example.yaml"
+
+SECTIONS = {k: v for k, v in get_type_hints(RunConfig).items() if k != "output_dir"}
+
+#: Every field of every section set to a valid value that is not its default.
+NON_DEFAULT = {
+    "system": {
+        "n": 2,
+        "m": 1,
+        "mean_a": [[0.9, 0.0], [0.1, 1.0]],
+        "mean_b": [[0.01], [0.02]],
+        "family_a": "laplace",
+        "family_b": "normal",
+        "stddev_a": [[0.01, 0.02], [0.03, 0.04]],
+        "stddev_b": [[0.001], [0.002]],
+        "stddev_scale": 0.2,
+    },
+    "cost": {"q": [[2.0, 0.5], [0.5, 1.0]], "r": [[0.5]]},
+    "weight": {
+        "family": "RSL",
+        "theta": 0.002,
+        "alpha": 2.0,
+        "beta": 3.0,
+        "sigma": [[2.0, 0.0], [0.0, 1.0]],
+    },
+    "solver": {
+        "method": "newton-continuation",
+        "bank_size": 123,
+        "seed": 5,
+        "fp_tol": 1.0e-9,
+        "fp_max_iters": 77,
+        "residual_tol": 1.0e-7,
+        "newton_tol": 1.0e-8,
+        "newton_max_iters": 9,
+        "continuation": [0.001, 0.002],
+        "trace": True,
+        "dump_weights": True,
+    },
+    "task": {
+        "x0": [1.0, 2.0],
+        "horizon": 40,
+        "trials": 50,
+        "rho_list": [5.0, 25.0],
+        "theta_grid": [0.0, 0.001],
+        "repetitions": 3,
+        "robustness_bank_size": 60,
+        "trajectory_count": 2,
+        "seed": 9,
+        "gain": [[4.0, 3.5]],
+        "solution": "elsewhere/solution.csv",
+    },
+    "output_dir": "elsewhere",
+}
+
+
+def parse_with(section, **values):
+    data = base_config("out")
+    data[section] = {**data[section], **values}
+    return parse_config(data)
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("task", "rho_list", "15"),
+        ("task", "theta_grid", "0.5"),
+        ("solver", "continuation", "01"),
+    ],
+)
+def test_float_list_rejects_string(section, key, value):
+    message = f"{section}.{key}: cannot interpret '{value}' as a list of floats"
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        parse_with(section, **{key: value})
+
+
+@pytest.mark.parametrize(
+    "section, key, value, bad",
+    [
+        ("task", "theta_grid", [math.nan, 1.0], 0),
+        ("task", "rho_list", [1.0, math.inf], 1),
+        ("solver", "continuation", [0.5, -math.inf], 1),
+    ],
+)
+def test_float_list_rejects_non_finite_entry(section, key, value, bad):
+    pattern = re.escape(f"{section}.{key}[{bad}]: cannot interpret {value[bad]!r} as float")
+    with pytest.raises(ConfigurationError, match=pattern):
+        parse_with(section, **{key: value})
+
+
+def test_non_finite_sweep_grid_fails_before_output(tmp_path):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, base_config(out, task={"theta_grid": [math.nan, 1.0]}))
+    assert main(["sweep", str(cfg)]) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "section, key, value, message",
+    [
+        ("solver", "bank_size", 2.5, "solver.bank_size: cannot interpret 2.5 as int"),
+        ("solver", "seed", True, "solver.seed: cannot interpret True as int"),
+        ("solver", "fp_max_iters", math.inf, "solver.fp_max_iters: cannot interpret inf as int"),
+        ("solver", "fp_tol", "tight", "solver.fp_tol: cannot interpret 'tight' as float"),
+        ("solver", "trace", "yes", "solver.trace: cannot interpret 'yes' as bool"),
+        ("weight", "family", 3, "weight.family: cannot interpret 3 as str"),
+        ("task", "x0", None, "task.x0: cannot interpret None as list"),
+    ],
+)
+def test_coercion_error_names_the_kind(section, key, value, message):
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        parse_with(section, **{key: value})
+
+
+@pytest.mark.parametrize(
+    "task",
+    [
+        {"gain": [[4.0, 3.5, 1.0]]},
+        {"gain": [[math.nan, 3.5]]},
+        {"gain": [["fast", 3.5]]},
+        {"gain": [[4.0, 3.5]], "x0": [1.0, 1.0, 1.0]},
+        {"gain": [[4.0, 3.5]], "x0": [1.0, math.inf]},
+    ],
+)
+@pytest.mark.parametrize("command", ["stability", "simulate"])
+def test_task_gain_and_x0_validated_before_output(tmp_path, caplog, command, task):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, base_config(out, task={"x0": [1.0, 1.0], **task}))
+    assert main([command, str(cfg)]) == 1
+    assert "configuration error: task." in caplog.text
+    assert not out.exists()
+
+
+def test_every_field_appears_in_example_config():
+    keys: dict[str, set[str]] = {}
+    section = None
+    for line in EXAMPLE.read_text().splitlines():
+        top = re.match(r"(\w+):", line)
+        if top:
+            section = top.group(1)
+            keys.setdefault(section, set())
+        nested = re.match(r"\s+#?\s*(\w+):", line)
+        if nested and section is not None:
+            keys[section].add(nested.group(1))
+    assert "output_dir" in keys
+    for name, cls in SECTIONS.items():
+        missing = {f.name for f in dataclasses.fields(cls)} - keys.get(name, set())
+        assert not missing, f"{name}: fields absent from {EXAMPLE.name}: {sorted(missing)}"
+
+
+def test_non_default_values_parse_back(tmp_path):
+    path = tmp_path / "all.yaml"
+    path.write_text(yaml.safe_dump(NON_DEFAULT))
+    config = load_config(path)
+    assert config.output_dir == NON_DEFAULT["output_dir"]
+    for name, cls in SECTIONS.items():
+        section = getattr(config, name)
+        assert set(NON_DEFAULT[name]) == {f.name for f in dataclasses.fields(cls)}
+        for f in dataclasses.fields(cls):
+            got = getattr(section, f.name)
+            assert got != f.default, f"{name}.{f.name} is set to its default"
+            if isinstance(got, tuple):
+                got = list(got)
+            assert got == NON_DEFAULT[name][f.name], f"{name}.{f.name}"
+
+
+def test_example_fingerprint_is_stable():
+    assert design_fingerprint(load_config(EXAMPLE)) == (
+        "8b177dc8a274536e8055c23043e93b87b5ee4819a94ea37782cb4682adddd2a4"
+    )
