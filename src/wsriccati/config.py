@@ -21,6 +21,7 @@ import yaml
 
 from .ensemble import ParameterDistribution, SampleBank, build_distribution, draw_bank
 from .errors import ConfigurationError
+from .matops import symmetrize
 from .riccati import (
     DEFAULT_FP_MAX_ITERS,
     DEFAULT_FP_TOL,
@@ -117,6 +118,19 @@ class TaskConfig:
     seed: int = 1
     gain: list | None = None
     solution: str | None = None
+
+    def __post_init__(self):
+        if self.horizon < 0:
+            raise ConfigurationError("task.horizon must be >= 0")
+        if self.trials < 1:
+            raise ConfigurationError("task.trials must be >= 1")
+        for i, rho in enumerate(self.rho_list):
+            if not 0.0 < rho <= 100.0:
+                raise ConfigurationError(f"task.rho_list[{i}]: {rho} outside (0, 100]")
+        if self.repetitions < 2:
+            raise ConfigurationError("task.repetitions must be >= 2")
+        if self.robustness_bank_size < 1:
+            raise ConfigurationError("task.robustness_bank_size must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -234,19 +248,21 @@ def make_bank(config: RunConfig) -> SampleBank:
 
 def make_weight_spec(config: RunConfig, theta: float | None = None) -> WeightSpec:
     w = config.weight
-    sigma = None
-    if not (isinstance(w.sigma, str) and w.sigma == "identity"):
-        sigma = np.asarray(w.sigma, dtype=float)
     try:
-        return WeightSpec(
+        sigma = None
+        if not (isinstance(w.sigma, str) and w.sigma == "identity"):
+            sigma = np.asarray(w.sigma, dtype=float)
+        spec = WeightSpec(
             family=w.family,
             theta=w.theta if theta is None else float(theta),
             alpha=w.alpha,
             beta=w.beta,
             sigma=sigma,
         )
+        spec.resolved_sigma(config.system.n)
     except ValueError as exc:
         raise ConfigurationError(f"weight: {exc}") from exc
+    return spec
 
 
 def _array(value, shape: tuple[int, ...], path: str) -> np.ndarray:
@@ -261,8 +277,17 @@ def _array(value, shape: tuple[int, ...], path: str) -> np.ndarray:
 
 
 def _cost_matrices(config: RunConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The cost matrices, checked to be symmetric positive definite."""
     n, m = config.system.n, config.system.m
-    return _array(config.cost.q, (n, n), "cost.q"), _array(config.cost.r, (m, m), "cost.r")
+    q, r = _array(config.cost.q, (n, n), "cost.q"), _array(config.cost.r, (m, m), "cost.r")
+    for path, mat in (("cost.q", q), ("cost.r", r)):
+        try:
+            sym = symmetrize(mat, path)
+        except ValueError as exc:
+            raise ConfigurationError(str(exc)) from exc
+        if np.linalg.eigvalsh(sym).min() <= 0.0:
+            raise ConfigurationError(f"{path}: must be positive definite")
+    return q, r
 
 
 def _task_arrays(config: RunConfig) -> tuple[np.ndarray | None, np.ndarray | None]:

@@ -55,6 +55,7 @@ class ParameterDistribution:
     families: tuple[str, ...]
     mean: np.ndarray
     stddev: np.ndarray
+    _runs: tuple[tuple[str, int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
@@ -90,6 +91,13 @@ class ParameterDistribution:
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "stddev", stddev)
         object.__setattr__(self, "families", tuple(self.families))
+        # (family, start, stop) of each run of consecutive equal families.
+        starts = [j for j in range(dim) if j == 0 or self.families[j] != self.families[j - 1]]
+        runs = tuple(
+            (self.families[start], start, stop)
+            for start, stop in zip(starts, starts[1:] + [dim])
+        )
+        object.__setattr__(self, "_runs", runs)
 
     @property
     def dim(self) -> int:
@@ -115,21 +123,26 @@ class ParameterDistribution:
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw ``size`` parameter vectors, one per row.
 
-        Components are drawn in index order with one generator call each,
-        which fixes the stream layout for reproducibility. Laplace scales
-        are stddev/sqrt(2) so the component variance equals stddev**2.
+        Components are drawn in index order, which fixes the stream layout
+        for reproducibility: one generator call per run of consecutive
+        normal components (the same numbers as one call per component) and
+        one per Laplace component. Laplace scales are stddev/sqrt(2) so the
+        component variance equals stddev**2. The result is the transpose of
+        a C-contiguous (dim, size) array.
         """
-        out = np.empty((size, self.dim))
-        for j, family in enumerate(self.families):
-            mu = self.mean[j]
-            sd = self.stddev[j]
+        out = np.empty((self.dim, size))
+        for family, start, stop in self._runs:
+            mu = self.mean[start:stop, None]
             if family == "point":
-                out[:, j] = mu
+                out[start:stop] = mu
             elif family == "normal":
-                out[:, j] = mu + sd * rng.standard_normal(size)
+                z = rng.standard_normal((stop - start, size))
+                np.multiply(self.stddev[start:stop, None], z, out=out[start:stop])
+                out[start:stop] += mu
             else:
-                out[:, j] = rng.laplace(mu, sd / math.sqrt(2.0), size)
-        return out
+                for j in range(start, stop):
+                    out[j] = rng.laplace(self.mean[j], self.stddev[j] / math.sqrt(2.0), size)
+        return out.T
 
     def sample_matrices(
         self, rng: np.random.Generator, size: int

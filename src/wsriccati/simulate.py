@@ -4,6 +4,28 @@ Unlike the solver, which evaluates expectations on one fixed bank,
 simulation draws fresh matrices at every step so trajectories follow the
 true i.i.d. process. Trial k derives its generator from
 (seed, spawn_key=(k,)), so any single trial can be reproduced standalone.
+
+Trials run in blocks of B = ``_BLOCK`` (the last block may be smaller), and
+a single rollout is a block of one. Within a block of horizon H, with
+d = n(n+m) parameter components:
+
+- each trial takes its H parameter vectors from its own stream in one
+  ``ParameterDistribution.draw`` call, the same numbers in the same order as
+  a standalone rollout, into a trial-major B x d x H array;
+- the closed-loop matrices C_t = A_t - B_t L are built from strided views of
+  it into one H x n x n x B array, the trial axis last and contiguous;
+- the states x_0..x_H form one (H+1) x n x B array, filled by one product
+  x_{t+1} = C_t x_t over the whole block per step;
+- the divergence test, the zeroing of diverged states and the costs are
+  then taken over all steps at once.
+
+The draws and the closed-loop matrices coexist while the latter are built,
+so a block peaks at about 8 B H (d + n^2) bytes: 12 MB for n = 2, m = 1 and
+H = 300 at B = 512.
+
+A trial diverges at the first step t >= 1 whose state is non-finite or has
+a Euclidean norm above ``OVERFLOW_LIMIT``. Its cost is infinite, and its
+states from that step on are reported as zero.
 """
 
 from __future__ import annotations
@@ -32,7 +54,7 @@ __all__ = [
 #: State norms beyond this mark the trial as diverged (infinite cost).
 OVERFLOW_LIMIT = 1e12
 
-_BLOCK = 2048
+_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -89,46 +111,56 @@ def _run_trials(
     x0: np.ndarray,
     horizon: int,
     rngs,
-    record_states: bool = False,
 ):
-    """Simulate one batch of trials, one fresh draw per trial and step.
+    """Simulate one block of trials, one fresh draw per trial and step.
 
-    All trials in the batch advance together; each trial's draws come from
-    its own generator so results match a standalone single-trial run.
+    Returns the per-trial costs, the step at which each trial diverged (-1
+    if it did not) and the states, (horizon + 1) x n x trials. Trial k takes
+    all of its draws from ``rngs[k]`` in one call, so results match a
+    standalone single-trial run.
     """
     count = len(rngs)
     n, m = dist.n, dist.m
-    lam = np.empty((count, horizon, dist.dim))
+    lam = np.empty((count, dist.dim, horizon))
     for k, rng in enumerate(rngs):
-        lam[k] = dist.draw(rng, horizon)
-    a_seq = lam[:, :, : n * n].reshape(count, horizon, n, n, order="F")
-    b_seq = lam[:, :, n * n :].reshape(count, horizon, n, m, order="F")
-    closed_seq = a_seq - np.einsum("ktij,jl->ktil", b_seq, gain)
+        lam[k] = dist.draw(rng, horizon).T
+    # Component i + n j is entry (i, j) of A, then of B (column-major); the
+    # views index [t, i, j, k].
+    a_seq = lam[:, : n * n].reshape(count, n, n, horizon).transpose(3, 2, 1, 0)
+    b_seq = lam[:, n * n :].reshape(count, m, n, horizon).transpose(3, 2, 1, 0)
+    closed = np.empty((horizon, n, n, count))
+    np.einsum("tijk,jl->tilk", b_seq, gain, out=closed)
+    np.subtract(a_seq, closed, out=closed)
+    del lam, a_seq, b_seq
 
+    states = np.empty((horizon + 1, n, count))
+    states[0] = np.asarray(x0, dtype=float).reshape(n, 1)
+    dead_steps = np.zeros(count, dtype=int)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(horizon):
+            np.einsum("ijk,jk->ik", closed[t], states[t], out=states[t + 1])
+        del closed
+        after = states[1:]
+        # Entries within LIMIT/(2n) keep every norm below the limit, so only
+        # a block that fails this test (or holds a NaN) needs the norms.
+        bound = OVERFLOW_LIMIT / (2 * n)
+        if not (after.max(initial=0.0) <= bound and after.min(initial=0.0) >= -bound):
+            # The norm as np.linalg.norm forms it; NaN fails the comparison.
+            norm = np.sqrt(np.add.reduce(after * after, axis=1))
+            dead = np.logical_or.accumulate(~(norm <= OVERFLOW_LIMIT), axis=0)
+            np.copyto(after, 0.0, where=dead[:, None, :])
+            dead_steps = dead.sum(axis=0)
+
+    # x' W x summed as (x_i W_ij) x_j over i, then j, and over the steps by
+    # cumsum: the same left folds, in the same order, as a per-step loop.
     weight_mat = q + gain.T @ r @ gain
-    x = np.tile(np.asarray(x0, dtype=float).reshape(1, n), (count, 1))
-    cost = np.zeros(count)
-    diverged_at = np.full(count, -1, dtype=int)
-    states = np.empty((count, horizon + 1, n)) if record_states else None
-    if record_states:
-        states[:, 0, :] = x
-
-    for t in range(horizon):
-        cost = cost + np.einsum("ki,ij,kj->k", x, weight_mat, x)
-        x = np.einsum("kij,kj->ki", closed_seq[:, t], x)
-        bad = ~np.all(np.isfinite(x), axis=1) | (
-            np.linalg.norm(x, axis=1) > OVERFLOW_LIMIT
-        )
-        newly = bad & (diverged_at < 0)
-        if np.any(newly):
-            diverged_at[newly] = t + 1
-            cost[newly] = np.inf
-        x[bad] = 0.0
-        if record_states:
-            states[:, t + 1, :] = x
-    final = np.einsum("ki,ij,kj->k", x, weight_mat, x)
-    alive = diverged_at < 0
-    cost[alive] = cost[alive] + final[alive]
+    quad = np.zeros((horizon + 1, count))
+    for i in range(n):
+        for j in range(n):
+            quad += states[:, i] * weight_mat[i, j] * states[:, j]
+    cost = np.cumsum(quad, axis=0)[-1]
+    diverged_at = np.where(dead_steps > 0, horizon + 1 - dead_steps, -1)
+    cost[dead_steps > 0] = np.inf
     return cost, diverged_at, states
 
 
@@ -154,15 +186,12 @@ def rollout(
     q = symmetrize(q, "Q")
     r = symmetrize(r, "R")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    cost, diverged_at, states = _run_trials(
-        dist, gain, q, r, x0, horizon, [rng], record_states=True
-    )
+    cost, diverged_at, states = _run_trials(dist, gain, q, r, x0, horizon, [rng])
+    path = np.ascontiguousarray(states[:, :, 0])
     stop = int(diverged_at[0])
     if stop < 0:
-        return RolloutResult(states=states[0], cost=float(cost[0]), diverged_at=None)
-    return RolloutResult(
-        states=states[0, : stop + 1], cost=float(cost[0]), diverged_at=stop
-    )
+        return RolloutResult(states=path, cost=float(cost[0]), diverged_at=None)
+    return RolloutResult(states=path[: stop + 1], cost=float(cost[0]), diverged_at=stop)
 
 
 def worst_percent_averages(costs, rho_list) -> list[tuple[float, float]]:
@@ -198,28 +227,24 @@ def mc_cost_study(
     """Independent rollouts with tail statistics over the worst outcomes."""
     if trials < 1:
         raise ConfigurationError("trials must be >= 1")
+    if horizon < 0:
+        raise ConfigurationError("horizon must be >= 0")
     gain = np.asarray(gain, dtype=float)
     q = symmetrize(q, "Q")
     r = symmetrize(r, "R")
     costs = np.empty(trials)
     diverged = 0
+    trajectories = []
     for start in range(0, trials, _BLOCK):
         stop = min(start + _BLOCK, trials)
         rngs = [stream_rng(seed, k) for k in range(start, stop)]
-        block_costs, block_div, _ = _run_trials(
+        block_costs, block_div, states = _run_trials(
             dist, gain, q, r, x0, horizon, rngs
         )
         costs[start:stop] = block_costs
         diverged += int(np.sum(block_div >= 0))
-
-    trajectories: tuple[np.ndarray, ...] = ()
-    if trajectory_count > 0:
-        keep = min(trajectory_count, trials)
-        rngs = [stream_rng(seed, k) for k in range(keep)]
-        _, _, states = _run_trials(
-            dist, gain, q, r, x0, horizon, rngs, record_states=True
-        )
-        trajectories = tuple(states[k] for k in range(keep))
+        for k in range(start, min(stop, trajectory_count)):
+            trajectories.append(np.ascontiguousarray(states[:, :, k - start]))
 
     tail = tuple(worst_percent_averages(costs, rho_list))
     return SimulationSummary(
@@ -229,7 +254,7 @@ def mc_cost_study(
         mean_cost=float(costs.mean()),
         tail_averages=tail,
         diverged=diverged,
-        trajectories=trajectories,
+        trajectories=tuple(trajectories),
     )
 
 

@@ -182,3 +182,30 @@ def test_example_fingerprint_is_stable():
     assert design_fingerprint(load_config(EXAMPLE)) == (
         "8b177dc8a274536e8055c23043e93b87b5ee4819a94ea37782cb4682adddd2a4"
     )
+
+
+@pytest.mark.parametrize(
+    "command, section, values, message",
+    [
+        ("simulate", "task", {"horizon": -3}, "task.horizon must be >= 0"),
+        ("simulate", "task", {"trials": 0}, "task.trials must be >= 1"),
+        ("simulate", "task", {"rho_list": [5.0, 0.0]}, "task.rho_list[1]: 0.0 outside (0, 100]"),
+        ("simulate", "task", {"rho_list": [120.0]}, "task.rho_list[0]: 120.0 outside (0, 100]"),
+        ("robustness", "task", {"repetitions": 1}, "task.repetitions must be >= 2"),
+        ("robustness", "task", {"robustness_bank_size": 0}, "task.robustness_bank_size must be >= 1"),
+        ("design", "weight", {"sigma": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}, "weight: sigma has shape (3, 3)"),
+        ("design", "weight", {"sigma": "diagonal"}, "weight: could not convert"),
+        ("design", "cost", {"q": [[1.0, 0.0], [0.0, -1.0]]}, "cost.q: must be positive definite"),
+        ("simulate", "cost", {"r": [[0.0]]}, "cost.r: must be positive definite"),
+        ("simulate", "cost", {"q": [[3.0, 1.0], [0.0, 3.0]]}, "cost.q is not symmetric"),
+    ],
+)
+def test_range_errors_exit_one_before_output(tmp_path, caplog, command, section, values, message):
+    out = tmp_path / "out"
+    task = {"gain": [[4.0, 3.5]], "x0": [1.0, 1.0], "trials": 5, "horizon": 3}
+    config = base_config(out, task=task)
+    config[section] = {**config[section], **values}
+    cfg = write_config(tmp_path, config)
+    assert main([command, str(cfg)]) == 1
+    assert f"configuration error: {message}" in caplog.text
+    assert not out.exists()

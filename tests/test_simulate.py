@@ -175,3 +175,10 @@ def test_robustness_records_failures(benchmark_dist):
             benchmark_dist, Q2, R1, spec, repetitions=2, bank_size=50,
             base_seed=1, solver_options={"fp_max_iters": 3},
         )
+
+
+def test_mc_study_rejects_negative_horizon(benchmark_dist):
+    with pytest.raises(ConfigurationError, match="horizon must be >= 0"):
+        ws.mc_cost_study(
+            benchmark_dist, [[4.0, 3.5]], Q2, R1, [1.0, 1.0], -1, 10, [100.0], seed=1
+        )
