@@ -80,12 +80,17 @@ ANDERSON_MEMORY = 5
 
 @dataclass(frozen=True)
 class DesignProblem:
-    """A bank, positive definite cost matrices, and a weight specification."""
+    """A bank, positive definite cost matrices, and a weight specification.
+
+    The domain floor ``DOMAIN_EIG_FLOOR * ||R||_2`` on the weighted
+    input-cost matrix is computed once here, not at every map evaluation.
+    """
 
     bank: SampleBank
     q: np.ndarray
     r: np.ndarray
     weights: WeightSpec
+    _domain_floor: float = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         q = symmetrize(self.q, "Q")
@@ -107,6 +112,7 @@ class DesignProblem:
         r.setflags(write=False)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "r", r)
+        object.__setattr__(self, "_domain_floor", DOMAIN_EIG_FLOOR * np.linalg.norm(r, 2))
 
     @property
     def n(self) -> int:
@@ -168,8 +174,7 @@ def _expectations(bank: SampleBank, w: np.ndarray | None, value: np.ndarray):
     return zpz[:n, :n], zpz[:n, n:], zpz[n:, n:]
 
 
-def _gain_from(ebpb_r: np.ndarray, eapb: np.ndarray, r: np.ndarray) -> np.ndarray:
-    floor = DOMAIN_EIG_FLOOR * np.linalg.norm(r, 2)
+def _gain_from(ebpb_r: np.ndarray, eapb: np.ndarray, floor: float) -> np.ndarray:
     smallest = float(np.linalg.eigvalsh(ebpb_r).min())
     if smallest <= floor:
         raise DomainViolationError(
@@ -183,7 +188,7 @@ def _gain_from(ebpb_r: np.ndarray, eapb: np.ndarray, r: np.ndarray) -> np.ndarra
 def _maps(problem: DesignProblem, value, gain):
     w = _weights_at(problem, value, gain)
     eapa, eapb, ebpb = _expectations(problem.bank, w, value)
-    new_gain = _gain_from(ebpb + problem.r, eapb, problem.r)
+    new_gain = _gain_from(ebpb + problem.r, eapb, problem._domain_floor)
     new_value = symmetrize(eapa + problem.q - eapb @ new_gain, tol=1e-6)
     return new_value, new_gain
 

