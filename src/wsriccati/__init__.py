@@ -13,7 +13,6 @@ from .ensemble import (
     build_distribution,
     derive_seed,
     draw_bank,
-    expect,
     point_mass,
     stream_rng,
 )
@@ -29,10 +28,8 @@ from .errors import (
     WsriccatiError,
 )
 from .matops import (
-    compress,
     duplication_matrix,
     elimination_matrix,
-    kron,
     spectral_radius,
     symmetrize,
     unvech,
@@ -43,7 +40,6 @@ from .riccati import (
     DesignProblem,
     DesignSolution,
     fixed_point_solve,
-    gain_map,
     implicit_residual,
     newton_solve,
     pack_solution,
@@ -61,17 +57,14 @@ from .simulate import (
     rollout,
     worst_percent_averages,
 )
-from .stability import StabilityReport, closed_loop_kron_expect, ms_check, wms_check
+from .stability import StabilityReport, ms_check, wms_check
 from .weights import (
     WeightSpec,
     WeightedBank,
     build_weighted_bank,
     normalize_weights,
-    predictive_cost,
     predictive_costs,
-    raw_weight,
     weight_vector,
-    weighted_expect,
 )
 
 __version__ = "0.1.0"
@@ -82,21 +75,16 @@ __all__ = [
     "build_distribution",
     "point_mass",
     "draw_bank",
-    "expect",
     "stream_rng",
     "derive_seed",
     "WeightSpec",
     "WeightedBank",
-    "predictive_cost",
     "predictive_costs",
-    "raw_weight",
     "normalize_weights",
     "weight_vector",
     "build_weighted_bank",
-    "weighted_expect",
     "DesignProblem",
     "DesignSolution",
-    "gain_map",
     "value_map",
     "fixed_point_solve",
     "pack_solution",
@@ -106,7 +94,6 @@ __all__ = [
     "newton_solve",
     "solve",
     "StabilityReport",
-    "closed_loop_kron_expect",
     "ms_check",
     "wms_check",
     "RolloutResult",
@@ -119,10 +106,8 @@ __all__ = [
     "vec",
     "vech",
     "unvech",
-    "kron",
     "duplication_matrix",
     "elimination_matrix",
-    "compress",
     "spectral_radius",
     "symmetrize",
     "WsriccatiError",

@@ -85,10 +85,13 @@ def _load_solution(path: Path) -> dict:
             raise ConfigurationError(f"{path}: empty solution file")
     try:
         n, m = int(record["n"]), int(record["m"])
-        value = unvech([float(record[k]) for k in _vech_names("pi", n)], n)
-        gain = np.array(
-            [float(record[k]) for k in _vec_names("l", m, n)]
-        ).reshape(m, n, order="F")
+        names = _vech_names("pi", n) + _vec_names("l", m, n)
+        entries = np.array([float(record[k]) for k in names])
+        if not np.all(np.isfinite(entries)):
+            raise ValueError(f"{names[np.argmax(~np.isfinite(entries))]} is not finite")
+        head = n * (n + 1) // 2
+        value = unvech(entries[:head], n)
+        gain = entries[head:].reshape(m, n, order="F")
         return {
             "n": n,
             "m": m,

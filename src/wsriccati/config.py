@@ -103,6 +103,9 @@ class SolverConfig:
             )
         if self.bank_size < 1:
             raise ConfigurationError("solver.bank_size must be >= 1")
+        for name in ("fp_tol", "fp_max_iters", "residual_tol", "newton_tol", "newton_max_iters"):
+            if getattr(self, name) <= 0:
+                raise ConfigurationError(f"solver.{name} must be > 0")
 
 
 @dataclass(frozen=True)

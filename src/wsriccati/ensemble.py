@@ -10,16 +10,14 @@ Each of those expectations is a (weighted) second moment of the stacked draw
 Z_i = [A_i B_i]: it is linear in the products z_p z_q of the entries of
 z = vec(Z_i). A bank therefore stores its moment matrix once, when it is
 built, and every expectation is a product with it (see :class:`SampleBank`).
+The per-draw forms the tests check these against are in ``tests/reference.py``.
 """
 
 from __future__ import annotations
 
 import functools
-import hashlib
-import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -33,7 +31,6 @@ __all__ = [
     "build_distribution",
     "point_mass",
     "draw_bank",
-    "expect",
     "quadratic_expect",
     "stream_rng",
     "derive_seed",
@@ -108,17 +105,6 @@ class ParameterDistribution:
 
     def mean_b(self) -> np.ndarray:
         return self.mean[self.n * self.n :].reshape(self.n, self.m, order="F")
-
-    def fingerprint(self) -> str:
-        payload = {
-            "n": self.n,
-            "m": self.m,
-            "families": list(self.families),
-            "mean": self.mean.tolist(),
-            "stddev": self.stddev.tolist(),
-        }
-        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw ``size`` parameter vectors, one per row.
@@ -297,8 +283,6 @@ class SampleBank:
 
     a: np.ndarray
     b: np.ndarray
-    seed: int | None = None
-    provenance: str = ""
     phi: np.ndarray = field(init=False, repr=False, compare=False)
     _plain: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -386,35 +370,7 @@ def draw_bank(dist: ParameterDistribution, size: int, seed: int) -> SampleBank:
         raise ConfigurationError("bank size must be >= 1")
     rng = np.random.default_rng(seed)
     a, b = dist.sample_matrices(rng, size)
-    return SampleBank(a=a, b=b, seed=seed, provenance=dist.fingerprint())
-
-
-def expect(bank: SampleBank, fn: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
-    """Empirical mean of fn(A_i, B_i) over the bank.
-
-    Uses numpy's pairwise mean, so the reduction order is fixed and the
-    result is deterministic. A non-finite fn output aborts with the index of
-    the offending sample.
-    """
-    values = _evaluate(bank, fn)
-    return values.mean(axis=0)
-
-
-def _evaluate(bank: SampleBank, fn) -> np.ndarray:
-    values = None
-    for idx in range(bank.size):
-        out = np.asarray(fn(bank.a[idx], bank.b[idx]), dtype=float)
-        if not np.all(np.isfinite(out)):
-            raise NonFiniteError(f"function output non-finite at sample {idx}")
-        if values is None:
-            values = np.empty((bank.size,) + out.shape)
-        elif out.shape != values.shape[1:]:
-            raise ValueError(
-                f"function output shape changed at sample {idx}: "
-                f"{out.shape} vs {values.shape[1:]}"
-            )
-        values[idx] = out
-    return values
+    return SampleBank(a=a, b=b)
 
 
 def stream_rng(seed: int, index: int) -> np.random.Generator:

@@ -2,7 +2,8 @@
 
 Conventions are fixed package-wide: ``vec`` stacks columns, ``vech`` stacks
 the columns of the lower triangle, and every flattened layout is
-column-major. All operations are pure functions of their inputs.
+column-major. All operations are pure functions of their inputs. The
+Kronecker product and its vech compression are test oracles in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -17,10 +18,8 @@ __all__ = [
     "vec",
     "vech",
     "unvech",
-    "kron",
     "duplication_matrix",
     "elimination_matrix",
-    "compress",
     "spectral_radius",
 ]
 
@@ -93,11 +92,6 @@ def unvech(values, n: int) -> np.ndarray:
     return out
 
 
-def kron(left, right) -> np.ndarray:
-    """Kronecker product with the usual block layout."""
-    return np.kron(as_matrix(left, "kron left"), as_matrix(right, "kron right"))
-
-
 def duplication_matrix(n: int) -> np.ndarray:
     """D_n with D_n vech(S) = vec(S) for every symmetric S."""
     if n < 1:
@@ -126,17 +120,6 @@ def elimination_matrix(n: int) -> np.ndarray:
             out[k, i + j * n] = 1.0
             k += 1
     return out
-
-
-def compress(mat) -> np.ndarray:
-    """Compression L_n D D_n of an n^2-by-n^2 matrix onto vech coordinates."""
-    arr = as_matrix(mat, "compress argument")
-    if arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"compress requires a square matrix, got shape {arr.shape}")
-    n = int(round(arr.shape[0] ** 0.5))
-    if n * n != arr.shape[0]:
-        raise ValueError(f"compress requires an n^2-sized matrix, got {arr.shape[0]}")
-    return elimination_matrix(n) @ arr @ duplication_matrix(n)
 
 
 def spectral_radius(mat) -> float:

@@ -52,7 +52,6 @@ __all__ = [
     "DEFAULT_NEWTON_MAX_ITERS",
     "DesignProblem",
     "DesignSolution",
-    "gain_map",
     "value_map",
     "fixed_point_solve",
     "pack_solution",
@@ -191,13 +190,6 @@ def _maps(problem: DesignProblem, value, gain):
     new_gain = _gain_from(ebpb + problem.r, eapb, problem._domain_floor)
     new_value = symmetrize(eapa + problem.q - eapb @ new_gain, tol=1e-6)
     return new_value, new_gain
-
-
-def gain_map(value, gain, problem: DesignProblem) -> np.ndarray:
-    """One application of the gain map G at the given policy."""
-    value = symmetrize(value, "value matrix")
-    gain = np.asarray(gain, dtype=float)
-    return _maps(problem, value, gain)[1]
 
 
 def value_map(value, gain, problem: DesignProblem) -> np.ndarray:

@@ -10,8 +10,9 @@ on symmetric matrices has spectral radius below one (De Koning, Automatica
 column vech(K^T E[Z^T S_k Z] K) per basis matrix S_k = unvech(e_k), with
 Z = [A B] and K = [I; -L]; no per-draw product is formed. It is the adjoint,
 under the trace inner product, of S -> E[C S C^T], C = A - B L, whose matrix
-is the compressed Kronecker matrix C(E[C kron C]) of
-:func:`closed_loop_kron_expect`, so the two have the same eigenvalues.
+is the compressed Kronecker matrix C(E[C kron C]), so the two have the same
+eigenvalues; the tests check it against that per-draw form,
+``closed_loop_kron_expect`` in ``tests/reference.py``.
 Replacing the plain expectation with a weighted one gives the weighted
 mean-square verdict for the policy the weights encode.
 """
@@ -26,7 +27,7 @@ from .ensemble import SampleBank, _closed_loop_operator
 from .matops import spectral_radius
 from .weights import WeightedBank
 
-__all__ = ["StabilityReport", "closed_loop_kron_expect", "ms_check", "wms_check"]
+__all__ = ["StabilityReport", "ms_check", "wms_check"]
 
 
 @dataclass(frozen=True)
@@ -64,29 +65,6 @@ class StabilityReport:
         if self.radius_weighted is None:
             return None
         return 1.0 - self.radius_weighted
-
-
-def closed_loop_kron_expect(bank, gain) -> np.ndarray:
-    """(Weighted) empirical mean of (A - B L) kron (A - B L).
-
-    Accepts a plain :class:`SampleBank` or a :class:`WeightedBank`.
-    """
-    if isinstance(bank, WeightedBank):
-        weights = bank.weights
-        bank = bank.bank
-    elif isinstance(bank, SampleBank):
-        weights = None
-    else:
-        raise TypeError(f"expected a sample bank, got {type(bank).__name__}")
-    gain = np.asarray(gain, dtype=float)
-    closed = bank.a - np.matmul(bank.b, gain)
-    n = bank.n
-    kron_all = np.einsum("sij,skl->sikjl", closed, closed).reshape(
-        bank.size, n * n, n * n
-    )
-    if weights is None:
-        return kron_all.mean(axis=0)
-    return (kron_all * weights[:, None, None]).mean(axis=0)
 
 
 def ms_check(bank: SampleBank, gain) -> StabilityReport:

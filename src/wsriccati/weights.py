@@ -1,4 +1,4 @@
-"""Policy-dependent weight functions and the weighted expectation.
+"""Policy-dependent weight functions.
 
 Three families are supported. With J denoting the predictive per-step cost
 of a parameter draw under the candidate policy (gain L, quadratic value
@@ -15,7 +15,8 @@ the un-normalized weights are
 where mean(J) is the unweighted bank average. Weights are then normalized
 by their empirical mean so the weighted expectation of 1 is exactly 1. The
 costs of a whole bank are one product with its moment matrix (see
-:class:`~wsriccati.ensemble.SampleBank`).
+:class:`~wsriccati.ensemble.SampleBank`); the single-draw cost and weight
+the tests check them against are in ``tests/reference.py``.
 
 The RRSL sigmoid saturates in double precision. With x = alpha J - beta
 mean(J), the raw weight is exactly 1 + theta for x >= 40 and exactly 1 for
@@ -33,12 +34,11 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.special import expit
 
-from .ensemble import SampleBank, _evaluate
+from .ensemble import SampleBank
 from .errors import NonFiniteError, NumericalError, WeightOverflowError
 from .matops import symmetrize
 
@@ -49,13 +49,10 @@ __all__ = [
     "RSL_MAX_EXPONENT",
     "WeightSpec",
     "WeightedBank",
-    "predictive_cost",
     "predictive_costs",
-    "raw_weight",
     "normalize_weights",
     "weight_vector",
     "build_weighted_bank",
-    "weighted_expect",
     "save_weight_csv",
 ]
 
@@ -109,23 +106,13 @@ class WeightSpec:
         return self.sigma
 
 
-def predictive_cost(a, b, gain, value, sigma, q, r) -> float:
-    """Expected one-step cost-plus-value of the transition under one draw."""
-    a, b, gain, value, sigma, q, r = (
-        np.asarray(x, dtype=float) for x in (a, b, gain, value, sigma, q, r)
-    )
-    closed = a - b @ gain
-    inner = closed.T @ value @ closed + q + gain.T @ r @ gain
-    return float(np.trace(inner @ sigma))
-
-
 def predictive_costs(
     a: np.ndarray, b: np.ndarray, gain, value, sigma, q, r
 ) -> np.ndarray:
-    """:func:`predictive_cost` over stacked sample arrays, one draw at a time.
+    """One-step cost-plus-value J of each draw in stacked sample arrays.
 
     Banks take their costs from the moment matrix instead (see
-    :func:`weight_vector`); this per-sample form serves as the reference.
+    :func:`weight_vector`); ``perfbench`` traces this per-draw form by name.
     """
     closed = a - np.matmul(b, gain)
     pm = np.matmul(value, closed)
@@ -151,8 +138,6 @@ def _raw_from_costs(
                 f"beyond exp({RSL_MAX_EXPONENT:.0f})"
             )
         return np.exp(exponents)
-    if mean_predictive is None:
-        raise ValueError("RRSL weights need the bank mean of the predictive cost")
     return _rrsl_raw(theta, spec.alpha * costs - spec.beta * mean_predictive)
 
 
@@ -176,24 +161,6 @@ def _rrsl_raw(theta: float, x: np.ndarray) -> np.ndarray:
     mid = np.flatnonzero(~(saturated | (x < low)))
     raw[mid] = 1.0 + theta * expit(x[mid])
     return raw
-
-
-def raw_weight(
-    spec: WeightSpec,
-    a,
-    b,
-    theta: float,
-    gain,
-    value,
-    q,
-    r,
-    mean_predictive: float | None = None,
-) -> float:
-    """Un-normalized weight of a single draw at the given policy."""
-    sigma = spec.resolved_sigma(np.asarray(a).shape[0])
-    cost = predictive_cost(a, b, gain, value, sigma, q, r)
-    out = _raw_from_costs(spec, theta, np.asarray([cost]), mean_predictive)
-    return float(out[0])
 
 
 def normalize_weights(raw: np.ndarray) -> np.ndarray:
@@ -309,15 +276,6 @@ def build_weighted_bank(
         gain=gain,
         value=value,
     )
-
-
-def weighted_expect(
-    wbank: WeightedBank, fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
-) -> np.ndarray:
-    """Weighted empirical mean (1/N) sum_i w_i fn(A_i, B_i)."""
-    values = _evaluate(wbank.bank, fn)
-    shape = (wbank.size,) + (1,) * (values.ndim - 1)
-    return (values * wbank.weights.reshape(shape)).mean(axis=0)
 
 
 def save_weight_csv(wbank: WeightedBank, path) -> None:

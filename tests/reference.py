@@ -1,0 +1,132 @@
+"""Per-draw reference forms of the package's bank expectations.
+
+The package reads every expectation over a sample bank off the bank's moment
+matrix (see :class:`wsriccati.ensemble.SampleBank`). The functions here take
+the same quantities one draw at a time and serve the tests as oracles. For
+each, the package path it checks:
+
+- :func:`expect`: the plain moment behind ``riccati.residual_jacobian``'s
+  closed-form blocks at zero sensitivity (and, with :func:`weighted_expect`,
+  the unit weights of ``weights.build_weighted_bank`` at theta = 0).
+- :func:`weighted_expect`: the weights ``weights.WeightedBank`` carries.
+- :func:`predictive_cost`: ``weights.predictive_costs``, draw by draw.
+- :func:`raw_weight`: ``weights._raw_from_costs``, the weight formula the
+  solver's ``weights.weight_vector`` applies, called on one draw's cost.
+- :func:`gain_map`: the gain half of ``riccati._maps``.
+- :func:`closed_loop_kron_expect`: the Kronecker mean
+  E_w[(A - B L) kron (A - B L)]; compressed by :func:`compress`, its
+  transpose is the matrix ``ensemble._closed_loop_operator`` builds for
+  ``stability.ms_check`` and ``stability.wms_check`` (De Koning, Automatica
+  1982).
+- :func:`kron` and :func:`compress`: the Kronecker product and its
+  compression L_n X D_n onto vech coordinates, built from
+  ``matops.elimination_matrix`` and ``matops.duplication_matrix``.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from wsriccati.ensemble import SampleBank
+from wsriccati.errors import NonFiniteError
+from wsriccati.matops import as_matrix, duplication_matrix, elimination_matrix, symmetrize
+from wsriccati.riccati import _maps
+from wsriccati.weights import WeightedBank, _raw_from_costs
+
+
+def expect(bank: SampleBank, fn) -> np.ndarray:
+    """Empirical mean of fn(A_i, B_i) over the bank.
+
+    Uses numpy's pairwise mean, so the reduction order is fixed and the
+    result is deterministic. A non-finite fn output aborts with the index of
+    the offending sample.
+    """
+    return _evaluate(bank, fn).mean(axis=0)
+
+
+def weighted_expect(wbank: WeightedBank, fn) -> np.ndarray:
+    """Weighted empirical mean (1/N) sum_i w_i fn(A_i, B_i)."""
+    values = _evaluate(wbank.bank, fn)
+    shape = (wbank.size,) + (1,) * (values.ndim - 1)
+    return (values * wbank.weights.reshape(shape)).mean(axis=0)
+
+
+def _evaluate(bank: SampleBank, fn) -> np.ndarray:
+    values = None
+    for idx in range(bank.size):
+        out = np.asarray(fn(bank.a[idx], bank.b[idx]), dtype=float)
+        if not np.all(np.isfinite(out)):
+            raise NonFiniteError(f"function output non-finite at sample {idx}")
+        if values is None:
+            values = np.empty((bank.size,) + out.shape)
+        elif out.shape != values.shape[1:]:
+            raise ValueError(
+                f"function output shape changed at sample {idx}: "
+                f"{out.shape} vs {values.shape[1:]}"
+            )
+        values[idx] = out
+    return values
+
+
+def predictive_cost(a, b, gain, value, sigma, q, r) -> float:
+    """Expected one-step cost-plus-value of the transition under one draw."""
+    a, b, gain, value, sigma, q, r = (
+        np.asarray(x, dtype=float) for x in (a, b, gain, value, sigma, q, r)
+    )
+    closed = a - b @ gain
+    inner = closed.T @ value @ closed + q + gain.T @ r @ gain
+    return float(np.trace(inner @ sigma))
+
+
+def raw_weight(spec, a, b, theta, gain, value, q, r, mean_predictive=None) -> float:
+    """Un-normalized weight of a single draw at the given policy.
+
+    RRSL needs ``mean_predictive``, the bank mean of the predictive cost.
+    """
+    sigma = spec.resolved_sigma(np.asarray(a).shape[0])
+    cost = predictive_cost(a, b, gain, value, sigma, q, r)
+    return float(_raw_from_costs(spec, theta, np.asarray([cost]), mean_predictive)[0])
+
+
+def gain_map(value, gain, problem) -> np.ndarray:
+    """One application of the gain map G at the given policy."""
+    value = symmetrize(value, "value matrix")
+    return _maps(problem, value, np.asarray(gain, dtype=float))[1]
+
+
+def closed_loop_kron_expect(bank, gain) -> np.ndarray:
+    """(Weighted) empirical mean of (A - B L) kron (A - B L).
+
+    Accepts a plain :class:`SampleBank` or a :class:`WeightedBank`.
+    """
+    if isinstance(bank, WeightedBank):
+        weights = bank.weights
+        bank = bank.bank
+    elif isinstance(bank, SampleBank):
+        weights = None
+    else:
+        raise TypeError(f"expected a sample bank, got {type(bank).__name__}")
+    closed = bank.a - np.matmul(bank.b, np.asarray(gain, dtype=float))
+    n = bank.n
+    kron_all = np.einsum("sij,skl->sikjl", closed, closed).reshape(
+        bank.size, n * n, n * n
+    )
+    if weights is None:
+        return kron_all.mean(axis=0)
+    return (kron_all * weights[:, None, None]).mean(axis=0)
+
+
+def kron(left, right) -> np.ndarray:
+    """Kronecker product with the usual block layout."""
+    return np.kron(as_matrix(left, "kron left"), as_matrix(right, "kron right"))
+
+
+def compress(mat) -> np.ndarray:
+    """Compression L_n D D_n of an n^2-by-n^2 matrix onto vech coordinates."""
+    arr = as_matrix(mat, "compress argument")
+    if arr.shape[0] != arr.shape[1]:
+        raise ValueError(f"compress requires a square matrix, got shape {arr.shape}")
+    n = int(round(arr.shape[0] ** 0.5))
+    if n * n != arr.shape[0]:
+        raise ValueError(f"compress requires an n^2-sized matrix, got {arr.shape[0]}")
+    return elimination_matrix(n) @ arr @ duplication_matrix(n)

@@ -18,6 +18,7 @@ from wsriccati import riccati
 from wsriccati.ensemble import _closed_loop_operator
 from wsriccati.weights import RSL_MAX_EXPONENT, predictive_costs
 
+import reference
 from conftest import Q2, R1
 
 REL = 1e-12
@@ -168,8 +169,8 @@ def test_closed_loop_kron_matches_per_sample_loop(case):
         closed = bank.a[i] - bank.b[i] @ gain
         plain += np.kron(closed, closed)
         weighted += wbank.weights[i] * np.kron(closed, closed)
-    assert_close(ws.closed_loop_kron_expect(bank, gain), plain / bank.size)
-    assert_close(ws.closed_loop_kron_expect(wbank, gain), weighted / bank.size)
+    assert_close(reference.closed_loop_kron_expect(bank, gain), plain / bank.size)
+    assert_close(reference.closed_loop_kron_expect(wbank, gain), weighted / bank.size)
 
 
 @PROPERTY
@@ -188,7 +189,7 @@ def test_closed_loop_operator_matches_compressed_kron(case):
         (bank, bank.moment(), ws.ms_check(bank, gain).radius_plain),
         (wbank, bank.moment(wbank.weights), ws.wms_check(wbank, gain).radius_weighted),
     ):
-        ref = ws.compress(ws.closed_loop_kron_expect(source, gain).T)
+        ref = reference.compress(reference.closed_loop_kron_expect(source, gain).T)
         # An entry sums terms K' E_w[Z' S_k Z] K that may cancel, as in a - b l
         # close to 0; its error is measured against the size of those terms.
         scale = np.abs(moment).max() * max(1.0, np.abs(gain).max()) ** 2

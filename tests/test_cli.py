@@ -233,6 +233,27 @@ def test_solution_fingerprint_mismatch_rejected(tmp_path):
     assert main(["stability", str(cfg)]) == 1
 
 
+@pytest.mark.parametrize("command", ["stability", "simulate"])
+def test_non_finite_solution_rejected(tmp_path, caplog, command):
+    out_design = tmp_path / "design"
+    cfg_design = write_config(tmp_path, base_config(out_design), name="design.yaml")
+    assert main(["design", str(cfg_design)]) == 0
+    path = out_design / "solution.csv"
+    record = read_rows(path)[0]
+    record["l_1_1"] = "nan"
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(record))
+        writer.writeheader()
+        writer.writerow(record)
+    # same design blocks, so the fingerprint still matches
+    out = tmp_path / "out"
+    task = {"solution": str(path), "x0": [1.0, 1.0], "trials": 5, "horizon": 3}
+    cfg = write_config(tmp_path, base_config(out, task=task))
+    assert main([command, str(cfg)]) == 1
+    assert f"{path}: malformed solution file (l_1_1 is not finite)" in caplog.text
+    assert list(out.iterdir()) == []
+
+
 def test_simulate_single_trial_matches_rollout(tmp_path):
     out = tmp_path / "out"
     cfg_dict = base_config(

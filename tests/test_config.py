@@ -198,6 +198,11 @@ def test_example_fingerprint_is_stable():
         ("design", "cost", {"q": [[1.0, 0.0], [0.0, -1.0]]}, "cost.q: must be positive definite"),
         ("simulate", "cost", {"r": [[0.0]]}, "cost.r: must be positive definite"),
         ("simulate", "cost", {"q": [[3.0, 1.0], [0.0, 3.0]]}, "cost.q is not symmetric"),
+        ("design", "solver", {"fp_tol": 0}, "solver.fp_tol must be > 0"),
+        ("design", "solver", {"residual_tol": -1}, "solver.residual_tol must be > 0"),
+        ("design", "solver", {"newton_tol": 0}, "solver.newton_tol must be > 0"),
+        ("design", "solver", {"fp_max_iters": 0}, "solver.fp_max_iters must be > 0"),
+        ("design", "solver", {"newton_max_iters": -5}, "solver.newton_max_iters must be > 0"),
     ],
 )
 def test_range_errors_exit_one_before_output(tmp_path, caplog, command, section, values, message):

@@ -3,16 +3,16 @@ import pytest
 
 from wsriccati import (
     EigenSolverError,
-    compress,
     duplication_matrix,
     elimination_matrix,
-    kron,
     spectral_radius,
     symmetrize,
     unvech,
     vec,
     vech,
 )
+
+from reference import compress, kron
 
 EXACT = 1e-14
 

