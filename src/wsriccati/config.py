@@ -103,6 +103,8 @@ class SolverConfig:
             )
         if self.bank_size < 1:
             raise ConfigurationError("solver.bank_size must be >= 1")
+        if self.seed < 0:
+            raise ConfigurationError("solver.seed must be >= 0")
         for name in ("fp_tol", "fp_max_iters", "residual_tol", "newton_tol", "newton_max_iters"):
             if getattr(self, name) <= 0:
                 raise ConfigurationError(f"solver.{name} must be > 0")
@@ -134,6 +136,10 @@ class TaskConfig:
             raise ConfigurationError("task.repetitions must be >= 2")
         if self.robustness_bank_size < 1:
             raise ConfigurationError("task.robustness_bank_size must be >= 1")
+        if self.trajectory_count < 0:
+            raise ConfigurationError("task.trajectory_count must be >= 0")
+        if self.seed < 0:
+            raise ConfigurationError("task.seed must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -11,15 +11,21 @@ Z_i = [A_i B_i]: it is linear in the products z_p z_q of the entries of
 z = vec(Z_i). A bank therefore stores its moment matrix once, when it is
 built, and every expectation is a product with it (see :class:`SampleBank`).
 The per-draw forms the tests check these against are in ``tests/reference.py``.
+
+Monte-Carlo trial k draws from the stream ``stream_rng(seed, k)``.
+:func:`_stream_rngs` builds the generators of a block of indices, any below
+2**64, in one vectorized seeding pass that gives each the same state.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import ConfigurationError, NonFiniteError
 from .matops import unvech
@@ -52,7 +58,7 @@ class ParameterDistribution:
     families: tuple[str, ...]
     mean: np.ndarray
     stddev: np.ndarray
-    _runs: tuple[tuple[str, int, int], ...] = field(init=False, repr=False, compare=False)
+    _runs: tuple[tuple, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
@@ -88,13 +94,22 @@ class ParameterDistribution:
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "stddev", stddev)
         object.__setattr__(self, "families", tuple(self.families))
-        # (family, start, stop) of each run of consecutive equal families.
+        # (family, start, stop, loc, scale) of each run of consecutive equal
+        # families. A point or normal run keeps its means and stddevs as
+        # (k, 1) columns, for one broadcast scale and shift; a Laplace run,
+        # one generator call per component, keeps each component's location
+        # and scale stddev/sqrt(2) as floats.
         starts = [j for j in range(dim) if j == 0 or self.families[j] != self.families[j - 1]]
-        runs = tuple(
-            (self.families[start], start, stop)
-            for start, stop in zip(starts, starts[1:] + [dim])
-        )
-        object.__setattr__(self, "_runs", runs)
+        runs = []
+        for start, stop in zip(starts, starts[1:] + [dim]):
+            family = self.families[start]
+            if family == "laplace":
+                loc = mean[start:stop].tolist()
+                scale = (stddev[start:stop] / math.sqrt(2.0)).tolist()
+            else:
+                loc, scale = mean[start:stop, None], stddev[start:stop, None]
+            runs.append((family, start, stop, loc, scale))
+        object.__setattr__(self, "_runs", tuple(runs))
 
     @property
     def dim(self) -> int:
@@ -116,19 +131,33 @@ class ParameterDistribution:
         component variance equals stddev**2. The result is the transpose of
         a C-contiguous (dim, size) array.
         """
-        out = np.empty((self.dim, size))
-        for family, start, stop in self._runs:
-            mu = self.mean[start:stop, None]
+        out = np.empty((1, self.dim, size))
+        self._fill((rng,), out)
+        return out[0].T
+
+    def _fill(self, rngs, out: np.ndarray) -> None:
+        """Write the draws of ``rngs[k]`` into ``out[k]``, (dim, size), for every k.
+
+        :meth:`draw` is the case of one generator; the Monte-Carlo study fills
+        a block of trials at once. Each generator is called in the order
+        :meth:`draw` describes. Normal runs take their standard normals
+        straight into ``out``, and stddev * z + mean then runs once over the
+        block: the same two roundings per entry as one trial at a time.
+        """
+        size = out.shape[2]
+        for family, start, stop, loc, scale in self._runs:
+            rows = out[:, start:stop]
             if family == "point":
-                out[start:stop] = mu
+                rows[...] = loc
             elif family == "normal":
-                z = rng.standard_normal((stop - start, size))
-                np.multiply(self.stddev[start:stop, None], z, out=out[start:stop])
-                out[start:stop] += mu
+                for rng, z in zip(rngs, rows):
+                    rng.standard_normal(out=z)
+                np.multiply(scale, rows, out=rows)
+                rows += loc
             else:
-                for j in range(start, stop):
-                    out[j] = rng.laplace(self.mean[j], self.stddev[j] / math.sqrt(2.0), size)
-        return out.T
+                for j, loc_j, scale_j in zip(range(start, stop), loc, scale):
+                    for rng, trial in zip(rngs, out):
+                        trial[j] = rng.laplace(loc_j, scale_j, size)
 
     def sample_matrices(
         self, rng: np.random.Generator, size: int
@@ -374,7 +403,11 @@ def draw_bank(dist: ParameterDistribution, size: int, seed: int) -> SampleBank:
 
 
 def stream_rng(seed: int, index: int) -> np.random.Generator:
-    """Generator for worker ``index``: default_rng(SeedSequence(seed, spawn_key=(index,)))."""
+    """Generator for worker ``index``: default_rng(SeedSequence(seed, spawn_key=(index,))).
+
+    This is the specification of trial streams; :func:`_stream_rngs` builds
+    the same generators for a whole block of indices at once.
+    """
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 
@@ -382,3 +415,97 @@ def derive_seed(seed: int, index: int) -> int:
     """Integer sub-seed for worker ``index``, a pure function of (seed, index)."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
     return int(ss.generate_state(1, np.uint64)[0])
+
+
+# The constants of numpy's SeedSequence, whose algorithm NEP 19 fixes for
+# stream compatibility.
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+
+
+def _stream_seed_words(seed: int, start: int, stop: int) -> np.ndarray:
+    """PCG64 seed words of the streams (seed, k), start <= k < stop.
+
+    Row k - start equals ``SeedSequence(entropy=seed, spawn_key=(k,))
+    .generate_state(4, np.uint64)``, computed for all k at once in uint32
+    arithmetic. The entropy is the seed's 32-bit words, zero-padded to the
+    pool size, followed by the words of k: one below 2**32, two from there
+    to the largest accepted index, 2**64 - 1. The seed's words mix the same
+    for every k, so they stay one-element arrays that broadcast against the
+    per-index words.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ConfigurationError(f"stream seed must be >= 0, got {seed}")
+    if not 0 <= start <= stop <= 2**64:
+        raise ConfigurationError(f"stream indices [{start}, {stop}) outside [0, 2**64)")
+    index = start + np.arange(stop - start, dtype=np.uint64)
+    low = (index & _MASK32).astype(np.uint32)
+    high = (index >> 32).astype(np.uint32)
+    entropy = [
+        np.array([(seed >> (32 * i)) & _MASK32], dtype=np.uint32)
+        for i in range(max(_POOL_SIZE, -(-seed.bit_length() // 32)))
+    ]
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x, y):
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ (result >> _XSHIFT)
+
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:] + [low]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    # Indices from 2**32 on have a second spawn-key word.
+    wide = [mix(word, hashmix(high)) for word in pool]
+    pool = [np.where(high > 0, w, p) for w, p in zip(wide, pool)]
+
+    state = np.empty((stop - start, 8), dtype=np.uint32)
+    hash_const = _INIT_B
+    for i in range(8):
+        value = pool[i % _POOL_SIZE] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const
+        state[:, i] = value ^ (value >> _XSHIFT)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _SeedWords(ISeedSequence):
+    """Hands PCG64 its precomputed seed words; it cannot ``spawn()``."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("_SeedWords holds only the 4 uint64 words PCG64 asks for")
+        return self.words
+
+
+def _stream_rngs(seed: int, start: int, stop: int) -> list[np.random.Generator]:
+    """``[stream_rng(seed, k) for k in range(start, stop)]``, seeded in one pass.
+
+    numpy's PCG64 still does its own seeding from each row of
+    :func:`_stream_seed_words`, so every generator is in the same state as
+    ``stream_rng(seed, k)``. Only its ``bit_generator.seed_seq`` differs: a
+    :class:`_SeedWords`, not a SeedSequence, so the generator cannot spawn.
+    """
+    return [
+        np.random.Generator(np.random.PCG64(_SeedWords(words)))
+        for words in _stream_seed_words(seed, start, stop)
+    ]

@@ -2,16 +2,20 @@
 
 Unlike the solver, which evaluates expectations on one fixed bank,
 simulation draws fresh matrices at every step so trajectories follow the
-true i.i.d. process. Trial k derives its generator from
-(seed, spawn_key=(k,)), so any single trial can be reproduced standalone.
+true i.i.d. process. Trial k draws from the stream (seed, k),
+``stream_rng(seed, k)``, so any single trial can be reproduced standalone.
 
 Trials run in blocks of B = ``_BLOCK`` (the last block may be smaller), and
-a single rollout is a block of one. Within a block of horizon H, with
-d = n(n+m) parameter components:
+a single rollout is a block of one. A block's generators are seeded in one
+pass: ``ensemble._stream_rngs`` computes the PCG64 seed words of all its
+indices at once, in the uint32 arithmetic of numpy's SeedSequence, so each
+is in the state ``stream_rng(seed, k)`` would give it. Within a block of
+horizon H, with d = n(n+m) parameter components:
 
-- each trial takes its H parameter vectors from its own stream in one
-  ``ParameterDistribution.draw`` call, the same numbers in the same order as
-  a standalone rollout, into a trial-major B x d x H array;
+- each trial takes its H parameter vectors from its own stream, the same
+  numbers in the same order as ``ParameterDistribution.draw``, straight
+  into its slice of a trial-major B x d x H array; the scale and shift of
+  the normal components then run once over the block;
 - the closed-loop matrices C_t = A_t - B_t L are built from strided views of
   it into one H x n x n x B array, the trial axis last and contiguous;
 - the states x_0..x_H form one (H+1) x n x B array, filled by one product
@@ -34,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import ParameterDistribution, derive_seed, draw_bank, stream_rng
+from .ensemble import ParameterDistribution, _stream_rngs, derive_seed, draw_bank
 from .errors import ConfigurationError, NumericalError
 from .matops import symmetrize
 from .riccati import DesignProblem, solve
@@ -116,14 +120,13 @@ def _run_trials(
 
     Returns the per-trial costs, the step at which each trial diverged (-1
     if it did not) and the states, (horizon + 1) x n x trials. Trial k takes
-    all of its draws from ``rngs[k]`` in one call, so results match a
-    standalone single-trial run.
+    its draws from ``rngs[k]`` as one ``draw(rngs[k], horizon)`` would, so
+    results match a standalone single-trial run.
     """
     count = len(rngs)
     n, m = dist.n, dist.m
     lam = np.empty((count, dist.dim, horizon))
-    for k, rng in enumerate(rngs):
-        lam[k] = dist.draw(rng, horizon).T
+    dist._fill(rngs, lam)
     # Component i + n j is entry (i, j) of A, then of B (column-major); the
     # views index [t, i, j, k].
     a_seq = lam[:, : n * n].reshape(count, n, n, horizon).transpose(3, 2, 1, 0)
@@ -237,9 +240,8 @@ def mc_cost_study(
     trajectories = []
     for start in range(0, trials, _BLOCK):
         stop = min(start + _BLOCK, trials)
-        rngs = [stream_rng(seed, k) for k in range(start, stop)]
         block_costs, block_div, states = _run_trials(
-            dist, gain, q, r, x0, horizon, rngs
+            dist, gain, q, r, x0, horizon, _stream_rngs(seed, start, stop)
         )
         costs[start:stop] = block_costs
         diverged += int(np.sum(block_div >= 0))

@@ -203,6 +203,10 @@ def test_example_fingerprint_is_stable():
         ("design", "solver", {"newton_tol": 0}, "solver.newton_tol must be > 0"),
         ("design", "solver", {"fp_max_iters": 0}, "solver.fp_max_iters must be > 0"),
         ("design", "solver", {"newton_max_iters": -5}, "solver.newton_max_iters must be > 0"),
+        ("design", "solver", {"seed": -1}, "solver.seed must be >= 0"),
+        ("simulate", "task", {"seed": -1}, "task.seed must be >= 0"),
+        ("robustness", "task", {"seed": -7}, "task.seed must be >= 0"),
+        ("simulate", "task", {"trajectory_count": -1}, "task.trajectory_count must be >= 0"),
     ],
 )
 def test_range_errors_exit_one_before_output(tmp_path, caplog, command, section, values, message):
@@ -212,5 +216,22 @@ def test_range_errors_exit_one_before_output(tmp_path, caplog, command, section,
     config[section] = {**config[section], **values}
     cfg = write_config(tmp_path, config)
     assert main([command, str(cfg)]) == 1
+    assert f"configuration error: {message}" in caplog.text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        ("design", "solver.seed must be >= 0"),
+        ("simulate", "task.seed must be >= 0"),
+        ("robustness", "task.seed must be >= 0"),
+    ],
+)
+def test_negative_seed_override_exits_one_before_output(tmp_path, caplog, command, message):
+    out = tmp_path / "out"
+    task = {"gain": [[4.0, 3.5]], "x0": [1.0, 1.0], "trials": 5, "horizon": 3}
+    cfg = write_config(tmp_path, base_config(out, task=task))
+    assert main([command, str(cfg), "--seed", "-1"]) == 1
     assert f"configuration error: {message}" in caplog.text
     assert not out.exists()
