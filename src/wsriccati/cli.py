@@ -130,9 +130,21 @@ def _resolve_gain(config: RunConfig):
             )
         return record
     gain, _ = config_mod._task_arrays(config)
-    if gain is not None:
-        return {"gain": gain, "value": None, "theta": None, "family": None}
-    raise ConfigurationError("task.solution or task.gain is required")
+    return {"gain": gain, "value": None, "theta": None, "family": None}
+
+
+def _require_task_inputs(command: str, task) -> None:
+    """Reject a task block that lacks an input the command needs.
+
+    :func:`main` calls this before it makes the output directory, so these
+    errors leave no directory behind.
+    """
+    if command == "sweep" and task.theta_grid is None:
+        raise ConfigurationError("task.theta_grid is required for sweep")
+    if command in ("stability", "simulate") and task.solution is None and task.gain is None:
+        raise ConfigurationError("task.solution or task.gain is required")
+    if command == "simulate" and task.x0 is None:
+        raise ConfigurationError("task.x0 is required for simulate")
 
 
 def cmd_design(config: RunConfig, out_dir: Path) -> int:
@@ -173,8 +185,6 @@ def cmd_design(config: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_sweep(config: RunConfig, out_dir: Path) -> int:
-    if config.task.theta_grid is None:
-        raise ConfigurationError("task.theta_grid is required for sweep")
     bank = config_mod.make_bank(config)
     header = [
         "theta", "status", "iterations", "residual", "rho_plain", "rho_weighted",
@@ -231,8 +241,6 @@ def cmd_stability(config: RunConfig, out_dir: Path) -> int:
 
 def cmd_simulate(config: RunConfig, out_dir: Path) -> int:
     record = _resolve_gain(config)
-    if config.task.x0 is None:
-        raise ConfigurationError("task.x0 is required for simulate")
     dist = config_mod.make_distribution(config)
     q, r = config_mod._cost_matrices(config)
     _, x0 = config_mod._task_arrays(config)
@@ -371,6 +379,7 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config)
         config = _apply_overrides(config, args)
+        _require_task_inputs(args.command, config.task)
         out_dir = Path(config.output_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](config, out_dir)

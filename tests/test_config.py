@@ -145,6 +145,23 @@ def test_task_gain_and_x0_validated_before_output(tmp_path, caplog, command, tas
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, task, message",
+    [
+        ("simulate", {"gain": [[4.0, 3.5]]}, "task.x0 is required for simulate"),
+        ("simulate", {"x0": [1.0, 1.0]}, "task.solution or task.gain is required"),
+        ("stability", {}, "task.solution or task.gain is required"),
+        ("sweep", {}, "task.theta_grid is required for sweep"),
+    ],
+)
+def test_missing_task_input_exits_one_before_output(tmp_path, caplog, command, task, message):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, base_config(out, task=task))
+    assert main([command, str(cfg)]) == 1
+    assert f"configuration error: {message}" in caplog.text
+    assert not out.exists()
+
+
 def test_every_field_appears_in_example_config():
     keys: dict[str, set[str]] = {}
     section = None

@@ -61,3 +61,20 @@ def test_solver_outputs_are_pinned(tmp_path, command, method):
         if (cmd, meth) == (command, method):
             got = hashlib.sha256((out / name).read_bytes()).hexdigest()
             assert got == digest, name
+
+
+#: sha256 of stability.csv from ``stability`` on the fixed-point design's
+#: solution.csv. Its weighted radius rebuilds the RRSL weights at the
+#: solution (``build_weighted_bank``), so the run evaluates the sigmoid.
+STABILITY_PINNED = "6120b6ae30472eedeab311b5b240f9731ff43a612e334a97f172c11c42fcd2d9"
+
+
+def test_stability_from_rrsl_solution_is_pinned(tmp_path):
+    out = _run(tmp_path, "design", "fixed-point")
+    path = tmp_path / "run.yaml"
+    config = yaml.safe_load(path.read_text())
+    config["task"]["solution"] = str(out / "solution.csv")
+    path.write_text(yaml.safe_dump(config))
+    assert main(["stability", str(path)]) == 0
+    got = hashlib.sha256((out / "stability.csv").read_bytes()).hexdigest()
+    assert got == STABILITY_PINNED
