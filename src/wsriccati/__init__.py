@@ -40,11 +40,13 @@ from .riccati import (
     DesignProblem,
     DesignSolution,
     fixed_point_solve,
+    fixed_point_solve_all,
     implicit_residual,
     newton_solve,
     pack_solution,
     residual_jacobian,
     solve,
+    solve_all,
     unpack_solution,
     value_map,
 )
@@ -87,12 +89,14 @@ __all__ = [
     "DesignSolution",
     "value_map",
     "fixed_point_solve",
+    "fixed_point_solve_all",
     "pack_solution",
     "unpack_solution",
     "implicit_residual",
     "residual_jacobian",
     "newton_solve",
     "solve",
+    "solve_all",
     "StabilityReport",
     "ms_check",
     "wms_check",

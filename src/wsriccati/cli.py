@@ -21,7 +21,7 @@ from . import config as config_mod
 from .config import RunConfig, design_fingerprint, load_config
 from .errors import ConfigurationError, NumericalError
 from .matops import unvech, vec, vech
-from .riccati import solve
+from .riccati import solve, solve_all
 from .simulate import mc_cost_study, robustness_study
 from .stability import ms_check, wms_check
 from .weights import build_weighted_bank, save_weight_csv
@@ -40,6 +40,9 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    # The output directory is made at the first write, so a run that fails
+    # before it writes anything leaves no directory behind.
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -136,8 +139,7 @@ def _resolve_gain(config: RunConfig):
 def _require_task_inputs(command: str, task) -> None:
     """Reject a task block that lacks an input the command needs.
 
-    :func:`main` calls this before it makes the output directory, so these
-    errors leave no directory behind.
+    :func:`main` calls this before the command runs.
     """
     if command == "sweep" and task.theta_grid is None:
         raise ConfigurationError("task.theta_grid is required for sweep")
@@ -190,13 +192,23 @@ def cmd_sweep(config: RunConfig, out_dir: Path) -> int:
         "theta", "status", "iterations", "residual", "rho_plain", "rho_weighted",
         "ms_stable", "wms_stable", "error",
     ]
-    rows = []
-    for theta in config.task.theta_grid:
-        problem = config_mod.make_problem(config, bank, theta=theta)
+    grid = config.task.theta_grid
+    problems = [config_mod.make_problem(config, bank, theta=theta) for theta in grid]
+    options = _solver_options(config)
+    if config.solver.method != "fixed-point" and problems:
+        # Every Newton point starts from the same theta = 0 fixed-point
+        # solution, so it is solved once. If it fails, each point's own
+        # solve meets the same error.
         try:
-            solution = solve(
-                problem, method=config.solver.method, **_solver_options(config)
-            )
+            options["base"] = solve(problems[0].with_theta(0.0), **options)
+        except NumericalError:
+            pass
+    results = solve_all(problems, config.solver.method, **options)
+    rows = []
+    for theta, problem, solution in zip(grid, problems, results):
+        try:
+            if isinstance(solution, NumericalError):
+                raise solution
             plain = ms_check(bank, solution.gain)
             wbank = build_weighted_bank(
                 bank, problem.weights, theta, solution.gain, solution.value,
@@ -380,9 +392,7 @@ def main(argv=None) -> int:
         config = load_config(args.config)
         config = _apply_overrides(config, args)
         _require_task_inputs(args.command, config.task)
-        out_dir = Path(config.output_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](config, out_dir)
+        return _COMMANDS[args.command](config, Path(config.output_dir))
     except ConfigurationError as exc:
         log.error("configuration error: %s", exc)
         return 1

@@ -28,7 +28,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .errors import ConfigurationError, NonFiniteError
-from .matops import unvech
+from .matops import _pair_index, unvech
 
 __all__ = [
     "FAMILIES",
@@ -255,20 +255,17 @@ def _stddev_entries(stddev, mean, scale, name) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _pair_index(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Index pairs (p, q), p <= q, of the moment columns, and their inverse.
+def _form_index(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat positions of H[p, q] and H[q, p] for the moment columns' pairs (p, q), p <= q.
 
-    Column k of the moment matrix holds z_p z_q for (p, q) = (rows[k],
-    cols[k]), ordered as vech of the lower triangle (equivalently the rows of
-    the upper one). ``full[p, q]`` is the column of the pair {p, q}.
+    Also the mask of the pairs with p = q, whose coefficient in z' H z is
+    H[p, p] alone.
     """
-    rows, cols = np.triu_indices(dim)
-    full = np.empty((dim, dim), dtype=np.intp)
-    full[rows, cols] = np.arange(rows.size)
-    full[cols, rows] = np.arange(rows.size)
-    for arr in (rows, cols, full):
+    rows, cols, _ = _pair_index(dim)
+    out = (rows * dim + cols, cols * dim + rows, rows == cols)
+    for arr in out:
         arr.setflags(write=False)
-    return rows, cols, full
+    return out
 
 
 def _moment_features(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -363,16 +360,22 @@ class SampleBank:
 
     def quadratic_forms(self, h: np.ndarray) -> np.ndarray:
         """z_i' H z_i for every draw, as phi c with c the pair coefficients of H."""
-        rows, cols, _ = _pair_index(self.n * (self.n + self.m))
-        h = np.asarray(h, dtype=float)
-        coef = np.where(rows == cols, h[rows, cols], h[rows, cols] + h[cols, rows])
-        return self.phi @ coef
+        upper_at, lower_at, diagonal = _form_index(self.n * (self.n + self.m))
+        flat = np.asarray(h, dtype=float).reshape(-1)
+        upper = flat[upper_at]
+        return self.phi @ np.where(diagonal, upper, upper + flat[lower_at])
 
 
 def quadratic_expect(moment: np.ndarray, value: np.ndarray) -> np.ndarray:
-    """E_w[Z' P Z], (n+m) by (n+m), from the moment E_w[z z'] of z = vec(Z)."""
-    n = value.shape[0]
-    k = moment.shape[0] // n
+    """E_w[Z' P Z], (n+m) by (n+m), from the moment E_w[z z'] of z = vec(Z).
+
+    Given a stack of moments and one of values, it returns the stack of
+    their E_w[Z' P Z], each the same bits as from its own call.
+    """
+    n = value.shape[-1]
+    k = moment.shape[-1] // n
+    if moment.ndim == 3:
+        return np.einsum("parbs,prs->pab", moment.reshape(-1, k, n, k, n), value)
     return np.einsum("arbs,rs->ab", moment.reshape(k, n, k, n), value)
 
 

@@ -8,6 +8,8 @@ Kronecker product and its vech compression are test oracles in ``tests/reference
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import EigenSolverError
@@ -68,13 +70,36 @@ def vec(mat) -> np.ndarray:
     return as_matrix(mat, "vec argument").reshape(-1, order="F")
 
 
+@functools.lru_cache(maxsize=None)
+def _pair_index(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index pairs (p, q), p <= q, in vech order, and their inverse.
+
+    Entry k of vech(S) is S[cols[k], rows[k]] for (rows, cols) =
+    ``np.triu_indices(dim)``: the lower triangle by columns is the upper one
+    by rows, transposed. ``full[p, q]`` is the k of the pair {p, q}.
+    """
+    rows, cols = np.triu_indices(dim)
+    full = np.empty((dim, dim), dtype=np.intp)
+    full[rows, cols] = np.arange(rows.size)
+    full[cols, rows] = np.arange(rows.size)
+    for arr in (rows, cols, full):
+        arr.setflags(write=False)
+    return rows, cols, full
+
+
+def _stack(arrays: list) -> np.ndarray:
+    """Arrays of one shape stacked on a new first axis (one: a view, not a copy)."""
+    return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
+
+
 def vech(mat) -> np.ndarray:
     """Half vectorization: columns of the lower triangle, stacked."""
     arr = as_matrix(mat, "vech argument")
     n = arr.shape[0]
     if arr.shape[1] != n:
         raise ValueError(f"vech requires a square matrix, got shape {arr.shape}")
-    return np.concatenate([arr[j:, j] for j in range(n)])
+    rows, cols, _ = _pair_index(n)
+    return arr[cols, rows]
 
 
 def unvech(values, n: int) -> np.ndarray:
@@ -83,13 +108,7 @@ def unvech(values, n: int) -> np.ndarray:
     expected = n * (n + 1) // 2
     if v.size != expected:
         raise ValueError(f"unvech expected length {expected} for n={n}, got {v.size}")
-    out = np.zeros((n, n))
-    k = 0
-    for j in range(n):
-        out[j:, j] = v[k : k + n - j]
-        out[j, j:] = v[k : k + n - j]
-        k += n - j
-    return out
+    return v[_pair_index(n)[2]]
 
 
 def duplication_matrix(n: int) -> np.ndarray:

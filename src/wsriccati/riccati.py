@@ -24,11 +24,37 @@ Newton route solves the stacked residual
 for z = [vech(P); vec(L)], warm-started at the zero-sensitivity solution.
 Every route ends with the stabilizing-root postcondition P > 0, P - Q >= 0
 and raises :class:`NumericalError` when it fails.
+
+Fixed-point solves run in lockstep. Each solve is a generator
+(:func:`_fixed_point_steps`) that yields every point at which it needs the
+maps; :func:`_lockstep` gathers the one point each solve in flight asks for
+and evaluates all of them in one pass (:func:`_evaluate`), then hands each
+solve its result or the error it raised. :func:`fixed_point_solve` is the
+lockstep of one problem, and a sweep or a robustness study puts several in
+flight (:func:`fixed_point_solve_all`), so numpy's per-call overhead is paid
+once per round instead of once per problem. Each result is the same bits
+as the problem's own solve, because every stacked step is one whose result
+for an item does not depend on the others, as checked on an x86 VM (numpy
+2.4, OpenBLAS):
+
+- elementwise operations;
+- ``add.reduce``, ``min`` and ``max`` along the last axis of a C-contiguous
+  stack;
+- stacked ``eigvalsh`` and ``solve``;
+- ``einsum("parbs,prs->pab")`` (:func:`~wsriccati.ensemble.quadratic_expect`);
+- stacked small matmuls and ``trace(axis1, axis2)``.
+
+The two products with a bank's moment matrix per evaluation, phi c and
+w' phi, stay one gemv per problem: one gemm over several columns gives other
+bits. So does the Frobenius norm taken over a stack (``np.linalg.norm`` with
+``axis=(1, 2)``, or an einsum), so each solve takes its own fixed-point
+residual.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,8 +67,8 @@ from .errors import (
     NumericalError,
     SingularJacobianError,
 )
-from .matops import symmetrize, unvech, vech
-from .weights import WeightSpec, _unit_weights, weight_vector
+from .matops import _pair_index, _stack, symmetrize, unvech, vech
+from .weights import WeightSpec, _error_of, _unit_weights, _weigh_all
 
 __all__ = [
     "DEFAULT_FP_TOL",
@@ -54,12 +80,14 @@ __all__ = [
     "DesignSolution",
     "value_map",
     "fixed_point_solve",
+    "fixed_point_solve_all",
     "pack_solution",
     "unpack_solution",
     "implicit_residual",
     "residual_jacobian",
     "newton_solve",
     "solve",
+    "solve_all",
 ]
 
 DEFAULT_FP_TOL = 1e-10
@@ -75,6 +103,15 @@ DOMAIN_EIG_FLOOR = 1e-12
 
 #: Number of residual differences mixed by an Anderson step (Walker & Ni's m).
 ANDERSON_MEMORY = 5
+
+#: Bytes that fixed-point solves run in lockstep may hold beyond one solve's
+#: (see :func:`_footprint`): about four problems in flight, both for the points
+#: of a sweep on one 10k bank and for redesigns on their own 2k banks.
+LOCKSTEP_BYTES = 5 * 2**19
+
+#: Bytes per draw of the temporaries of one map evaluation in a batch.
+_WORK_BYTES_PER_DRAW = 64
+
 
 
 @dataclass(frozen=True)
@@ -151,26 +188,34 @@ class DesignSolution:
     trace: tuple | None = None
 
 
-def _weights_at(problem: DesignProblem, value, gain) -> np.ndarray | None:
-    """Weights at the policy, or None where they are exactly one (RN, theta = 0)."""
-    if _unit_weights(problem.weights, problem.theta):
-        return None
-    return weight_vector(
-        problem.bank, problem.weights, problem.theta, gain, value, problem.q, problem.r
-    )
+def _zpz_all(problems, values: np.ndarray, gains: np.ndarray, qs: np.ndarray, rs: np.ndarray):
+    """E_w[Z^T P Z], Z = [A B], of every problem at its policy, stacked.
 
-
-def _zpz(bank: SampleBank, w: np.ndarray | None, value: np.ndarray) -> np.ndarray:
-    """E_w[Z^T P Z] with Z = [A B], from the bank's moment (w None: unweighted)."""
-    zpz = quadratic_expect(bank.moment(w), value)
-    return 0.5 * (zpz + zpz.T)
-
-
-def _expectations(bank: SampleBank, w: np.ndarray | None, value: np.ndarray):
-    """Weighted means E_w[A^T P A], E_w[A^T P B], E_w[B^T P B]: blocks of E_w[Z^T P Z]."""
-    n = bank.n
-    zpz = _zpz(bank, w, value)
-    return zpz[:n, :n], zpz[:n, n:], zpz[n:, n:]
+    Problems share n, m and the bank size; ``qs`` and ``rs`` stack their
+    cost matrices. Each E_w[Z^T P Z] is read off its bank's moment at the
+    weights of its policy (the unweighted moment for RN and theta = 0, whose
+    weights are exactly one). ``errors[i]`` is the :class:`NumericalError`
+    problem i's weights raise, or None; its E_w[Z^T P Z] is then
+    meaningless.
+    """
+    count = len(problems)
+    errors: list[NumericalError | None] = [None] * count
+    moments = [p.bank.moment() for p in problems]
+    weighted = [i for i, p in enumerate(problems) if not _unit_weights(p.weights, p.theta)]
+    if weighted:
+        sub, stacks = problems, (gains, values, qs, rs)
+        if len(weighted) < count:
+            sub = [problems[i] for i in weighted]
+            stacks = tuple(x[weighted] for x in stacks)
+        *_, weights, failed = _weigh_all(
+            [p.bank for p in sub], [p.weights for p in sub], [p.theta for p in sub], *stacks
+        )
+        for i, problem, w, error in zip(weighted, sub, weights, failed):
+            if error is None:
+                moments[i] = problem.bank.moment(w)
+            errors[i] = error
+    zpz = quadratic_expect(_stack(moments), values)
+    return 0.5 * (zpz + zpz.transpose(0, 2, 1)), errors
 
 
 def _gain_from(ebpb_r: np.ndarray, eapb: np.ndarray, floor: float) -> np.ndarray:
@@ -184,12 +229,85 @@ def _gain_from(ebpb_r: np.ndarray, eapb: np.ndarray, floor: float) -> np.ndarray
     return np.linalg.solve(ebpb_r, eapb.T)
 
 
+def _evaluate(problems, values, gains) -> list:
+    """The maps (F, G) of every problem at its (P, L), in one pass of stacked calls.
+
+    Entry i is (F, G) for ``problems[i]`` at (``values[i]``, ``gains[i]``),
+    the same bits as :func:`_maps` gives for it alone, or the
+    :class:`NumericalError` that :func:`_maps` raises for it. Problems are
+    grouped by n, m and bank size, and each group takes one stacked call per
+    step (see the module docstring for which calls keep per-item bits).
+    Each check runs once on the whole stack, and row by row only when it
+    fails.
+    """
+    if len(problems) > 1:
+        groups: dict[tuple, list[int]] = {}
+        for i, p in enumerate(problems):
+            groups.setdefault((p.n, p.m, p.bank.size), []).append(i)
+        if len(groups) > 1:
+            out: list = [None] * len(problems)
+            for idx in groups.values():
+                part = _evaluate([problems[i] for i in idx], [values[i] for i in idx],
+                                 [gains[i] for i in idx])
+                for i, result in zip(idx, part):
+                    out[i] = result
+            return out
+
+    values = _stack([np.asarray(v, dtype=float) for v in values])
+    n = values.shape[1]
+    gains = _stack([np.asarray(g, dtype=float) for g in gains])
+    qs = _stack([p.q for p in problems])
+    rs = _stack([p.r for p in problems])
+    # Each entry becomes the problem's (F, G) or stays the error it raised.
+    zpz, results = _zpz_all(problems, values, gains, qs, rs)
+    live = range(len(problems))
+    if results.count(None) < len(problems):
+        live = [i for i, error in enumerate(results) if error is None]
+        if not live:
+            return results
+        zpz, qs, rs = zpz[live], qs[live], rs[live]
+        problems = [problems[i] for i in live]
+    eapa, eapb, ebpb = zpz[:, :n, :n], zpz[:, :n, n:], zpz[:, n:, n:]
+    ebpb_r = ebpb + rs
+    floors = np.array([p._domain_floor for p in problems])
+    # _gain_from on every problem: a row whose smallest eigenvalue is not
+    # above its floor raises through it; the others take one stacked solve.
+    flagged = np.minimum.reduce(np.linalg.eigvalsh(ebpb_r), axis=1) <= floors
+    if flagged.any():
+        for row in np.flatnonzero(flagged):
+            results[live[row]] = _error_of(_gain_from, ebpb_r[row], eapb[row], floors[row])
+        keep = ~flagged
+        if not keep.any():
+            return results
+        eapa, eapb, ebpb_r, qs = eapa[keep], eapb[keep], ebpb_r[keep], qs[keep]
+        live = [i for i, k in zip(live, keep) if k]
+    new_gain = np.linalg.solve(ebpb_r, eapb.transpose(0, 2, 1))
+    new_value = _symmetrize_all(eapa + qs - eapb @ new_gain)
+    for row, i in enumerate(live):
+        results[i] = (new_value[row], new_gain[row])
+    return results
+
+
+def _symmetrize_all(arr: np.ndarray) -> np.ndarray:
+    """``symmetrize(arr[i], tol=1e-6)`` of each stacked matrix; a bad one raises.
+
+    Every scale max(1, max |S|) is at least 1, so an asymmetry within 1e-6
+    everywhere passes every row's test; a non-finite entry makes the largest
+    asymmetry NaN or infinite, so the rows are then checked one by one.
+    """
+    trans = arr.transpose(0, 2, 1)
+    if not np.abs(arr - trans).max() <= 1e-6:
+        for i in range(arr.shape[0]):
+            symmetrize(arr[i], tol=1e-6)
+    return (arr + trans) / 2.0
+
+
 def _maps(problem: DesignProblem, value, gain):
-    w = _weights_at(problem, value, gain)
-    eapa, eapb, ebpb = _expectations(problem.bank, w, value)
-    new_gain = _gain_from(ebpb + problem.r, eapb, problem._domain_floor)
-    new_value = symmetrize(eapa + problem.q - eapb @ new_gain, tol=1e-6)
-    return new_value, new_gain
+    """(F, G) at (P, L): :func:`_evaluate` on a batch of one."""
+    result = _evaluate([problem], [value], [gain])[0]
+    if isinstance(result, NumericalError):
+        raise result
+    return result
 
 
 def value_map(value, gain, problem: DesignProblem) -> np.ndarray:
@@ -216,39 +334,244 @@ def _check_stabilizing(value: np.ndarray, q: np.ndarray, label: str) -> None:
         )
 
 
-def _map_step(problem: DesignProblem, value, gain):
-    """Map image (F, G) of (P, L) and the fixed-point residual ||F-P||_F + ||G-L||_F."""
-    new_value, new_gain = _maps(problem, value, gain)
-    delta = float(np.linalg.norm(new_value - value) + np.linalg.norm(new_gain - gain))
-    return new_value, new_gain, delta
+def _map_step(value, gain):
+    """Map image (F, G) of (P, L) and the fixed-point residual ||F-P||_F + ||G-L||_F.
+
+    A generator step of a solve: it yields (P, L) to the lockstep, which sends
+    back (F, G) or throws in the :class:`NumericalError` evaluating them raised.
+    """
+    new_value, new_gain = yield value, gain
+    return new_value, new_gain, _frobenius(new_value - value) + _frobenius(new_gain - gain)
+
+
+def _frobenius(x: np.ndarray) -> float:
+    """``np.linalg.norm(x)`` of a real array, by its own ravel, dot and sqrt."""
+    flat = x.ravel(order="K")
+    return math.sqrt(flat.dot(flat))
 
 
 def _anderson_step(problem: DesignProblem, points, images, best: float):
     """Safeguarded type-II Anderson candidate, or None when it is rejected.
 
-    ``points`` are the packed recent accepted iterates z_j and ``images`` their
-    map images g_j. The candidate g_k - dG gamma, with gamma minimizing
-    ||f_k - dF gamma|| over the differences of the residuals f_j = g_j - z_j
-    (Walker & Ni 2011), is rejected when P - Q has a negative eigenvalue,
-    when evaluating the maps at it fails (for instance a weighted input-cost
-    matrix that is not positive definite), or when its fixed-point residual
-    is not below the smallest residual of any accepted iterate.
+    ``points`` holds the packed recent accepted iterates z_j as columns,
+    oldest first, and ``images`` their map images g_j. The candidate g_k - dG
+    gamma, with gamma minimizing ||f_k - dF gamma|| over the differences of
+    the residuals f_j = g_j - z_j (Walker & Ni 2011), is rejected when P - Q
+    has a negative eigenvalue, when evaluating the maps at it fails (for
+    instance a weighted input-cost matrix that is not positive definite), or
+    when its fixed-point residual is not below the smallest residual of any
+    accepted iterate.
     """
-    z = np.stack(points, axis=1)
-    g = np.stack(images, axis=1)
-    d_g = np.diff(g, axis=1)
-    d_f = np.diff(g - z, axis=1)
-    gamma = np.linalg.lstsq(d_f, g[:, -1] - z[:, -1], rcond=None)[0]
-    value, gain = unpack_solution(g[:, -1] - d_g @ gamma, problem.n, problem.m)
+    d_g = images[:, 1:] - images[:, :-1]
+    residuals = images - points
+    d_f = residuals[:, 1:] - residuals[:, :-1]
+    gamma = np.linalg.lstsq(d_f, images[:, -1] - points[:, -1], rcond=None)[0]
+    value, gain = unpack_solution(images[:, -1] - d_g @ gamma, problem.n, problem.m)
     if np.linalg.eigvalsh(value - problem.q).min() < 0.0:
         return None
     try:
-        new_value, new_gain, delta = _map_step(problem, value, gain)
+        new_value, new_gain, delta = yield from _map_step(value, gain)
     except NumericalError:
         return None
     if not delta < best:
         return None
     return value, gain, new_value, new_gain, delta
+
+
+def _debug_logger():
+    """The solver's logger when it logs DEBUG, else None.
+
+    ``logging`` is imported here, not with the module, so that importing the
+    package does not load it; the command line has it loaded already.
+    """
+    import logging
+
+    log = logging.getLogger(__name__)
+    return log if log.isEnabledFor(logging.DEBUG) else None
+
+
+def _fixed_point_steps(
+    problem: DesignProblem,
+    value0,
+    gain0,
+    tol: float,
+    max_iters: int,
+    residual_tol: float,
+    record_trace: bool,
+    label: int,
+):
+    """The iteration of :func:`fixed_point_solve` as a generator for the lockstep.
+
+    It yields each (P, L) at which it needs the maps, is sent their image or
+    thrown the error evaluating them raised, and returns the
+    :class:`DesignSolution`. ``label`` names the problem in the DEBUG lines.
+    """
+    n, m = problem.n, problem.m
+    value = np.zeros((n, n)) if value0 is None else symmetrize(value0, "value0")
+    gain = np.zeros((m, n)) if gain0 is None else np.asarray(gain0, dtype=float)
+    if gain.shape != (m, n):
+        raise ConfigurationError(f"gain0 has shape {gain.shape}, expected {(m, n)}")
+    if np.linalg.eigvalsh(value).min() < -1e-10:
+        raise ConfigurationError("value0 must be positive semidefinite")
+    log = _debug_logger()
+
+    trace: list[tuple] | None = [] if record_trace else None
+
+    def record(delta: float) -> None:
+        if trace is not None:
+            res = float(
+                np.linalg.norm(implicit_residual(pack_solution(value, gain), problem))
+            )
+            trace.append((len(trace), value.copy(), gain.copy(), delta, res))
+
+    record(float("nan"))
+    new_value, new_gain, delta = yield from _map_step(value, gain)
+    deltas = [delta]
+    best = delta
+    accelerated = False
+    # The last ANDERSON_MEMORY + 1 accepted iterates and their images, packed
+    # as columns [vech(P); vec(L)], oldest first; ``kept`` columns are filled.
+    head = n * (n + 1) // 2
+    rows, cols, _ = _pair_index(n)
+    points = np.empty((head + m * n, ANDERSON_MEMORY + 1))
+    images = np.empty_like(points)
+    kept = 0
+    while True:
+        if log is not None:
+            log.debug(
+                "fixed-point problem %d (theta=%r): iteration %d, delta %.3e, %s step",
+                label, problem.theta, len(deltas), delta,
+                "anderson" if accelerated else "plain",
+            )
+        if delta < tol:
+            break
+        if len(deltas) >= max_iters:
+            raise ConvergenceError(
+                f"fixed-point iteration did not converge in {max_iters} iterations "
+                f"(last delta {delta:.3e})",
+                history=tuple(deltas),
+            )
+        if kept == ANDERSON_MEMORY + 1:
+            points[:, :-1] = points[:, 1:]
+            images[:, :-1] = images[:, 1:]
+            kept -= 1
+        points[:head, kept] = value[cols, rows]
+        points[head:, kept] = gain.reshape(-1, order="F")
+        images[:head, kept] = new_value[cols, rows]
+        images[head:, kept] = new_gain.reshape(-1, order="F")
+        kept += 1
+        step = None
+        if kept > 1:
+            step = yield from _anderson_step(
+                problem, points[:, :kept], images[:, :kept], best
+            )
+            if step is None:
+                kept = 0
+        accelerated = step is not None
+        if step is None:
+            step = (new_value, new_gain) + (yield from _map_step(new_value, new_gain))
+        value, gain, new_value, new_gain, step_delta = step
+        record(delta)
+        delta = step_delta
+        deltas.append(delta)
+        best = min(best, delta)
+
+    value, gain = new_value, new_gain
+    record(delta)
+    residual = float(
+        np.linalg.norm(implicit_residual(pack_solution(value, gain), problem))
+    )
+    if residual > residual_tol:
+        raise ConvergenceError(
+            f"fixed point stalled: residual {residual:.3e} exceeds "
+            f"{residual_tol:.1e}",
+            history=tuple(deltas),
+        )
+    _check_stabilizing(value, problem.q, "fixed-point solve")
+    return DesignSolution(
+        value=value,
+        gain=gain,
+        method="fixed-point",
+        iterations=len(deltas),
+        residual=residual,
+        deltas=tuple(deltas),
+        trace=tuple(trace) if record_trace else None,
+    )
+
+
+def _footprint(problem: DesignProblem, flight) -> int:
+    """Bytes that solving ``problem`` next to the problems in ``flight`` adds.
+
+    Its map evaluations need ``_WORK_BYTES_PER_DRAW`` per draw of its bank;
+    a bank that no problem in flight shares adds its draws and moment
+    features, unless nothing is in flight (one problem at a time holds one
+    bank anyway).
+    """
+    bank = problem.bank
+    cost = _WORK_BYTES_PER_DRAW * bank.size
+    if flight and all(item[1].bank is not bank for item in flight):
+        cost += bank.a.nbytes + bank.b.nbytes + bank.phi.nbytes
+    return cost
+
+
+def _lockstep(solves) -> list:
+    """Run fixed-point solves side by side, one batched map evaluation a round.
+
+    ``solves`` yields (problem, steps) pairs, ``steps`` a
+    :func:`_fixed_point_steps` generator; a pair is taken only when its
+    problem joins. Each round evaluates the maps at the one point every
+    solve in flight asks for, and sends each its result. A problem joins
+    while the bytes of those in flight and its own stay within
+    ``LOCKSTEP_BYTES`` (see :func:`_footprint`), and when a problem finishes
+    the next one joins. A round with one problem in flight calls
+    :func:`_maps`. Returns each solve's :class:`DesignSolution`, or the
+    :class:`NumericalError` it raised, in input order; any other exception
+    propagates.
+    """
+    results: list = []
+    flight: list[list] = []  # [index, problem, steps, request, footprint]
+    held = 0
+    pending = next(solves, None)
+    while flight or pending is not None:
+        while pending is not None:
+            problem, steps = pending
+            cost = _footprint(problem, flight)
+            if flight and held + cost > LOCKSTEP_BYTES:
+                break
+            results.append(None)
+            try:
+                flight.append([len(results) - 1, problem, steps, next(steps), cost])
+                held += cost
+            except NumericalError as exc:
+                results[-1] = exc
+            pending = next(solves, None)
+        if not flight:
+            continue
+        if len(flight) == 1:
+            try:
+                outcomes = [_maps(flight[0][1], *flight[0][3])]
+            except NumericalError as exc:
+                outcomes = [exc]
+        else:
+            values, gains = zip(*(item[3] for item in flight))
+            outcomes = _evaluate([item[1] for item in flight], values, gains)
+        still = []
+        for item, outcome in zip(flight, outcomes):
+            steps = item[2]
+            try:
+                if isinstance(outcome, NumericalError):
+                    item[3] = steps.throw(outcome)
+                else:
+                    item[3] = steps.send(outcome)
+                still.append(item)
+                continue
+            except StopIteration as stop:
+                results[item[0]] = stop.value
+            except NumericalError as exc:
+                results[item[0]] = exc
+            held -= item[4]
+        flight = still
+    return results
 
 
 def fixed_point_solve(
@@ -283,74 +606,38 @@ def fixed_point_solve(
     The start must be positive semidefinite; the default is (0, 0). With
     ``record_trace`` the trace holds the start, one row per accepted iterate
     and the returned pair, each with the residual of the iterate before it.
+    This is the lockstep of :func:`fixed_point_solve_all` on one problem.
     """
-    n, m = problem.n, problem.m
-    value = np.zeros((n, n)) if value0 is None else symmetrize(value0, "value0")
-    gain = np.zeros((m, n)) if gain0 is None else np.asarray(gain0, dtype=float)
-    if gain.shape != (m, n):
-        raise ConfigurationError(f"gain0 has shape {gain.shape}, expected {(m, n)}")
-    if np.linalg.eigvalsh(value).min() < -1e-10:
-        raise ConfigurationError("value0 must be positive semidefinite")
-
-    trace: list[tuple] | None = [] if record_trace else None
-
-    def record(delta: float) -> None:
-        if trace is not None:
-            res = float(
-                np.linalg.norm(implicit_residual(pack_solution(value, gain), problem))
-            )
-            trace.append((len(trace), value.copy(), gain.copy(), delta, res))
-
-    record(float("nan"))
-    new_value, new_gain, delta = _map_step(problem, value, gain)
-    deltas = [delta]
-    best = delta
-    points: list[np.ndarray] = []
-    images: list[np.ndarray] = []
-    while not delta < tol:
-        if len(deltas) >= max_iters:
-            raise ConvergenceError(
-                f"fixed-point iteration did not converge in {max_iters} iterations "
-                f"(last delta {delta:.3e})",
-                history=tuple(deltas),
-            )
-        points.append(pack_solution(value, gain))
-        images.append(pack_solution(new_value, new_gain))
-        del points[: -ANDERSON_MEMORY - 1], images[: -ANDERSON_MEMORY - 1]
-        step = None
-        if len(points) > 1:
-            step = _anderson_step(problem, points, images, best)
-            if step is None:
-                points.clear()
-                images.clear()
-        if step is None:
-            step = (new_value, new_gain) + _map_step(problem, new_value, new_gain)
-        value, gain, new_value, new_gain, step_delta = step
-        record(delta)
-        delta = step_delta
-        deltas.append(delta)
-        best = min(best, delta)
-
-    value, gain = new_value, new_gain
-    record(delta)
-    residual = float(
-        np.linalg.norm(implicit_residual(pack_solution(value, gain), problem))
+    steps = _fixed_point_steps(
+        problem, value0, gain0, tol, max_iters, residual_tol, record_trace, 0
     )
-    if residual > residual_tol:
-        raise ConvergenceError(
-            f"fixed point stalled: residual {residual:.3e} exceeds "
-            f"{residual_tol:.1e}",
-            history=tuple(deltas),
-        )
-    _check_stabilizing(value, problem.q, "fixed-point solve")
-    return DesignSolution(
-        value=value,
-        gain=gain,
-        method="fixed-point",
-        iterations=len(deltas),
-        residual=residual,
-        deltas=tuple(deltas),
-        trace=tuple(trace) if record_trace else None,
+    (result,) = _lockstep(iter([(problem, steps)]))
+    if isinstance(result, NumericalError):
+        raise result
+    return result
+
+
+def fixed_point_solve_all(
+    problems,
+    *,
+    tol: float = DEFAULT_FP_TOL,
+    max_iters: int = DEFAULT_FP_MAX_ITERS,
+    residual_tol: float = DEFAULT_RESIDUAL_TOL,
+) -> list:
+    """:func:`fixed_point_solve` from (0, 0) on each problem, solved in lockstep.
+
+    Each problem runs the control flow of :func:`fixed_point_solve`
+    unchanged, but the problems in flight share one stacked map evaluation
+    per round (see :func:`_lockstep`), so each result is the same bits as its
+    own solve. ``problems`` may be any iterable; it is read only as problems
+    join, so a generator can build each problem (and draw its bank) just in
+    time. Returns, in input order, each :class:`DesignSolution` or the
+    :class:`NumericalError` its solve raised.
+    """
+    return _lockstep(
+        (problem, _fixed_point_steps(problem, None, None, tol, max_iters, residual_tol,
+                                     False, k))
+        for k, problem in enumerate(problems)
     )
 
 
@@ -378,8 +665,11 @@ def implicit_residual(z, problem: DesignProblem, theta=None) -> np.ndarray:
         problem = problem.with_theta(theta)
     n, m = problem.n, problem.m
     value, gain = unpack_solution(z, n, m)
-    zpz = _zpz(problem.bank, _weights_at(problem, value, gain), value)
-    k_mat = np.vstack([np.eye(n), -gain])
+    zpz, (error,) = _zpz_all([problem], value[None], gain[None], problem.q[None], problem.r[None])
+    if error is not None:
+        raise error
+    zpz = zpz[0]
+    k_mat = np.concatenate([np.eye(n), -gain])
     empm = k_mat.T @ zpz @ k_mat  # E_w[(A-BL)^T P (A-BL)]
     empm = 0.5 * (empm + empm.T)
     eapb, ebpb = zpz[:n, n:], zpz[n:, n:]
@@ -413,7 +703,8 @@ def _analytic_jacobian_theta0(z: np.ndarray, problem: DesignProblem) -> np.ndarr
     bank = problem.bank
     head = n * (n + 1) // 2
     operator, zsc = _closed_loop_operator(bank.moment(), gain)
-    _, eapb, ebpb = _expectations(bank, None, value)
+    zpz = _zpz_all([problem], value[None], gain[None], problem.q[None], problem.r[None])[0][0]
+    eapb, ebpb = zpz[:n, n:], zpz[n:, n:]
     ebpb_r = ebpb + problem.r
     s_mat = ebpb_r @ gain - eapb.T
     t_mat = gain.T @ ebpb_r - eapb
@@ -540,6 +831,7 @@ def solve(
     newton_max_iters: int = DEFAULT_NEWTON_MAX_ITERS,
     continuation: tuple[float, ...] | None = None,
     record_trace: bool = False,
+    base: DesignSolution | None = None,
 ) -> DesignSolution:
     """Front-end dispatching to the configured solution route.
 
@@ -547,7 +839,9 @@ def solve(
     and then run Newton through a grid of theta values, warm-starting each
     run at the previous solution. ``newton`` uses the one-point grid (theta,);
     ``newton-continuation`` uses ``continuation`` (default: half the target,
-    then the target).
+    then the target). ``base``, when given, is that theta = 0 solution,
+    solved by the caller with the same fixed-point options: a sweep's points
+    share it.
     """
     if method == "fixed-point":
         return fixed_point_solve(
@@ -573,12 +867,13 @@ def solve(
                 )
     else:
         raise ConfigurationError(f"unknown solve method {method!r}")
-    base = fixed_point_solve(
-        problem.with_theta(0.0),
-        tol=fp_tol,
-        max_iters=fp_max_iters,
-        residual_tol=residual_tol,
-    )
+    if base is None:
+        base = fixed_point_solve(
+            problem.with_theta(0.0),
+            tol=fp_tol,
+            max_iters=fp_max_iters,
+            residual_tol=residual_tol,
+        )
     z = pack_solution(base.value, base.gain)
     total_iterations = 0
     for theta_step in steps:
@@ -592,3 +887,47 @@ def solve(
         z = pack_solution(solution.value, solution.gain)
         total_iterations += solution.iterations
     return dataclasses.replace(solution, method=method, iterations=total_iterations)
+
+
+def solve_all(
+    problems,
+    method: str = "fixed-point",
+    *,
+    fp_tol: float = DEFAULT_FP_TOL,
+    fp_max_iters: int = DEFAULT_FP_MAX_ITERS,
+    residual_tol: float = DEFAULT_RESIDUAL_TOL,
+    newton_tol: float = DEFAULT_NEWTON_TOL,
+    newton_max_iters: int = DEFAULT_NEWTON_MAX_ITERS,
+    continuation: tuple[float, ...] | None = None,
+    base: DesignSolution | None = None,
+) -> list:
+    """:func:`solve` on each problem: its solution or the NumericalError it raised.
+
+    Results are in input order. The fixed-point route solves the problems in
+    lockstep (:func:`fixed_point_solve_all`), each to the same bits as alone;
+    the Newton routes solve them one at a time, from ``base`` when given.
+    ``problems`` may be a generator, read as problems are solved.
+    """
+    if method == "fixed-point":
+        return fixed_point_solve_all(
+            problems, tol=fp_tol, max_iters=fp_max_iters, residual_tol=residual_tol
+        )
+    results = []
+    for problem in problems:
+        try:
+            results.append(
+                solve(
+                    problem,
+                    method=method,
+                    fp_tol=fp_tol,
+                    fp_max_iters=fp_max_iters,
+                    residual_tol=residual_tol,
+                    newton_tol=newton_tol,
+                    newton_max_iters=newton_max_iters,
+                    continuation=continuation,
+                    base=base,
+                )
+            )
+        except NumericalError as exc:
+            results.append(exc)
+    return results

@@ -41,7 +41,7 @@ import numpy as np
 from .ensemble import ParameterDistribution, _stream_rngs, derive_seed, draw_bank
 from .errors import ConfigurationError, NumericalError
 from .matops import symmetrize
-from .riccati import DesignProblem, solve
+from .riccati import DesignProblem, solve_all
 from .weights import WeightSpec
 
 __all__ = [
@@ -276,21 +276,31 @@ def robustness_study(
     Bank k uses the integer sub-seed derive_seed(base_seed, k). Designs
     that fail are recorded and excluded from the statistics; at least two
     must succeed for a standard deviation to exist.
+
+    The designs run through :func:`~wsriccati.riccati.solve_all`, so the
+    fixed-point route solves several in lockstep, each to the same bits as
+    alone. Bank k is drawn only when design k joins, and the lockstep's
+    byte budget (``riccati.LOCKSTEP_BYTES``) keeps about four 2k banks of
+    the example system in memory at once, not all ``repetitions``.
     """
     if repetitions < 2:
         raise ConfigurationError("repetitions must be >= 2")
-    solver_options = dict(solver_options or {})
+    problems = (
+        DesignProblem(
+            bank=draw_bank(dist, bank_size, derive_seed(base_seed, k)),
+            q=q,
+            r=r,
+            weights=weight_spec,
+        )
+        for k in range(repetitions)
+    )
     gains = []
     failures: list[tuple[int, str]] = []
-    for k in range(repetitions):
-        bank = draw_bank(dist, bank_size, derive_seed(base_seed, k))
-        problem = DesignProblem(bank=bank, q=q, r=r, weights=weight_spec)
-        try:
-            solution = solve(problem, method=method, **solver_options)
-        except NumericalError as exc:
-            failures.append((k, str(exc)))
-            continue
-        gains.append(solution.gain)
+    for k, result in enumerate(solve_all(problems, method, **(solver_options or {}))):
+        if isinstance(result, NumericalError):
+            failures.append((k, str(result)))
+        else:
+            gains.append(result.gain)
     if len(gains) < 2:
         raise NumericalError(
             f"robustness study needs >= 2 successful designs, got {len(gains)} "

@@ -52,7 +52,7 @@ import numpy as np
 
 from .ensemble import SampleBank
 from .errors import NonFiniteError, NumericalError, WeightOverflowError
-from .matops import symmetrize
+from .matops import _stack, symmetrize
 
 __all__ = [
     "FAMILY_RN",
@@ -153,7 +153,7 @@ def _raw_from_costs(
     return _rrsl_raw(theta, spec.alpha * costs - spec.beta * mean_predictive)
 
 
-def _rrsl_raw(theta: float, x: np.ndarray) -> np.ndarray:
+def _rrsl_raw(theta, x: np.ndarray) -> np.ndarray:
     """1 + theta * expit(x), taking the sigmoid only where the result is not exact.
 
     For x >= 40, exp(-x) < 2**-53, so 1 + exp(-x) rounds to 1, expit(x) is
@@ -161,26 +161,39 @@ def _rrsl_raw(theta: float, x: np.ndarray) -> np.ndarray:
     log(2**-55 / |theta|), |theta| expit(x) < |theta| exp(x) < 2**-55; the
     few roundings of expit, of the product and of the bound itself keep it
     below 2**-54, half an ulp of 1 from below, so 1 + theta * expit(x)
-    rounds to 1.0 (at theta = 0 for every finite x). 1 + theta * [x >= 40]
-    gives both exact values in one pass; at theta = +-inf, where theta * 0
-    is NaN, no x lies below the window. Every other entry, NaN included,
-    takes the full expression, so the result equals it bit for bit and a
-    NaN still reaches :func:`normalize_weights`.
+    rounds to 1.0 (at theta = 0 for every finite x). One pass sets both
+    exact values, 1 + theta and 1; at theta = +-inf or NaN no x lies below
+    the window. Every other entry, NaN included, takes the full expression,
+    so the result equals it bit for bit and a NaN still reaches
+    :func:`normalize_weights`.
+
+    ``theta`` is a float, or for a stack of rows ``x`` a (rows, 1) column
+    of one theta per row.
 
     scipy is imported by a function-level import the first time an entry
     lies inside the window, not with the module: the sigmoid is the
     package's only use of it, and at theta = 0 the window is empty. After
     that first import it is a lookup in ``sys.modules`` (under 1 us).
     """
+    stacked = isinstance(theta, np.ndarray) and theta.ndim > 0
     saturated = x >= _EXPIT_ONE
-    raw = 1.0 + theta * saturated
-    low = math.inf if theta == 0.0 else _LOG_2_M55 - math.log(abs(theta))
+    raw = np.where(saturated, 1.0 + theta, 1.0)
+    if stacked:
+        low = np.array([[_window_floor(t)] for t in theta[:, 0]])
+    else:
+        low = _window_floor(theta)
     mid = np.flatnonzero(~(saturated | (x < low)))
     if mid.size:
         from scipy.special import expit
 
-        raw[mid] = 1.0 + theta * expit(x[mid])
+        scale = theta[mid // x.shape[-1], 0] if stacked else theta
+        raw.reshape(-1)[mid] = 1.0 + scale * expit(x.reshape(-1)[mid])
     return raw
+
+
+def _window_floor(theta: float) -> float:
+    """log(2**-55 / |theta|), below which 1 + theta * expit(x) is exactly 1."""
+    return math.inf if theta == 0.0 else _LOG_2_M55 - math.log(abs(theta))
 
 
 def normalize_weights(raw: np.ndarray) -> np.ndarray:
@@ -205,29 +218,129 @@ def _unit_weights(spec: WeightSpec, theta: float) -> bool:
     return spec.family == FAMILY_RN or theta == 0.0
 
 
-def _weigh(bank: SampleBank, spec: WeightSpec, theta: float, gain, value, q, r):
-    """Predictive costs, raw and normalized weights of every draw.
-
-    With K = [I; -L] the cost of a draw is z' kron(K S K', P) z + tr((Q +
-    L' R L) S), z = vec([A B]), so all N costs are one product with the
-    bank's moment matrix (:meth:`SampleBank.quadratic_forms`).
-    """
-    gain, value, q, r = (np.asarray(x, dtype=float) for x in (gain, value, q, r))
-    sigma = spec.resolved_sigma(bank.n)
-    k_mat = np.vstack([np.eye(bank.n), -gain])
-    base = float(np.trace((q + gain.T @ r @ gain) @ sigma))
-    # kron(K S K', P) as one broadcast product: the same single product per
-    # entry as np.kron, without its per-call overhead.
-    outer = k_mat @ sigma @ k_mat.T
-    size = outer.shape[0] * value.shape[0]
-    kron = (outer[:, None, :, None] * value[None, :, None, :]).reshape(size, size)
-    costs = bank.quadratic_forms(kron) + base
+def _check_costs(costs: np.ndarray) -> None:
+    """Raise for the first non-finite predictive cost of a bank."""
     if not np.all(np.isfinite(costs)):
         idx = int(np.argmax(~np.isfinite(costs)))
         raise NonFiniteError(f"predictive cost non-finite at sample {idx}")
-    mean_predictive = float(costs.mean()) if spec.family == FAMILY_RRSL else None
-    raw = _raw_from_costs(spec, theta, costs, mean_predictive)
-    return costs, raw, normalize_weights(raw)
+
+
+def _error_of(check, *args) -> NumericalError:
+    """The error ``check(*args)`` raises on a row that a stacked test flagged."""
+    try:
+        check(*args)
+    except NumericalError as exc:
+        return exc
+    raise RuntimeError(f"{check.__name__} accepted a row its stacked test rejected")
+
+
+def _column(values: list):
+    """One value per row as a (rows, 1) column; a single row's as a float."""
+    return values[0] if len(values) == 1 else np.array(values, dtype=float)[:, None]
+
+
+def _weigh_all(banks, specs, thetas, gains, values, qs, rs):
+    """Predictive costs, raw and normalized weights of several problems at once.
+
+    Row i of each returned (rows, N) array is for ``banks[i]``, all of one
+    size, at the policy (``gains[i]``, ``values[i]``) under ``specs[i]`` and
+    ``thetas[i]``; the other arguments are stacked along their first axis.
+    With K = [I; -L] the cost of a draw is z' kron(K S K', P) z + tr((Q +
+    L' R L) S), z = vec([A B]), so all N costs of a bank are one product with
+    its moment matrix (:meth:`SampleBank.quadratic_forms`).
+
+    Each row is what the row alone gives, bit for bit: every step is an
+    elementwise operation, a reduction along a row, or a small product per
+    row. ``errors[i]`` is the :class:`NumericalError` row i raises alone
+    (non-finite cost, RSL overflow, then normalization, in that order), or
+    None; such a row's weights are not computed. Each check runs once on the
+    whole stack, and row by row only when it fails.
+    """
+    count, n = values.shape[:2]
+    size = banks[0].size
+    errors: list[NumericalError | None] = [None] * count
+    sigma = _stack([spec.resolved_sigma(n) for spec in specs])
+    k_mat = np.empty((count, n + gains.shape[1], n))
+    k_mat[:, :n] = np.eye(n)
+    np.negative(gains, out=k_mat[:, n:])
+    base = ((qs + gains.transpose(0, 2, 1) @ rs @ gains) @ sigma).trace(axis1=1, axis2=2)
+    # kron(K S K', P) as one broadcast product: the same single product per
+    # entry as np.kron, without its per-call overhead.
+    outer = k_mat @ sigma @ k_mat.transpose(0, 2, 1)
+    dim = outer.shape[1] * n
+    kron = (outer[:, :, None, :, None] * values[:, None, :, None, :]).reshape(count, dim, dim)
+    forms = [bank.quadratic_forms(h) for bank, h in zip(banks, kron)]
+    costs = _stack(forms)
+    costs += base[:, None]
+    # A finite row sum has only finite terms; a sum that overflows sends the
+    # rows to the per-row test, which finds no error in them.
+    sums = np.add.reduce(costs, axis=1)
+    if not np.isfinite(sums).all():
+        for i in np.flatnonzero(~np.isfinite(costs).all(axis=1)):
+            errors[i] = _error_of(_check_costs, costs[i])
+
+    raw = None
+    families = [spec.family for spec in specs]
+    for family in set(families):
+        if len(families) == 1 and errors[0] is None:
+            sel = [0]
+        else:
+            sel = [i for i, f in enumerate(families) if f == family and errors[i] is None]
+        if not sel:
+            continue
+        rows = slice(None) if len(sel) == count else sel
+        theta = _column([thetas[i] for i in sel])
+        if family == FAMILY_RN:
+            part = np.ones((len(sel), size))
+        elif family == FAMILY_RSL:
+            exponents = theta * costs[rows]
+            for row in np.flatnonzero(exponents.max(axis=1) > RSL_MAX_EXPONENT):
+                i = sel[row]
+                errors[i] = _error_of(_raw_from_costs, specs[i], thetas[i], costs[i], None)
+            ok = [row for row, i in enumerate(sel) if errors[i] is None]
+            if len(ok) < len(sel):
+                exponents, sel = exponents[ok], [sel[row] for row in ok]
+            part = np.exp(exponents)
+        else:
+            mean = sums[rows] / size
+            alpha = _column([specs[i].alpha for i in sel])
+            shift = _column([specs[i].beta * m for i, m in zip(sel, mean)])
+            part = _rrsl_raw(theta, alpha * costs[rows] - shift)
+        if raw is None and len(sel) == count:
+            raw = part
+        else:
+            if raw is None:
+                raw = np.empty_like(costs)
+            raw[sel] = part
+    if raw is None:
+        raw = np.empty_like(costs)
+
+    # normalize_weights on every row: one min and one max clear the common case.
+    if errors.count(None) == count:
+        mean = np.add.reduce(raw, axis=1) / size
+        if raw.min() >= 0.0 and raw.max() < np.inf and mean.min() > 0.0:
+            return costs, raw, raw / mean[:, None], errors
+    live = [i for i in range(count) if errors[i] is None]
+    weights = np.empty_like(raw)
+    if live:
+        block = raw[live]
+        mean = np.add.reduce(block, axis=1) / size
+        bad = ~((block.min(axis=1) >= 0.0) & (block.max(axis=1) < np.inf)) | (mean <= 0.0)
+        for row in np.flatnonzero(bad):
+            errors[live[row]] = _error_of(normalize_weights, block[row])
+        weights[live] = block / np.where(bad, 1.0, mean)[:, None]
+    return costs, raw, weights, errors
+
+
+def _weigh(bank: SampleBank, spec: WeightSpec, theta: float, gain, value, q, r):
+    """Predictive costs, raw and normalized weights of every draw of one bank."""
+    gain, value, q, r = (np.asarray(x, dtype=float) for x in (gain, value, q, r))
+    costs, raw, weights, (error,) = _weigh_all(
+        [bank], [spec], [theta], gain[None], value[None], q[None], r[None]
+    )
+    if error is not None:
+        raise error
+    return costs[0], raw[0], weights[0]
 
 
 def weight_vector(

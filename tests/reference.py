@@ -21,6 +21,10 @@ each, the package path it checks:
 - :func:`kron` and :func:`compress`: the Kronecker product and its
   compression L_n X D_n onto vech coordinates, built from
   ``matops.elimination_matrix`` and ``matops.duplication_matrix``.
+- :func:`sequential_fixed_point_solve`: ``riccati.fixed_point_solve`` from
+  (0, 0) as a plain loop, one problem and one ``riccati._maps`` call at a
+  time; ``riccati.fixed_point_solve_all`` must give the same bits for each
+  problem it solves in lockstep.
 """
 
 from __future__ import annotations
@@ -28,9 +32,17 @@ from __future__ import annotations
 import numpy as np
 
 from wsriccati.ensemble import SampleBank
-from wsriccati.errors import NonFiniteError
+from wsriccati.errors import ConvergenceError, NonFiniteError, NumericalError
 from wsriccati.matops import as_matrix, duplication_matrix, elimination_matrix, symmetrize
-from wsriccati.riccati import _maps
+from wsriccati.riccati import (
+    ANDERSON_MEMORY,
+    DesignSolution,
+    _check_stabilizing,
+    _maps,
+    implicit_residual,
+    pack_solution,
+    unpack_solution,
+)
 from wsriccati.weights import WeightedBank, _raw_from_costs
 
 
@@ -130,3 +142,76 @@ def compress(mat) -> np.ndarray:
     if n * n != arr.shape[0]:
         raise ValueError(f"compress requires an n^2-sized matrix, got {arr.shape[0]}")
     return elimination_matrix(n) @ arr @ duplication_matrix(n)
+
+
+def _map_step(problem, value, gain):
+    new_value, new_gain = _maps(problem, value, gain)
+    delta = float(np.linalg.norm(new_value - value) + np.linalg.norm(new_gain - gain))
+    return new_value, new_gain, delta
+
+
+def _anderson_step(problem, points, images, best):
+    z = np.stack(points, axis=1)
+    g = np.stack(images, axis=1)
+    d_g = np.diff(g, axis=1)
+    d_f = np.diff(g - z, axis=1)
+    gamma = np.linalg.lstsq(d_f, g[:, -1] - z[:, -1], rcond=None)[0]
+    value, gain = unpack_solution(g[:, -1] - d_g @ gamma, problem.n, problem.m)
+    if np.linalg.eigvalsh(value - problem.q).min() < 0.0:
+        return None
+    try:
+        new_value, new_gain, delta = _map_step(problem, value, gain)
+    except NumericalError:
+        return None
+    if not delta < best:
+        return None
+    return value, gain, new_value, new_gain, delta
+
+
+def sequential_fixed_point_solve(problem, tol, max_iters, residual_tol) -> DesignSolution:
+    """The safeguarded Anderson iteration from (0, 0), one map evaluation at a time."""
+    n, m = problem.n, problem.m
+    value, gain = np.zeros((n, n)), np.zeros((m, n))
+    new_value, new_gain, delta = _map_step(problem, value, gain)
+    deltas = [delta]
+    best = delta
+    points: list[np.ndarray] = []
+    images: list[np.ndarray] = []
+    while not delta < tol:
+        if len(deltas) >= max_iters:
+            raise ConvergenceError(
+                f"fixed-point iteration did not converge in {max_iters} iterations "
+                f"(last delta {delta:.3e})",
+                history=tuple(deltas),
+            )
+        points.append(pack_solution(value, gain))
+        images.append(pack_solution(new_value, new_gain))
+        del points[: -ANDERSON_MEMORY - 1], images[: -ANDERSON_MEMORY - 1]
+        step = None
+        if len(points) > 1:
+            step = _anderson_step(problem, points, images, best)
+            if step is None:
+                points.clear()
+                images.clear()
+        if step is None:
+            step = (new_value, new_gain) + _map_step(problem, new_value, new_gain)
+        value, gain, new_value, new_gain, delta = step
+        deltas.append(delta)
+        best = min(best, delta)
+
+    value, gain = new_value, new_gain
+    residual = float(np.linalg.norm(implicit_residual(pack_solution(value, gain), problem)))
+    if residual > residual_tol:
+        raise ConvergenceError(
+            f"fixed point stalled: residual {residual:.3e} exceeds {residual_tol:.1e}",
+            history=tuple(deltas),
+        )
+    _check_stabilizing(value, problem.q, "fixed-point solve")
+    return DesignSolution(
+        value=value,
+        gain=gain,
+        method="fixed-point",
+        iterations=len(deltas),
+        residual=residual,
+        deltas=tuple(deltas),
+    )

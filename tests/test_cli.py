@@ -142,6 +142,21 @@ def test_solver_failure_exits_two(tmp_path):
     assert not (out / "solution.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "command, overrides",
+    [
+        ("design", {"solver": {"fp_max_iters": 3}}),
+        ("robustness", {"solver": {"fp_max_iters": 3},
+                        "task": {"repetitions": 2, "robustness_bank_size": 100}}),
+    ],
+)
+def test_solver_failure_leaves_no_output_directory(tmp_path, command, overrides):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, base_config(out, **overrides))
+    assert main([command, str(cfg)]) == 2
+    assert not out.exists()
+
+
 def test_sweep_rows_and_error_isolation(tmp_path):
     out = tmp_path / "out"
     cfg_dict = base_config(
@@ -251,7 +266,7 @@ def test_non_finite_solution_rejected(tmp_path, caplog, command):
     cfg = write_config(tmp_path, base_config(out, task=task))
     assert main([command, str(cfg)]) == 1
     assert f"{path}: malformed solution file (l_1_1 is not finite)" in caplog.text
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_simulate_single_trial_matches_rollout(tmp_path):

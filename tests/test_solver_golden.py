@@ -28,6 +28,7 @@ PINNED = {
     ("design", "newton-continuation", "solution.csv"): "f4b533b67c15c1403997001800c3aa19de7af61d3359a7ac4c756001e2b14a45",
     ("design", "newton-continuation", "weights.csv"): "dd176c090ac563758477bfe8e5f3d3d3667e4a6d4c745d85243599e3b81b1626",
     ("sweep", "fixed-point", "sweep.csv"): "68b182d098c928716f17af0b1fc6038c2a9a506384efec4bec4b4d0ba249b505",
+    ("sweep", "newton", "sweep.csv"): "6e95214bb01398b90ded3797a5d3bfe6e84cf37050bdbf8237796b525c701f40",
     ("robustness", "fixed-point", "gains.csv"): "b386c5827201b4d570ad23b92901e12e8a44f6728dd7b93d0128f616c8a51ed3",
     ("robustness", "fixed-point", "robustness.csv"): "20cb5d0033007cf7b3f16d0671dd6d8a7735fd36291198aa46a14498812936b5",
 }
