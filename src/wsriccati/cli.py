@@ -194,16 +194,7 @@ def cmd_sweep(config: RunConfig, out_dir: Path) -> int:
     ]
     grid = config.task.theta_grid
     problems = [config_mod.make_problem(config, bank, theta=theta) for theta in grid]
-    options = _solver_options(config)
-    if config.solver.method != "fixed-point" and problems:
-        # Every Newton point starts from the same theta = 0 fixed-point
-        # solution, so it is solved once. If it fails, each point's own
-        # solve meets the same error.
-        try:
-            options["base"] = solve(problems[0].with_theta(0.0), **options)
-        except NumericalError:
-            pass
-    results = solve_all(problems, config.solver.method, **options)
+    results = solve_all(problems, config.solver.method, **_solver_options(config))
     rows = []
     for theta, problem, solution in zip(grid, problems, results):
         try:

@@ -29,10 +29,13 @@ Fixed-point solves run in lockstep. Each solve is a generator
 (:func:`_fixed_point_steps`) that yields every point at which it needs the
 maps; :func:`_lockstep` gathers the one point each solve in flight asks for
 and evaluates all of them in one pass (:func:`_evaluate`), then hands each
-solve its result or the error it raised. :func:`fixed_point_solve` is the
-lockstep of one problem, and a sweep or a robustness study puts several in
-flight (:func:`fixed_point_solve_all`), so numpy's per-call overhead is paid
-once per round instead of once per problem. Each result is the same bits
+solve its result or the error it raised. The checks of a stacked pass are
+all or nothing: if one problem fails a check, every problem of the pass is
+evaluated again alone, as a batch of one, and gets its own result or error.
+:func:`fixed_point_solve` is the lockstep of one problem, and a sweep or a
+robustness study puts several in flight (:func:`fixed_point_solve_all`), so
+numpy's per-call overhead is paid once per round instead of once per
+problem. Each result is the same bits
 as the problem's own solve, because every stacked step is one whose result
 for an item does not depend on the others, as checked on an x86 VM (numpy
 2.4, OpenBLAS):
@@ -68,7 +71,7 @@ from .errors import (
     SingularJacobianError,
 )
 from .matops import _pair_index, _stack, symmetrize, unvech, vech
-from .weights import WeightSpec, _error_of, _unit_weights, _weigh_all
+from .weights import WeightSpec, _raise_for, _unit_weights, _weigh_all
 
 __all__ = [
     "DEFAULT_FP_TOL",
@@ -194,31 +197,27 @@ def _zpz_all(problems, values: np.ndarray, gains: np.ndarray, qs: np.ndarray, rs
     Problems share n, m and the bank size; ``qs`` and ``rs`` stack their
     cost matrices. Each E_w[Z^T P Z] is read off its bank's moment at the
     weights of its policy (the unweighted moment for RN and theta = 0, whose
-    weights are exactly one). ``errors[i]`` is the :class:`NumericalError`
-    problem i's weights raise, or None; its E_w[Z^T P Z] is then
-    meaningless.
+    weights are exactly one). A weight check that fails raises (see
+    :func:`~wsriccati.weights._weigh_all`).
     """
-    count = len(problems)
-    errors: list[NumericalError | None] = [None] * count
     moments = [p.bank.moment() for p in problems]
     weighted = [i for i, p in enumerate(problems) if not _unit_weights(p.weights, p.theta)]
     if weighted:
         sub, stacks = problems, (gains, values, qs, rs)
-        if len(weighted) < count:
+        if len(weighted) < len(problems):
             sub = [problems[i] for i in weighted]
             stacks = tuple(x[weighted] for x in stacks)
-        *_, weights, failed = _weigh_all(
+        weights = _weigh_all(
             [p.bank for p in sub], [p.weights for p in sub], [p.theta for p in sub], *stacks
-        )
-        for i, problem, w, error in zip(weighted, sub, weights, failed):
-            if error is None:
-                moments[i] = problem.bank.moment(w)
-            errors[i] = error
+        )[2]
+        for i, problem, w in zip(weighted, sub, weights):
+            moments[i] = problem.bank.moment(w)
     zpz = quadratic_expect(_stack(moments), values)
-    return 0.5 * (zpz + zpz.transpose(0, 2, 1)), errors
+    return 0.5 * (zpz + zpz.transpose(0, 2, 1))
 
 
-def _gain_from(ebpb_r: np.ndarray, eapb: np.ndarray, floor: float) -> np.ndarray:
+def _check_input_cost(ebpb_r: np.ndarray, floor: float) -> None:
+    """Raise unless E_w[B^T P B + R] is positive definite above its floor."""
     smallest = float(np.linalg.eigvalsh(ebpb_r).min())
     if smallest <= floor:
         raise DomainViolationError(
@@ -226,66 +225,63 @@ def _gain_from(ebpb_r: np.ndarray, eapb: np.ndarray, floor: float) -> np.ndarray
             f"(smallest eigenvalue {smallest:.3e})",
             smallest_eigenvalue=smallest,
         )
-    return np.linalg.solve(ebpb_r, eapb.T)
 
 
-def _evaluate(problems, values, gains) -> list:
-    """The maps (F, G) of every problem at its (P, L), in one pass of stacked calls.
+def _stacked_maps(problems, values, gains):
+    """The stacked maps (F, G) of problems that share n, m and bank size.
 
-    Entry i is (F, G) for ``problems[i]`` at (``values[i]``, ``gains[i]``),
-    the same bits as :func:`_maps` gives for it alone, or the
-    :class:`NumericalError` that :func:`_maps` raises for it. Problems are
-    grouped by n, m and bank size, and each group takes one stacked call per
-    step (see the module docstring for which calls keep per-item bits).
-    Each check runs once on the whole stack, and row by row only when it
-    fails.
+    One straight-line pass of stacked calls (see the module docstring for
+    which calls keep per-item bits). Each check is one test on the whole
+    stack; when it fails, the first flagged problem raises its
+    :class:`NumericalError` through the function that checks one problem,
+    so on a batch of one the error is the problem's own.
     """
-    if len(problems) > 1:
-        groups: dict[tuple, list[int]] = {}
-        for i, p in enumerate(problems):
-            groups.setdefault((p.n, p.m, p.bank.size), []).append(i)
-        if len(groups) > 1:
-            out: list = [None] * len(problems)
-            for idx in groups.values():
-                part = _evaluate([problems[i] for i in idx], [values[i] for i in idx],
-                                 [gains[i] for i in idx])
-                for i, result in zip(idx, part):
-                    out[i] = result
-            return out
-
     values = _stack([np.asarray(v, dtype=float) for v in values])
     n = values.shape[1]
     gains = _stack([np.asarray(g, dtype=float) for g in gains])
     qs = _stack([p.q for p in problems])
     rs = _stack([p.r for p in problems])
-    # Each entry becomes the problem's (F, G) or stays the error it raised.
-    zpz, results = _zpz_all(problems, values, gains, qs, rs)
-    live = range(len(problems))
-    if results.count(None) < len(problems):
-        live = [i for i, error in enumerate(results) if error is None]
-        if not live:
-            return results
-        zpz, qs, rs = zpz[live], qs[live], rs[live]
-        problems = [problems[i] for i in live]
+    zpz = _zpz_all(problems, values, gains, qs, rs)
     eapa, eapb, ebpb = zpz[:, :n, :n], zpz[:, :n, n:], zpz[:, n:, n:]
     ebpb_r = ebpb + rs
     floors = np.array([p._domain_floor for p in problems])
-    # _gain_from on every problem: a row whose smallest eigenvalue is not
-    # above its floor raises through it; the others take one stacked solve.
     flagged = np.minimum.reduce(np.linalg.eigvalsh(ebpb_r), axis=1) <= floors
     if flagged.any():
-        for row in np.flatnonzero(flagged):
-            results[live[row]] = _error_of(_gain_from, ebpb_r[row], eapb[row], floors[row])
-        keep = ~flagged
-        if not keep.any():
-            return results
-        eapa, eapb, ebpb_r, qs = eapa[keep], eapb[keep], ebpb_r[keep], qs[keep]
-        live = [i for i, k in zip(live, keep) if k]
+        row = int(np.argmax(flagged))
+        _raise_for(_check_input_cost, ebpb_r[row], floors[row])
     new_gain = np.linalg.solve(ebpb_r, eapb.transpose(0, 2, 1))
-    new_value = _symmetrize_all(eapa + qs - eapb @ new_gain)
-    for row, i in enumerate(live):
-        results[i] = (new_value[row], new_gain[row])
-    return results
+    return _symmetrize_all(eapa + qs - eapb @ new_gain), new_gain
+
+
+def _evaluate(problems, values, gains) -> list:
+    """The maps (F, G) of every problem at its (P, L), a stacked pass per group.
+
+    Entry i is (F, G) for ``problems[i]`` at (``values[i]``, ``gains[i]``),
+    the same bits as :func:`_maps` gives for it alone, or the
+    :class:`NumericalError` that :func:`_maps` raises for it. Problems are
+    grouped by n, m and bank size, and each group takes one pass of
+    :func:`_stacked_maps`. Its checks are all or nothing: when the pass of
+    a group of several problems raises, each of them is evaluated again
+    alone, as a batch of one, and gets its own result or error.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for i, p in enumerate(problems):
+        groups.setdefault((p.n, p.m, p.bank.size), []).append(i)
+    out: list = [None] * len(problems)
+    for idx in groups.values():
+        try:
+            new_value, new_gain = _stacked_maps(
+                [problems[i] for i in idx], [values[i] for i in idx], [gains[i] for i in idx]
+            )
+            results = zip(new_value, new_gain)
+        except NumericalError as exc:
+            if len(idx) == 1:
+                results = [exc]
+            else:
+                results = [_evaluate([problems[i]], [values[i]], [gains[i]])[0] for i in idx]
+        for i, result in zip(idx, results):
+            out[i] = result
+    return out
 
 
 def _symmetrize_all(arr: np.ndarray) -> np.ndarray:
@@ -303,11 +299,9 @@ def _symmetrize_all(arr: np.ndarray) -> np.ndarray:
 
 
 def _maps(problem: DesignProblem, value, gain):
-    """(F, G) at (P, L): :func:`_evaluate` on a batch of one."""
-    result = _evaluate([problem], [value], [gain])[0]
-    if isinstance(result, NumericalError):
-        raise result
-    return result
+    """(F, G) at (P, L): :func:`_stacked_maps` on a batch of one."""
+    new_value, new_gain = _stacked_maps([problem], [value], [gain])
+    return new_value[0], new_gain[0]
 
 
 def value_map(value, gain, problem: DesignProblem) -> np.ndarray:
@@ -665,10 +659,7 @@ def implicit_residual(z, problem: DesignProblem, theta=None) -> np.ndarray:
         problem = problem.with_theta(theta)
     n, m = problem.n, problem.m
     value, gain = unpack_solution(z, n, m)
-    zpz, (error,) = _zpz_all([problem], value[None], gain[None], problem.q[None], problem.r[None])
-    if error is not None:
-        raise error
-    zpz = zpz[0]
+    zpz = _zpz_all([problem], value[None], gain[None], problem.q[None], problem.r[None])[0]
     k_mat = np.concatenate([np.eye(n), -gain])
     empm = k_mat.T @ zpz @ k_mat  # E_w[(A-BL)^T P (A-BL)]
     empm = 0.5 * (empm + empm.T)
@@ -703,7 +694,7 @@ def _analytic_jacobian_theta0(z: np.ndarray, problem: DesignProblem) -> np.ndarr
     bank = problem.bank
     head = n * (n + 1) // 2
     operator, zsc = _closed_loop_operator(bank.moment(), gain)
-    zpz = _zpz_all([problem], value[None], gain[None], problem.q[None], problem.r[None])[0][0]
+    zpz = _zpz_all([problem], value[None], gain[None], problem.q[None], problem.r[None])[0]
     eapb, ebpb = zpz[:n, n:], zpz[n:, n:]
     ebpb_r = ebpb + problem.r
     s_mat = ebpb_r @ gain - eapb.T
@@ -783,10 +774,11 @@ def newton_solve(
         try:
             step = np.linalg.solve(jac, residual)
         except np.linalg.LinAlgError as exc:
+            cond = float(np.linalg.cond(jac))
             raise SingularJacobianError(
                 f"singular Jacobian at iteration {iterations} "
-                f"(condition estimate {np.linalg.cond(jac):.3e})",
-                condition_estimate=float(np.linalg.cond(jac)),
+                f"(condition estimate {cond:.3e})",
+                condition_estimate=cond,
             ) from exc
         scale = 1.0
         accepted = False
@@ -821,6 +813,25 @@ def newton_solve(
     )
 
 
+def _theta_steps(problem: DesignProblem, method: str, continuation) -> tuple[float, ...]:
+    """The theta grid a Newton route runs through to ``problem.theta``."""
+    target = problem.theta
+    if method == "newton":
+        return (target,)
+    if method != "newton-continuation":
+        raise ConfigurationError(f"unknown solve method {method!r}")
+    if continuation is None:
+        return (target / 2.0, target) if target != 0.0 else (0.0,)
+    steps = tuple(float(t) for t in continuation)
+    if not steps:
+        raise ConfigurationError("continuation grid is empty")
+    if steps[-1] != target:
+        raise ConfigurationError(
+            f"continuation grid must end at theta={target}, got {steps[-1]}"
+        )
+    return steps
+
+
 def solve(
     problem: DesignProblem,
     method: str = "fixed-point",
@@ -831,7 +842,6 @@ def solve(
     newton_max_iters: int = DEFAULT_NEWTON_MAX_ITERS,
     continuation: tuple[float, ...] | None = None,
     record_trace: bool = False,
-    base: DesignSolution | None = None,
 ) -> DesignSolution:
     """Front-end dispatching to the configured solution route.
 
@@ -839,9 +849,7 @@ def solve(
     and then run Newton through a grid of theta values, warm-starting each
     run at the previous solution. ``newton`` uses the one-point grid (theta,);
     ``newton-continuation`` uses ``continuation`` (default: half the target,
-    then the target). ``base``, when given, is that theta = 0 solution,
-    solved by the caller with the same fixed-point options: a sweep's points
-    share it.
+    then the target). A Newton route is :func:`solve_all` on one problem.
     """
     if method == "fixed-point":
         return fixed_point_solve(
@@ -851,42 +859,19 @@ def solve(
             residual_tol=residual_tol,
             record_trace=record_trace,
         )
-    target = problem.theta
-    if method == "newton":
-        steps = (target,)
-    elif method == "newton-continuation":
-        if continuation is None:
-            steps = (target / 2.0, target) if target != 0.0 else (0.0,)
-        else:
-            steps = tuple(float(t) for t in continuation)
-            if not steps:
-                raise ConfigurationError("continuation grid is empty")
-            if steps[-1] != target:
-                raise ConfigurationError(
-                    f"continuation grid must end at theta={target}, got {steps[-1]}"
-                )
-    else:
-        raise ConfigurationError(f"unknown solve method {method!r}")
-    if base is None:
-        base = fixed_point_solve(
-            problem.with_theta(0.0),
-            tol=fp_tol,
-            max_iters=fp_max_iters,
-            residual_tol=residual_tol,
-        )
-    z = pack_solution(base.value, base.gain)
-    total_iterations = 0
-    for theta_step in steps:
-        solution = newton_solve(
-            problem,
-            theta=theta_step,
-            z0=z,
-            tol=newton_tol,
-            max_iters=newton_max_iters,
-        )
-        z = pack_solution(solution.value, solution.gain)
-        total_iterations += solution.iterations
-    return dataclasses.replace(solution, method=method, iterations=total_iterations)
+    (result,) = solve_all(
+        [problem],
+        method,
+        fp_tol=fp_tol,
+        fp_max_iters=fp_max_iters,
+        residual_tol=residual_tol,
+        newton_tol=newton_tol,
+        newton_max_iters=newton_max_iters,
+        continuation=continuation,
+    )
+    if isinstance(result, NumericalError):
+        raise result
+    return result
 
 
 def solve_all(
@@ -899,35 +884,54 @@ def solve_all(
     newton_tol: float = DEFAULT_NEWTON_TOL,
     newton_max_iters: int = DEFAULT_NEWTON_MAX_ITERS,
     continuation: tuple[float, ...] | None = None,
-    base: DesignSolution | None = None,
 ) -> list:
     """:func:`solve` on each problem: its solution or the NumericalError it raised.
 
     Results are in input order. The fixed-point route solves the problems in
-    lockstep (:func:`fixed_point_solve_all`), each to the same bits as alone;
-    the Newton routes solve them one at a time, from ``base`` when given.
+    lockstep (:func:`fixed_point_solve_all`), each to the same bits as alone.
+    The Newton routes solve them one at a time, each after its theta grid
+    is checked. Each run of consecutive problems on the same bank and cost
+    matrices (a sweep's points) shares one theta = 0 fixed-point start, and
+    a start that fails is the error of every problem of its run.
     ``problems`` may be a generator, read as problems are solved.
     """
     if method == "fixed-point":
         return fixed_point_solve_all(
             problems, tol=fp_tol, max_iters=fp_max_iters, residual_tol=residual_tol
         )
-    results = []
+    results: list = []
+    owner = None  # the problem whose theta = 0 solution ``start`` is
     for problem in problems:
-        try:
-            results.append(
-                solve(
-                    problem,
-                    method=method,
-                    fp_tol=fp_tol,
-                    fp_max_iters=fp_max_iters,
+        steps = _theta_steps(problem, method, continuation)
+        if owner is None or not (
+            problem.bank is owner.bank
+            and np.array_equal(problem.q, owner.q)
+            and np.array_equal(problem.r, owner.r)
+        ):
+            owner = problem
+            try:
+                start = fixed_point_solve(
+                    problem.with_theta(0.0),
+                    tol=fp_tol,
+                    max_iters=fp_max_iters,
                     residual_tol=residual_tol,
-                    newton_tol=newton_tol,
-                    newton_max_iters=newton_max_iters,
-                    continuation=continuation,
-                    base=base,
                 )
-            )
+            except NumericalError as exc:
+                start = exc
+        if isinstance(start, NumericalError):
+            results.append(start)
+            continue
+        z = pack_solution(start.value, start.gain)
+        iterations = 0
+        try:
+            for theta in steps:
+                solution = newton_solve(
+                    problem, theta=theta, z0=z, tol=newton_tol, max_iters=newton_max_iters
+                )
+                z = pack_solution(solution.value, solution.gain)
+                iterations += solution.iterations
         except NumericalError as exc:
             results.append(exc)
+            continue
+        results.append(dataclasses.replace(solution, method=method, iterations=iterations))
     return results

@@ -225,12 +225,9 @@ def _check_costs(costs: np.ndarray) -> None:
         raise NonFiniteError(f"predictive cost non-finite at sample {idx}")
 
 
-def _error_of(check, *args) -> NumericalError:
-    """The error ``check(*args)`` raises on a row that a stacked test flagged."""
-    try:
-        check(*args)
-    except NumericalError as exc:
-        return exc
+def _raise_for(check, *args):
+    """Raise the error ``check(*args)`` raises on a row that a stacked test flagged."""
+    check(*args)
     raise RuntimeError(f"{check.__name__} accepted a row its stacked test rejected")
 
 
@@ -251,14 +248,15 @@ def _weigh_all(banks, specs, thetas, gains, values, qs, rs):
 
     Each row is what the row alone gives, bit for bit: every step is an
     elementwise operation, a reduction along a row, or a small product per
-    row. ``errors[i]`` is the :class:`NumericalError` row i raises alone
-    (non-finite cost, RSL overflow, then normalization, in that order), or
-    None; such a row's weights are not computed. Each check runs once on the
-    whole stack, and row by row only when it fails.
+    row. The checks are all or nothing: each of them (non-finite cost, RSL
+    overflow, then normalization, in that order) is one test on the whole
+    stack, and when it fails the first flagged row raises its
+    :class:`NumericalError` through the function that checks one row. On a
+    single row that is the row's own error; a caller with several rows
+    evaluates each alone to find out which fail.
     """
     count, n = values.shape[:2]
     size = banks[0].size
-    errors: list[NumericalError | None] = [None] * count
     sigma = _stack([spec.resolved_sigma(n) for spec in specs])
     k_mat = np.empty((count, n + gains.shape[1], n))
     k_mat[:, :n] = np.eye(n)
@@ -272,74 +270,54 @@ def _weigh_all(banks, specs, thetas, gains, values, qs, rs):
     forms = [bank.quadratic_forms(h) for bank, h in zip(banks, kron)]
     costs = _stack(forms)
     costs += base[:, None]
-    # A finite row sum has only finite terms; a sum that overflows sends the
-    # rows to the per-row test, which finds no error in them.
+    # A finite row sum has only finite terms; a sum that overflows with
+    # finite terms flags no row and is no error.
     sums = np.add.reduce(costs, axis=1)
     if not np.isfinite(sums).all():
-        for i in np.flatnonzero(~np.isfinite(costs).all(axis=1)):
-            errors[i] = _error_of(_check_costs, costs[i])
+        flagged = np.flatnonzero(~np.isfinite(costs).all(axis=1))
+        if flagged.size:
+            _raise_for(_check_costs, costs[flagged[0]])
 
     raw = None
     families = [spec.family for spec in specs]
     for family in set(families):
-        if len(families) == 1 and errors[0] is None:
-            sel = [0]
-        else:
-            sel = [i for i, f in enumerate(families) if f == family and errors[i] is None]
-        if not sel:
-            continue
+        sel = [i for i, f in enumerate(families) if f == family]
         rows = slice(None) if len(sel) == count else sel
         theta = _column([thetas[i] for i in sel])
         if family == FAMILY_RN:
             part = np.ones((len(sel), size))
         elif family == FAMILY_RSL:
             exponents = theta * costs[rows]
-            for row in np.flatnonzero(exponents.max(axis=1) > RSL_MAX_EXPONENT):
-                i = sel[row]
-                errors[i] = _error_of(_raw_from_costs, specs[i], thetas[i], costs[i], None)
-            ok = [row for row, i in enumerate(sel) if errors[i] is None]
-            if len(ok) < len(sel):
-                exponents, sel = exponents[ok], [sel[row] for row in ok]
+            if exponents.max() > RSL_MAX_EXPONENT:
+                i = sel[int(np.argmax(exponents.max(axis=1) > RSL_MAX_EXPONENT))]
+                _raise_for(_raw_from_costs, specs[i], thetas[i], costs[i], None)
             part = np.exp(exponents)
         else:
             mean = sums[rows] / size
             alpha = _column([specs[i].alpha for i in sel])
             shift = _column([specs[i].beta * m for i, m in zip(sel, mean)])
             part = _rrsl_raw(theta, alpha * costs[rows] - shift)
-        if raw is None and len(sel) == count:
+        if len(sel) == count:
             raw = part
         else:
             if raw is None:
                 raw = np.empty_like(costs)
             raw[sel] = part
-    if raw is None:
-        raw = np.empty_like(costs)
 
     # normalize_weights on every row: one min and one max clear the common case.
-    if errors.count(None) == count:
-        mean = np.add.reduce(raw, axis=1) / size
-        if raw.min() >= 0.0 and raw.max() < np.inf and mean.min() > 0.0:
-            return costs, raw, raw / mean[:, None], errors
-    live = [i for i in range(count) if errors[i] is None]
-    weights = np.empty_like(raw)
-    if live:
-        block = raw[live]
-        mean = np.add.reduce(block, axis=1) / size
-        bad = ~((block.min(axis=1) >= 0.0) & (block.max(axis=1) < np.inf)) | (mean <= 0.0)
-        for row in np.flatnonzero(bad):
-            errors[live[row]] = _error_of(normalize_weights, block[row])
-        weights[live] = block / np.where(bad, 1.0, mean)[:, None]
-    return costs, raw, weights, errors
+    mean = np.add.reduce(raw, axis=1) / size
+    if not (raw.min() >= 0.0 and raw.max() < np.inf and mean.min() > 0.0):
+        ok = (raw.min(axis=1) >= 0.0) & (raw.max(axis=1) < np.inf) & (mean > 0.0)
+        _raise_for(normalize_weights, raw[int(np.argmin(ok))])
+    return costs, raw, raw / mean[:, None]
 
 
 def _weigh(bank: SampleBank, spec: WeightSpec, theta: float, gain, value, q, r):
     """Predictive costs, raw and normalized weights of every draw of one bank."""
     gain, value, q, r = (np.asarray(x, dtype=float) for x in (gain, value, q, r))
-    costs, raw, weights, (error,) = _weigh_all(
+    costs, raw, weights = _weigh_all(
         [bank], [spec], [theta], gain[None], value[None], q[None], r[None]
     )
-    if error is not None:
-        raise error
     return costs[0], raw[0], weights[0]
 
 

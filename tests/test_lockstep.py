@@ -19,7 +19,13 @@ from hypothesis import strategies as st
 import wsriccati as ws
 from wsriccati import riccati, simulate
 from wsriccati.cli import main
-from wsriccati.errors import ConvergenceError, NumericalError, WeightOverflowError
+from wsriccati.errors import (
+    ConvergenceError,
+    DomainViolationError,
+    NonFiniteError,
+    NumericalError,
+    WeightOverflowError,
+)
 
 from conftest import MEAN_A, MEAN_B, Q2, R1
 from reference import sequential_fixed_point_solve
@@ -172,6 +178,53 @@ def test_one_failing_problem_never_aborts_the_others():
         _assert_same(result, solo)
 
 
+def _weighted(family, theta, **params):
+    """A 2x1 problem on the 200-draw bank of seed 0 under the given weights."""
+    spec = ws.WeightSpec(family=family, theta=theta, **params)
+    return ws.DesignProblem(bank=_bank("2x1", 200, 0), q=Q2, r=R1, weights=spec)
+
+
+def test_every_failure_kind_inside_one_stacked_batch():
+    # One group (n, m and bank size shared): the stacked pass fails, and
+    # each problem is evaluated again alone.
+    healthy = 50.0 * np.eye(2) + Q2
+    gain = np.array([[0.5, 1.0]])
+    inf_value = healthy.copy()
+    inf_value[0, 0] = np.inf
+    cases = [
+        ("healthy RN", _weighted("RN", 0.0), healthy, None),
+        ("non-finite cost", _weighted("RSL", 0.00125), inf_value, NonFiniteError),
+        ("RSL overflow", _weighted("RSL", 50.0), healthy, WeightOverflowError),
+        ("healthy RRSL", _weighted("RRSL", 1.0, alpha=10.0, beta=11.0), healthy, None),
+        ("negative raw weight", _weighted("RRSL", -2.0, alpha=10.0, beta=11.0), healthy,
+         NumericalError),
+        ("zero raw weights", _weighted("RRSL", -1.0, alpha=1e6, beta=0.0), healthy,
+         NumericalError),
+        ("domain violation", _weighted("RN", 0.0), -1e5 * np.eye(2), DomainViolationError),
+        ("healthy RSL", _weighted("RSL", 0.00125), healthy, None),
+    ]
+    problems = [problem for _, problem, _, _ in cases]
+    values = [value for _, _, value, _ in cases]
+    with np.errstate(invalid="ignore"):  # the infinite value entry meets zeros
+        got = riccati._evaluate(problems, values, [gain] * len(cases))
+    messages = set()
+    for (label, problem, value, kind), result in zip(cases, got):
+        try:
+            with np.errstate(invalid="ignore"):
+                want = riccati._maps(problem, value, gain)
+        except NumericalError as exc:
+            assert kind is not None and type(exc) is kind, label
+            assert type(result) is kind and str(result) == str(exc), label
+            messages.add(str(exc))
+            continue
+        assert kind is None, label
+        assert np.array_equal(result[0], want[0]), label
+        assert np.array_equal(result[1], want[1]), label
+    assert any(message.startswith("raw weight negative") for message in messages)
+    assert "all raw weights are zero; normalization impossible" in messages
+    assert len(messages) == 5
+
+
 def test_fixed_point_solve_all_default_window_matches_solo_solves(rrsl_problem_2k):
     problems = [rrsl_problem_2k.with_theta(theta) for theta in (0.0, 0.5, 1.0)]
     got = ws.fixed_point_solve_all(problems)
@@ -217,6 +270,68 @@ def test_newton_sweep_solves_its_base_once(tmp_path, monkeypatch):
     )
     assert main(["sweep", str(cfg)]) == 0
     assert calls == [0.0]
+
+
+def _count_fixed_point_solves(monkeypatch) -> list:
+    """Patch riccati.fixed_point_solve to record the theta of each call."""
+    calls = []
+    solve_fp = riccati.fixed_point_solve
+
+    def counted(problem, *args, **kwargs):
+        calls.append(problem.theta)
+        return solve_fp(problem, *args, **kwargs)
+
+    monkeypatch.setattr(riccati, "fixed_point_solve", counted)
+    return calls
+
+
+def test_newton_robustness_solves_one_start_per_bank(benchmark_dist, monkeypatch):
+    calls = _count_fixed_point_solves(monkeypatch)
+    spec = ws.WeightSpec(family="RRSL", theta=1.0, alpha=10.0, beta=11.0)
+    ws.robustness_study(benchmark_dist, Q2, R1, spec, 3, 300, base_seed=5, method="newton")
+    assert calls == [0.0, 0.0, 0.0]
+
+
+#: sha256 of sweep.csv from a three-point Newton sweep whose theta = 0 start
+#: fails (fp_max_iters 2), so every point reports its error; taken before
+#: the start was solved once per bank.
+NEWTON_FAILED_START_PINNED = "82394c9e37c4c1dacd65f50f49342e3a3ec8e4904289a87e08ea68967c4c7ac8"
+
+
+def test_newton_sweep_tries_a_failing_start_once(tmp_path, monkeypatch):
+    calls = _count_fixed_point_solves(monkeypatch)
+    out = tmp_path / "out"
+    cfg = write_config(
+        tmp_path,
+        base_config(
+            out,
+            solver={"method": "newton", "bank_size": 300, "seed": 11, "fp_max_iters": 2},
+            task={"theta_grid": [0.0, 0.5, 1.0]},
+        ),
+    )
+    assert main(["sweep", str(cfg)]) == 0
+    digest = hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest()
+    assert digest == NEWTON_FAILED_START_PINNED
+    assert calls == [0.0]
+
+
+def test_newton_start_is_shared_only_by_the_same_bank_and_costs(benchmark_dist):
+    spec = ws.WeightSpec(family="RRSL", theta=1.0, alpha=10.0, beta=11.0)
+    bank = ws.draw_bank(benchmark_dist, 300, seed=3)
+    other = ws.draw_bank(benchmark_dist, 300, seed=4)
+    problems = [
+        ws.DesignProblem(bank=bank, q=Q2, r=R1, weights=spec),
+        ws.DesignProblem(bank=bank, q=2.0 * Q2, r=R1, weights=spec),
+        ws.DesignProblem(bank=other, q=2.0 * Q2, r=R1, weights=spec),
+        ws.DesignProblem(bank=other, q=2.0 * Q2, r=R1, weights=spec).with_theta(0.5),
+    ]
+    got = ws.solve_all(problems, "newton")
+    for problem, result in zip(problems, got):
+        start = ws.fixed_point_solve(problem.with_theta(0.0))
+        want = ws.newton_solve(problem, z0=ws.pack_solution(start.value, start.gain))
+        assert np.array_equal(result.value, want.value)
+        assert np.array_equal(result.gain, want.gain)
+        assert result.deltas == want.deltas
 
 
 def test_robustness_draws_banks_from_patched_derive_seed(benchmark_dist, monkeypatch):
