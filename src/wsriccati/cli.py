@@ -96,12 +96,9 @@ def _load_solution(path: Path) -> dict:
         value = unvech(entries[:head], n)
         gain = entries[head:].reshape(m, n, order="F")
         return {
-            "n": n,
-            "m": m,
             "value": value,
             "gain": gain,
             "theta": float(record["theta"]),
-            "family": record["weight_family"],
             "fingerprint": record["config_fingerprint"],
         }
     except (KeyError, ValueError) as exc:
@@ -133,7 +130,7 @@ def _resolve_gain(config: RunConfig):
             )
         return record
     gain, _ = config_mod._task_arrays(config)
-    return {"gain": gain, "value": None, "theta": None, "family": None}
+    return {"gain": gain, "value": None, "theta": None}
 
 
 def _require_task_inputs(command: str, task) -> None:

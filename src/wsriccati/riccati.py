@@ -15,8 +15,8 @@ map images. A mixed candidate is accepted only if P - Q >= 0, the maps can
 be evaluated at it, and its fixed-point residual ||F - P||_F + ||G - L||_F
 is below that of every earlier accepted iterate (a residual-decrease
 safeguard; compare the globalized Anderson acceleration of Zhang, O'Donoghue
-& Boyd, SIAM J. Optim. 2020); otherwise the history is cleared and the paper's plain step is taken. The
-Newton route solves the stacked residual
+& Boyd, SIAM J. Optim. 2020); otherwise the history is cleared and the
+paper's plain step is taken. The Newton route solves the stacked residual
 
     h(z) = [ vech(E_w[(A-BL)^T P (A-BL)] + L^T R L + Q - P) ]
            [ vec(E_w[B^T P B + R] L - E_w[B^T P A])          ]
@@ -28,17 +28,21 @@ and raises :class:`NumericalError` when it fails.
 Fixed-point solves run in lockstep. Each solve is a generator
 (:func:`_fixed_point_steps`) that yields every point at which it needs the
 maps; :func:`_lockstep` gathers the one point each solve in flight asks for
-and evaluates all of them in one pass (:func:`_evaluate`), then hands each
-solve its result or the error it raised. The checks of a stacked pass are
-all or nothing: if one problem fails a check, every problem of the pass is
-evaluated again alone, as a batch of one, and gets its own result or error.
+and evaluates them (:func:`_evaluate`), one stacked pass for each group of
+problems that share n, m, bank size, weight family, alpha and beta, then
+hands each solve its result or the error it raised. Each check of a map
+evaluation (a non-finite cost, an RSL overflow, weights that cannot be
+normalized, a weighted input cost that is not positive definite, a value
+map that is not finite or not symmetric) is one test on the whole stack
+that raises the first flagged problem's own :class:`NumericalError`. The
+checks are all or nothing: if one problem of a group fails, each problem of
+the group is evaluated again alone and gets its own result or error.
 :func:`fixed_point_solve` is the lockstep of one problem, and a sweep or a
 robustness study puts several in flight (:func:`fixed_point_solve_all`), so
 numpy's per-call overhead is paid once per round instead of once per
-problem. Each result is the same bits
-as the problem's own solve, because every stacked step is one whose result
-for an item does not depend on the others, as checked on an x86 VM (numpy
-2.4, OpenBLAS):
+problem. Each result is the same bits as the problem's own solve, because
+every stacked step is one whose result for an item does not depend on the
+others, as checked on an x86 VM (numpy 2.4, OpenBLAS):
 
 - elementwise operations;
 - ``add.reduce``, ``min`` and ``max`` along the last axis of a C-contiguous
@@ -67,11 +71,12 @@ from .errors import (
     ConfigurationError,
     ConvergenceError,
     DomainViolationError,
+    NonFiniteError,
     NumericalError,
     SingularJacobianError,
 )
 from .matops import _pair_index, _stack, symmetrize, unvech, vech
-from .weights import WeightSpec, _raise_for, _unit_weights, _weigh_all
+from .weights import WeightSpec, _unit_weights, _weigh_all
 
 __all__ = [
     "DEFAULT_FP_TOL",
@@ -197,7 +202,8 @@ def _zpz_all(problems, values: np.ndarray, gains: np.ndarray, qs: np.ndarray, rs
     Problems share n, m and the bank size; ``qs`` and ``rs`` stack their
     cost matrices. Each E_w[Z^T P Z] is read off its bank's moment at the
     weights of its policy (the unweighted moment for RN and theta = 0, whose
-    weights are exactly one). A weight check that fails raises (see
+    weights are exactly one); the weighted problems share weight family,
+    alpha and beta. A weight check that fails raises (see
     :func:`~wsriccati.weights._weigh_all`).
     """
     moments = [p.bank.moment() for p in problems]
@@ -216,25 +222,30 @@ def _zpz_all(problems, values: np.ndarray, gains: np.ndarray, qs: np.ndarray, rs
     return 0.5 * (zpz + zpz.transpose(0, 2, 1))
 
 
-def _check_input_cost(ebpb_r: np.ndarray, floor: float) -> None:
-    """Raise unless E_w[B^T P B + R] is positive definite above its floor."""
-    smallest = float(np.linalg.eigvalsh(ebpb_r).min())
-    if smallest <= floor:
+def _check_input_cost(ebpb_r: np.ndarray, floors: np.ndarray) -> None:
+    """Raise for the first stacked E_w[B^T P B + R] not positive definite above its floor.
+
+    ``floors`` holds each problem's floor (see :class:`DesignProblem`).
+    """
+    smallest = np.minimum.reduce(np.linalg.eigvalsh(ebpb_r), axis=1)
+    flagged = smallest <= floors
+    if flagged.any():
+        row = int(np.argmax(flagged))
         raise DomainViolationError(
             f"weighted input-cost matrix is not positive definite "
-            f"(smallest eigenvalue {smallest:.3e})",
-            smallest_eigenvalue=smallest,
+            f"(smallest eigenvalue {smallest[row]:.3e})",
+            smallest_eigenvalue=float(smallest[row]),
         )
 
 
 def _stacked_maps(problems, values, gains):
-    """The stacked maps (F, G) of problems that share n, m and bank size.
+    """The stacked maps (F, G) of problems that share n, m, bank size and weights.
 
-    One straight-line pass of stacked calls (see the module docstring for
-    which calls keep per-item bits). Each check is one test on the whole
-    stack; when it fails, the first flagged problem raises its
-    :class:`NumericalError` through the function that checks one problem,
-    so on a batch of one the error is the problem's own.
+    The problems share weight family, alpha and beta. One straight-line pass
+    of stacked calls (see the module docstring for which calls keep per-item
+    bits). Each check is one test on the whole stack that raises the first
+    flagged problem's own :class:`NumericalError`, so on a batch of one the
+    error is the problem's own.
     """
     values = _stack([np.asarray(v, dtype=float) for v in values])
     n = values.shape[1]
@@ -244,11 +255,7 @@ def _stacked_maps(problems, values, gains):
     zpz = _zpz_all(problems, values, gains, qs, rs)
     eapa, eapb, ebpb = zpz[:, :n, :n], zpz[:, :n, n:], zpz[:, n:, n:]
     ebpb_r = ebpb + rs
-    floors = np.array([p._domain_floor for p in problems])
-    flagged = np.minimum.reduce(np.linalg.eigvalsh(ebpb_r), axis=1) <= floors
-    if flagged.any():
-        row = int(np.argmax(flagged))
-        _raise_for(_check_input_cost, ebpb_r[row], floors[row])
+    _check_input_cost(ebpb_r, np.array([p._domain_floor for p in problems]))
     new_gain = np.linalg.solve(ebpb_r, eapb.transpose(0, 2, 1))
     return _symmetrize_all(eapa + qs - eapb @ new_gain), new_gain
 
@@ -259,42 +266,58 @@ def _evaluate(problems, values, gains) -> list:
     Entry i is (F, G) for ``problems[i]`` at (``values[i]``, ``gains[i]``),
     the same bits as :func:`_maps` gives for it alone, or the
     :class:`NumericalError` that :func:`_maps` raises for it. Problems are
-    grouped by n, m and bank size, and each group takes one pass of
-    :func:`_stacked_maps`. Its checks are all or nothing: when the pass of
-    a group of several problems raises, each of them is evaluated again
-    alone, as a batch of one, and gets its own result or error.
+    grouped by n, m, bank size, weight family, alpha and beta; a group of
+    several takes one pass of :func:`_stacked_maps`, and a group of one
+    calls :func:`_maps`. The checks are all or nothing: when the pass of a
+    group of several problems raises, each of them is evaluated again alone
+    and gets its own result or error.
     """
     groups: dict[tuple, list[int]] = {}
     for i, p in enumerate(problems):
-        groups.setdefault((p.n, p.m, p.bank.size), []).append(i)
+        key = (p.n, p.m, p.bank.size, p.weights.family, p.weights.alpha, p.weights.beta)
+        groups.setdefault(key, []).append(i)
     out: list = [None] * len(problems)
     for idx in groups.values():
+        batch = [(problems[i], values[i], gains[i]) for i in idx]
         try:
-            new_value, new_gain = _stacked_maps(
-                [problems[i] for i in idx], [values[i] for i in idx], [gains[i] for i in idx]
-            )
-            results = zip(new_value, new_gain)
-        except NumericalError as exc:
-            if len(idx) == 1:
-                results = [exc]
+            if len(batch) == 1:
+                results = [_maps(*batch[0])]
             else:
-                results = [_evaluate([problems[i]], [values[i]], [gains[i]])[0] for i in idx]
+                new_value, new_gain = _stacked_maps(*zip(*batch))
+                results = zip(new_value, new_gain)
+        except NumericalError as exc:
+            results = [exc] if len(batch) == 1 else [
+                _evaluate([p], [v], [g])[0] for p, v, g in batch
+            ]
         for i, result in zip(idx, results):
             out[i] = result
     return out
 
 
 def _symmetrize_all(arr: np.ndarray) -> np.ndarray:
-    """``symmetrize(arr[i], tol=1e-6)`` of each stacked matrix; a bad one raises.
+    """(S + S^T)/2 of each stacked value-map image S; the first bad one raises.
 
-    Every scale max(1, max |S|) is at least 1, so an asymmetry within 1e-6
-    everywhere passes every row's test; a non-finite entry makes the largest
-    asymmetry NaN or infinite, so the rows are then checked one by one.
+    An image with a non-finite entry raises :class:`NonFiniteError`, and one
+    whose asymmetry exceeds 1e-6 max(1, max |S|) raises
+    :class:`NumericalError`. Every scale is at least 1, so an asymmetry
+    within 1e-6 everywhere clears every image in one comparison; a
+    non-finite entry makes that largest asymmetry NaN or infinite.
     """
     trans = arr.transpose(0, 2, 1)
-    if not np.abs(arr - trans).max() <= 1e-6:
-        for i in range(arr.shape[0]):
-            symmetrize(arr[i], tol=1e-6)
+    asym = np.abs(arr - trans)
+    if not asym.max() <= 1e-6:
+        finite = np.isfinite(arr).all(axis=(1, 2))
+        asym = asym.max(axis=(1, 2))
+        scale = np.maximum(1.0, np.abs(arr).max(axis=(1, 2)))
+        flagged = ~finite | (asym > 1e-6 * scale)
+        row = int(np.argmax(flagged))
+        if not finite[row]:
+            raise NonFiniteError("value map is not finite")
+        if flagged[row]:
+            raise NumericalError(
+                f"value map is not symmetric (max asymmetry {asym[row]:.3e} exceeds "
+                f"1.0e-06 relative tolerance)"
+            )
     return (arr + trans) / 2.0
 
 
@@ -517,8 +540,7 @@ def _lockstep(solves) -> list:
     solve in flight asks for, and sends each its result. A problem joins
     while the bytes of those in flight and its own stay within
     ``LOCKSTEP_BYTES`` (see :func:`_footprint`), and when a problem finishes
-    the next one joins. A round with one problem in flight calls
-    :func:`_maps`. Returns each solve's :class:`DesignSolution`, or the
+    the next one joins. Returns each solve's :class:`DesignSolution`, or the
     :class:`NumericalError` it raised, in input order; any other exception
     propagates.
     """
@@ -541,14 +563,8 @@ def _lockstep(solves) -> list:
             pending = next(solves, None)
         if not flight:
             continue
-        if len(flight) == 1:
-            try:
-                outcomes = [_maps(flight[0][1], *flight[0][3])]
-            except NumericalError as exc:
-                outcomes = [exc]
-        else:
-            values, gains = zip(*(item[3] for item in flight))
-            outcomes = _evaluate([item[1] for item in flight], values, gains)
+        values, gains = zip(*(item[3] for item in flight))
+        outcomes = _evaluate([item[1] for item in flight], values, gains)
         still = []
         for item, outcome in zip(flight, outcomes):
             steps = item[2]

@@ -23,10 +23,11 @@ mean(J), the raw weight is exactly 1 + theta for x >= 40 and exactly 1 for
 x < log(2**-55 / |theta|): above the window expit(x) is exactly 1.0, and
 below it |theta| expit(x) stays under 2**-54, less than half an ulp of 1
 (:func:`_rrsl_raw` gives the bounds). The sigmoid is taken only inside the
-window, and the weights are the same bits as with it taken everywhere. On the example system (alpha = 10, beta = 11)
-the window holds every draw at the first iterate from (0, 0), 5-9% of the
-draws over a fixed-point solve on the 10k-bank theta sweep (1-2% at the
-root) and 5.7% over the 20 robustness designs on 2k banks.
+window, and the weights are the same bits as with it taken everywhere. On
+the example system (alpha = 10, beta = 11) the window holds every draw at
+the first iterate from (0, 0), 5-9% of the draws over a fixed-point solve
+on the 10k-bank theta sweep (1-2% at the root) and 5.7% over the 20
+robustness designs on 2k banks.
 
 The sigmoid is scipy's ``expit``, the package's only use of scipy, and
 :func:`_rrsl_raw` imports it the first time an entry lies inside the
@@ -135,18 +136,26 @@ def predictive_costs(
 
 def _raw_from_costs(
     spec: WeightSpec,
-    theta: float,
+    theta: float | np.ndarray,
     costs: np.ndarray,
-    mean_predictive: float | None,
+    mean_predictive: float | np.ndarray | None,
 ) -> np.ndarray:
+    """Raw weights of one row of predictive costs, or of a (rows, N) stack.
+
+    For a stack, ``theta`` and ``mean_predictive`` are (rows, 1) columns,
+    one entry per row, and every row shares the family, alpha and beta of
+    ``spec``. An RSL exponent beyond ``RSL_MAX_EXPONENT`` raises for the
+    first row that has one, with that row's largest exponent.
+    """
     if spec.family == FAMILY_RN:
         return np.ones_like(costs)
     if spec.family == FAMILY_RSL:
         exponents = theta * costs
-        worst = float(np.max(exponents)) if exponents.size else 0.0
-        if worst > RSL_MAX_EXPONENT:
+        if exponents.size and exponents.max() > RSL_MAX_EXPONENT:
+            worst = exponents.max(axis=-1).reshape(-1)
+            row = int(np.argmax(worst > RSL_MAX_EXPONENT))
             raise WeightOverflowError(
-                f"RSL weight overflow: theta * J reaches {worst:.6g}, "
+                f"RSL weight overflow: theta * J reaches {worst[row]:.6g}, "
                 f"beyond exp({RSL_MAX_EXPONENT:.0f})"
             )
         return np.exp(exponents)
@@ -197,18 +206,25 @@ def _window_floor(theta: float) -> float:
 
 
 def normalize_weights(raw: np.ndarray) -> np.ndarray:
-    """Divide by the empirical mean so the normalized weights average to 1."""
+    """Divide each row by its own mean so the normalized weights average to 1.
+
+    ``raw`` is one row of weights or a (rows, N) stack. The first bad row
+    raises: a non-finite weight, then a negative one, then all zero.
+    """
     raw = np.asarray(raw, dtype=float)
+    mean = np.add.reduce(raw, axis=-1, keepdims=True) / raw.shape[-1]
     # One min and one max clear the common case (NaN fails both tests); the
     # index search runs only when a check is bound to fail.
-    if raw.size and not (raw.min() >= 0.0 and raw.max() < np.inf):
-        if not np.all(np.isfinite(raw)):
-            idx = int(np.argmax(~np.isfinite(raw)))
+    if raw.size and not (raw.min() >= 0.0 and raw.max() < np.inf and mean.min() > 0.0):
+        rows = raw.reshape(-1, raw.shape[-1])
+        ok = (rows.min(axis=1) >= 0.0) & (rows.max(axis=1) < np.inf)
+        row = rows[int(np.argmin(ok & (mean.reshape(-1) > 0.0)))]
+        if not np.all(np.isfinite(row)):
+            idx = int(np.argmax(~np.isfinite(row)))
             raise NonFiniteError(f"raw weight non-finite at sample {idx}")
-        idx = int(np.argmax(raw < 0.0))
-        raise NumericalError(f"raw weight negative at sample {idx}")
-    mean = raw.mean()
-    if mean <= 0.0:
+        if np.any(row < 0.0):
+            idx = int(np.argmax(row < 0.0))
+            raise NumericalError(f"raw weight negative at sample {idx}")
         raise NumericalError("all raw weights are zero; normalization impossible")
     return raw / mean
 
@@ -218,22 +234,17 @@ def _unit_weights(spec: WeightSpec, theta: float) -> bool:
     return spec.family == FAMILY_RN or theta == 0.0
 
 
-def _check_costs(costs: np.ndarray) -> None:
-    """Raise for the first non-finite predictive cost of a bank."""
-    if not np.all(np.isfinite(costs)):
-        idx = int(np.argmax(~np.isfinite(costs)))
-        raise NonFiniteError(f"predictive cost non-finite at sample {idx}")
+def _check_costs(costs: np.ndarray, sums: np.ndarray) -> None:
+    """Raise for the first non-finite cost of the first (rows, N) row that has one.
 
-
-def _raise_for(check, *args):
-    """Raise the error ``check(*args)`` raises on a row that a stacked test flagged."""
-    check(*args)
-    raise RuntimeError(f"{check.__name__} accepted a row its stacked test rejected")
-
-
-def _column(values: list):
-    """One value per row as a (rows, 1) column; a single row's as a float."""
-    return values[0] if len(values) == 1 else np.array(values, dtype=float)[:, None]
+    ``sums`` are the row sums. A finite row sum has only finite terms, and
+    a sum that overflows with finite terms flags no row and is no error.
+    """
+    if not np.isfinite(sums).all():
+        flagged = np.flatnonzero(~np.isfinite(costs).all(axis=1))
+        if flagged.size:
+            idx = int(np.argmax(~np.isfinite(costs[flagged[0]])))
+            raise NonFiniteError(f"predictive cost non-finite at sample {idx}")
 
 
 def _weigh_all(banks, specs, thetas, gains, values, qs, rs):
@@ -242,21 +253,19 @@ def _weigh_all(banks, specs, thetas, gains, values, qs, rs):
     Row i of each returned (rows, N) array is for ``banks[i]``, all of one
     size, at the policy (``gains[i]``, ``values[i]``) under ``specs[i]`` and
     ``thetas[i]``; the other arguments are stacked along their first axis.
-    With K = [I; -L] the cost of a draw is z' kron(K S K', P) z + tr((Q +
+    The specs share family, alpha and beta; their sigmas may differ. With
+    K = [I; -L] the cost of a draw is z' kron(K S K', P) z + tr((Q +
     L' R L) S), z = vec([A B]), so all N costs of a bank are one product with
     its moment matrix (:meth:`SampleBank.quadratic_forms`).
 
     Each row is what the row alone gives, bit for bit: every step is an
     elementwise operation, a reduction along a row, or a small product per
-    row. The checks are all or nothing: each of them (non-finite cost, RSL
-    overflow, then normalization, in that order) is one test on the whole
-    stack, and when it fails the first flagged row raises its
-    :class:`NumericalError` through the function that checks one row. On a
-    single row that is the row's own error; a caller with several rows
-    evaluates each alone to find out which fail.
+    row. Each check (non-finite cost, RSL overflow, then normalization, in
+    that order) is one test on the whole stack and raises the
+    :class:`NumericalError` of the first row it flags, so on a single row
+    the error is the row's own.
     """
     count, n = values.shape[:2]
-    size = banks[0].size
     sigma = _stack([spec.resolved_sigma(n) for spec in specs])
     k_mat = np.empty((count, n + gains.shape[1], n))
     k_mat[:, :n] = np.eye(n)
@@ -270,46 +279,11 @@ def _weigh_all(banks, specs, thetas, gains, values, qs, rs):
     forms = [bank.quadratic_forms(h) for bank, h in zip(banks, kron)]
     costs = _stack(forms)
     costs += base[:, None]
-    # A finite row sum has only finite terms; a sum that overflows with
-    # finite terms flags no row and is no error.
     sums = np.add.reduce(costs, axis=1)
-    if not np.isfinite(sums).all():
-        flagged = np.flatnonzero(~np.isfinite(costs).all(axis=1))
-        if flagged.size:
-            _raise_for(_check_costs, costs[flagged[0]])
-
-    raw = None
-    families = [spec.family for spec in specs]
-    for family in set(families):
-        sel = [i for i, f in enumerate(families) if f == family]
-        rows = slice(None) if len(sel) == count else sel
-        theta = _column([thetas[i] for i in sel])
-        if family == FAMILY_RN:
-            part = np.ones((len(sel), size))
-        elif family == FAMILY_RSL:
-            exponents = theta * costs[rows]
-            if exponents.max() > RSL_MAX_EXPONENT:
-                i = sel[int(np.argmax(exponents.max(axis=1) > RSL_MAX_EXPONENT))]
-                _raise_for(_raw_from_costs, specs[i], thetas[i], costs[i], None)
-            part = np.exp(exponents)
-        else:
-            mean = sums[rows] / size
-            alpha = _column([specs[i].alpha for i in sel])
-            shift = _column([specs[i].beta * m for i, m in zip(sel, mean)])
-            part = _rrsl_raw(theta, alpha * costs[rows] - shift)
-        if len(sel) == count:
-            raw = part
-        else:
-            if raw is None:
-                raw = np.empty_like(costs)
-            raw[sel] = part
-
-    # normalize_weights on every row: one min and one max clear the common case.
-    mean = np.add.reduce(raw, axis=1) / size
-    if not (raw.min() >= 0.0 and raw.max() < np.inf and mean.min() > 0.0):
-        ok = (raw.min(axis=1) >= 0.0) & (raw.max(axis=1) < np.inf) & (mean > 0.0)
-        _raise_for(normalize_weights, raw[int(np.argmin(ok))])
-    return costs, raw, raw / mean[:, None]
+    _check_costs(costs, sums)
+    theta = np.array(thetas, dtype=float)[:, None]
+    raw = _raw_from_costs(specs[0], theta, costs, sums[:, None] / banks[0].size)
+    return costs, raw, normalize_weights(raw)
 
 
 def _weigh(bank: SampleBank, spec: WeightSpec, theta: float, gain, value, q, r):

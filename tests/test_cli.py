@@ -1,6 +1,8 @@
 import csv
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -395,6 +397,47 @@ def test_console_script_entry_point(tmp_path):
         [sys.executable, "-m", "wsriccati.cli", "design", str(cfg), "-v"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(ws.__file__).resolve().parent.parent)},
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "solution.csv").exists()
+
+
+def _point_mass_config(out, family, task):
+    """Every draw is A = 2I, B = [1; 0]: the second state is unstable and uncontrollable."""
+    return base_config(
+        out,
+        system={"mean_a": [[2.0, 0.0], [0.0, 2.0]], "mean_b": [[1.0], [0.0]],
+                "family_a": "point", "family_b": "point", "stddev_scale": 0.0},
+        weight={"family": family, "theta": 0.0},
+        solver={"bank_size": 50},
+        task=task,
+    )
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        ("design", "solver error: value map is not finite"),
+        ("robustness", "needs >= 2 successful designs"),
+    ],
+)
+def test_system_without_stabilizing_root_exits_two(tmp_path, caplog, command, message):
+    out = tmp_path / "out"
+    task = {"repetitions": 3, "robustness_bank_size": 50}
+    cfg = write_config(tmp_path, _point_mass_config(out, "RN", task))
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert main([command, str(cfg)]) == 2
+    assert "solver error" in caplog.text
+    assert message in caplog.text
+
+
+def test_sweep_without_stabilizing_root_writes_an_error_row_per_theta(tmp_path):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, _point_mass_config(out, "RSL", {"theta_grid": [0.0, 0.5]}))
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert main(["sweep", str(cfg)]) == 0
+    rows = read_rows(out / "sweep.csv")
+    assert [(row["theta"], row["status"]) for row in rows] == [("0.0", "error"), ("0.5", "error")]
+    assert rows[0]["error"] == "value map is not finite"
+    assert rows[1]["error"].startswith("RSL weight overflow: theta * J reaches ")

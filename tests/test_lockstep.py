@@ -389,3 +389,146 @@ def test_no_debug_line_or_formatting_below_debug(rrsl_problem_2k, caplog, monkey
         ws.fixed_point_solve_all(problems)
     assert caplog.records == []
     assert checks == [logging.DEBUG] * len(problems)
+
+
+def _healthy_partner_cases():
+    """(label, failing problem, its value, error type, healthy partner) per failure kind.
+
+    Each partner shares the failing problem's family, alpha and beta, so the
+    two are evaluated in one stacked pass.
+    """
+    healthy = 50.0 * np.eye(2) + Q2
+    inf_value = healthy.copy()
+    inf_value[0, 0] = np.inf
+    rrsl = {"alpha": 10.0, "beta": 11.0}
+    steep = {"alpha": 1e6, "beta": 0.0}
+    return [
+        ("non-finite cost", _weighted("RSL", 0.00125), inf_value, NonFiniteError,
+         _weighted("RSL", 0.00125)),
+        ("RSL overflow", _weighted("RSL", 50.0), healthy, WeightOverflowError,
+         _weighted("RSL", 0.00125)),
+        ("negative raw weight", _weighted("RRSL", -2.0, **rrsl), healthy, NumericalError,
+         _weighted("RRSL", 1.0, **rrsl)),
+        ("zero raw weights", _weighted("RRSL", -1.0, **steep), healthy, NumericalError,
+         _weighted("RRSL", 0.5, **steep)),
+        ("domain violation", _weighted("RN", 0.0), -1e5 * np.eye(2), DomainViolationError,
+         _weighted("RN", 0.0)),
+        ("non-finite value map", _weighted("RN", 0.0), 1.7e308 * np.eye(2), NonFiniteError,
+         _weighted("RN", 0.0)),
+    ]
+
+
+@pytest.mark.parametrize(
+    "label, failing, value, kind, partner",
+    _healthy_partner_cases(),
+    ids=[case[0] for case in _healthy_partner_cases()],
+)
+def test_each_failure_kind_next_to_a_healthy_problem_of_its_group(
+    label, failing, value, kind, partner
+):
+    healthy = 50.0 * np.eye(2) + Q2
+    gain = np.array([[0.5, 1.0]])
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(NumericalError) as alone:
+            riccati._maps(failing, value, gain)
+        assert type(alone.value) is kind
+        # The stacked pass raises the flagged problem's own error, here in
+        # the middle row ...
+        with pytest.raises(kind) as stacked:
+            riccati._stacked_maps(
+                [partner, failing, partner], [healthy, value, healthy], [gain] * 3
+            )
+        assert str(stacked.value) == str(alone.value)
+        # ... and each problem then gets its own result or error.
+        got = riccati._evaluate([partner, failing], [healthy, value], [gain, gain])
+    want = riccati._maps(partner, healthy, gain)
+    assert np.array_equal(got[0][0], want[0]) and np.array_equal(got[0][1], want[1])
+    assert type(got[1]) is kind and str(got[1]) == str(alone.value)
+
+
+def test_problems_of_other_weight_parameters_are_evaluated_apart():
+    # Same bank, value and gain: only the family, alpha or beta differs, and
+    # each must get the maps of its own weights.
+    problems = [
+        _weighted("RRSL", 1.0, alpha=10.0, beta=11.0),
+        _weighted("RRSL", 1.0, alpha=10.0, beta=10.0),
+        _weighted("RRSL", 1.0, alpha=1.0, beta=1.0),
+        _weighted("RSL", 0.01),
+        _weighted("RN", 1.0),
+    ]
+    value = 50.0 * np.eye(2) + Q2
+    gain = np.array([[0.5, 1.0]])
+    got = riccati._evaluate(problems, [value] * len(problems), [gain] * len(problems))
+    images = set()
+    for problem, result in zip(problems, got):
+        want = riccati._maps(problem, value, gain)
+        assert np.array_equal(result[0], want[0]) and np.array_equal(result[1], want[1])
+        images.add(want[1].tobytes())
+    assert len(images) == len(problems)
+
+
+def _point_mass_problem(weights, size=10):
+    """The system A = 2I, B = [1; 0]: its second state is unstable and uncontrollable."""
+    bank = ws.draw_bank(ws.point_mass(2.0 * np.eye(2), [[1.0], [0.0]]), size, seed=0)
+    return ws.DesignProblem(bank=bank, q=np.eye(2), r=np.eye(1), weights=weights)
+
+
+def test_non_finite_value_map_is_a_typed_error_of_its_problem_alone():
+    problems = [_point_mass_problem(ws.WeightSpec(family="RN"))] * 2
+    values = [1.7e308 * np.eye(2), 50.0 * np.eye(2)]
+    gains = [np.zeros((1, 2))] * 2
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = riccati._evaluate(problems, values, gains)
+    assert isinstance(got[0], NonFiniteError)
+    assert str(got[0]) == "value map is not finite"
+    want = riccati._maps(problems[1], values[1], gains[1])
+    assert np.array_equal(got[1][0], want[0]) and np.array_equal(got[1][1], want[1])
+
+
+def _uncontrollable_problem(n, growth, seed, spec):
+    """A random n-state, one-input bank whose last state is unstable and uncontrollable.
+
+    Every draw keeps the last row of A zero off the diagonal and the last
+    entry of B zero (point masses), so no gain stabilizes the last state,
+    whose diagonal entry has mean ``growth`` and a 10% standard deviation.
+    """
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-0.6, 0.6, (n, n))
+    a[-1, :-1] = 0.0
+    a[-1, -1] = growth
+    b = rng.uniform(-1.0, 1.0, (n, 1))
+    b[-1] = 0.0
+    dist = ws.build_distribution(
+        n, 1, a, b,
+        family_a=np.where(a == 0.0, "point", "normal").tolist(),
+        family_b=np.where(b == 0.0, "point", "laplace").tolist(),
+        stddev_scale=0.1,
+    )
+    bank = ws.draw_bank(dist, 20, seed=seed)
+    return ws.DesignProblem(bank=bank, q=np.eye(n), r=np.eye(1), weights=spec)
+
+
+@PROPERTY
+@given(
+    st.integers(2, 3),
+    st.floats(3.0, 6.0),
+    st.integers(0, 2**16),
+    st.sampled_from([
+        ws.WeightSpec(family="RN"),
+        ws.WeightSpec(family="RSL", theta=1e-3),
+        ws.WeightSpec(family="RSL", theta=0.5),
+        ws.WeightSpec(family="RRSL", theta=1.0, alpha=10.0, beta=11.0),
+    ]),
+)
+def test_systems_without_a_stabilizing_root_fail_with_typed_errors(n, growth, seed, spec):
+    problem = _uncontrollable_problem(n, growth, seed, spec)
+    problems = [problem.with_theta(0.0), problem]
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = ws.fixed_point_solve_all(problems)
+        for problem, result in zip(problems, got):
+            assert isinstance(result, (ws.DesignSolution, NumericalError)), result
+            try:
+                solo = ws.fixed_point_solve(problem)
+            except NumericalError as exc:
+                solo = exc
+            _assert_same(result, solo)

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wsriccati as ws
 from wsriccati import NonFiniteError, NumericalError, WeightOverflowError
-from wsriccati.weights import predictive_costs
+from wsriccati.weights import _raw_from_costs, predictive_costs
 
 import reference
 from conftest import Q2, R1
@@ -268,8 +270,73 @@ def test_weight_csv_dump(tmp_path, bank2k, rrsl_spec):
         ([-1.0, 2.0, np.nan], NonFiniteError, "raw weight non-finite at sample 2"),
         ([1.0, 2.0, -0.5, -1.0], NumericalError, "raw weight negative at sample 2"),
         ([0.0, -0.0], NumericalError, "all raw weights are zero"),
+        # Stacks of two rows: the first bad row raises, naming its own sample.
+        ([[1.0, 2.0, 3.0], [4.0, 5.0, np.inf]], NonFiniteError,
+         "raw weight non-finite at sample 2"),
+        ([[1.0, 2.0, 3.0], [4.0, -5.0, 6.0]], NumericalError, "raw weight negative at sample 1"),
+        ([[1.0, 2.0], [0.0, -0.0]], NumericalError, "all raw weights are zero"),
+        ([[1.0, -2.0, 3.0], [np.nan, 5.0, 6.0]], NumericalError,
+         "raw weight negative at sample 1"),
+        ([[0.0, 0.0, 0.0], [1.0, np.nan, 2.0]], NumericalError, "all raw weights are zero"),
     ],
 )
 def test_normalize_weights_errors_name_the_first_bad_sample(raw, error, message):
     with pytest.raises(error, match=message):
         ws.normalize_weights(np.array(raw))
+
+
+def _row_by_row(fn, *rows):
+    """``fn`` on each row: the first error raised, or the stacked results."""
+    out = []
+    for args in zip(*rows):
+        try:
+            out.append(fn(*args))
+        except NumericalError as exc:
+            return exc
+    return np.array(out)
+
+
+def _assert_stack_matches_rows(got_fn, want):
+    if isinstance(want, NumericalError):
+        with pytest.raises(type(want)) as info:
+            got_fn()
+        assert str(info.value) == str(want)
+    else:
+        assert np.array_equal(got_fn(), want, equal_nan=True)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(["RN", "RSL", "RRSL"]),
+    st.floats(-20.0, 20.0),
+    st.floats(-20.0, 20.0),
+    st.integers(1, 12),
+    st.data(),
+)
+def test_stacked_raw_and_normalized_weights_equal_row_by_row_calls(
+    family, alpha, beta, size, data
+):
+    # Rows share family, alpha and beta; theta, the costs and their mean
+    # differ per row. Large RSL exponents overflow, and RRSL thetas below -1
+    # give negative weights, so the errors are compared too.
+    rows = data.draw(st.integers(1, 4))
+    thetas = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=rows, max_size=rows))
+    costs = np.array(
+        data.draw(st.lists(
+            st.lists(st.floats(0.0, 500.0), min_size=size, max_size=size),
+            min_size=rows, max_size=rows,
+        ))
+    )
+    means = np.add.reduce(costs, axis=1) / size
+    spec = ws.WeightSpec(family=family, alpha=alpha, beta=beta)
+    raw_rows = _row_by_row(
+        lambda theta, row, mean: _raw_from_costs(spec, theta, row, mean), thetas, costs, means
+    )
+    _assert_stack_matches_rows(
+        lambda: _raw_from_costs(spec, np.array(thetas)[:, None], costs, means[:, None]),
+        raw_rows,
+    )
+    if not isinstance(raw_rows, NumericalError):
+        _assert_stack_matches_rows(
+            lambda: ws.normalize_weights(raw_rows), _row_by_row(ws.normalize_weights, raw_rows)
+        )
