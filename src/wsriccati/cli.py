@@ -1,9 +1,11 @@
 """Batch command-line front-end.
 
 Subcommands: design, sweep, stability, simulate, robustness. Every run is
-driven by one YAML configuration file; outputs are CSV files with a fixed
-header row and full-precision floats. Exit codes: 0 success, 1
-configuration error, 2 numerical/solver error, 3 I/O error.
+driven by one YAML configuration file. Each command computes its tables
+from the configuration and returns them, file name to (header, rows);
+:func:`main` then writes them all as CSV files with a fixed header row and
+full-precision floats, so a run that fails writes nothing. Exit codes: 0
+success, 1 configuration error, 2 numerical/solver error, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -20,11 +22,11 @@ import numpy as np
 from . import config as config_mod
 from .config import RunConfig, design_fingerprint, load_config
 from .errors import ConfigurationError, NumericalError
-from .matops import unvech, vec, vech
-from .riccati import solve, solve_all
+from .matops import vec
+from .riccati import pack_solution, solve, solve_all, unpack_solution
 from .simulate import mc_cost_study, robustness_study
 from .stability import ms_check, wms_check
-from .weights import build_weighted_bank, save_weight_csv
+from .weights import build_weighted_bank
 
 log = logging.getLogger("wsriccati")
 
@@ -40,9 +42,6 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    # The output directory is made at the first write, so a run that fails
-    # before it writes anything leaves no directory behind.
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -51,32 +50,13 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     log.info("wrote %s", path)
 
 
-def _vech_names(prefix: str, n: int) -> list[str]:
-    return [f"{prefix}_{i + 1}_{j + 1}" for j in range(n) for i in range(j, n)]
+def _gain_names(m: int, n: int) -> list[str]:
+    return [f"l_{i + 1}_{j + 1}" for j in range(n) for i in range(m)]
 
 
-def _vec_names(prefix: str, rows: int, cols: int) -> list[str]:
-    return [f"{prefix}_{i + 1}_{j + 1}" for j in range(cols) for i in range(rows)]
-
-
-def _solution_header(n: int, m: int) -> list[str]:
-    return (
-        ["n", "m", "weight_family", "theta", "method", "iterations", "residual",
-         "config_fingerprint"]
-        + _vech_names("pi", n)
-        + _vec_names("l", m, n)
-    )
-
-
-def _write_solution(path: Path, config: RunConfig, solution) -> None:
-    n, m = config.system.n, config.system.m
-    row = (
-        [n, m, config.weight.family, config.weight.theta, solution.method,
-         solution.iterations, solution.residual, design_fingerprint(config)]
-        + vech(solution.value).tolist()
-        + vec(solution.gain).tolist()
-    )
-    _write_csv(path, _solution_header(n, m), [row])
+def _solution_names(n: int, m: int) -> list[str]:
+    """Column names of the :func:`pack_solution` vector [vech(P); vec(L)]."""
+    return [f"pi_{i + 1}_{j + 1}" for j in range(n) for i in range(j, n)] + _gain_names(m, n)
 
 
 def _load_solution(path: Path) -> dict:
@@ -88,13 +68,11 @@ def _load_solution(path: Path) -> dict:
             raise ConfigurationError(f"{path}: empty solution file")
     try:
         n, m = int(record["n"]), int(record["m"])
-        names = _vech_names("pi", n) + _vec_names("l", m, n)
+        names = _solution_names(n, m)
         entries = np.array([float(record[k]) for k in names])
         if not np.all(np.isfinite(entries)):
             raise ValueError(f"{names[np.argmax(~np.isfinite(entries))]} is not finite")
-        head = n * (n + 1) // 2
-        value = unvech(entries[:head], n)
-        gain = entries[head:].reshape(m, n, order="F")
+        value, gain = unpack_solution(entries, n, m)
         return {
             "value": value,
             "gain": gain,
@@ -146,7 +124,23 @@ def _require_task_inputs(command: str, task) -> None:
         raise ConfigurationError("task.x0 is required for simulate")
 
 
-def cmd_design(config: RunConfig, out_dir: Path) -> int:
+def _stability_columns(bank, gain, problem=None, value=None) -> list:
+    """[rho_plain, rho_weighted, ms_stable, wms_stable] of ``gain`` on ``bank``.
+
+    The weighted pair needs the design ``problem`` and its ``value`` matrix;
+    without them it is None.
+    """
+    plain = ms_check(bank, gain)
+    if value is None:
+        return [plain.radius_plain, None, plain.ms_stable, None]
+    wbank = build_weighted_bank(
+        bank, problem.weights, problem.theta, gain, value, problem.q, problem.r
+    )
+    weighted = wms_check(wbank, gain)
+    return [plain.radius_plain, weighted.radius_weighted, plain.ms_stable, weighted.wms_stable]
+
+
+def cmd_design(config: RunConfig) -> dict:
     bank = config_mod.make_bank(config)
     problem = config_mod.make_problem(config, bank)
     solution = solve(
@@ -155,19 +149,25 @@ def cmd_design(config: RunConfig, out_dir: Path) -> int:
         record_trace=config.solver.trace,
         **_solver_options(config),
     )
-    _write_solution(out_dir / "solution.csv", config, solution)
+    n, m = problem.n, problem.m
+    names = _solution_names(n, m)
+    tables = {
+        "solution.csv": (
+            ["n", "m", "weight_family", "theta", "method", "iterations", "residual",
+             "config_fingerprint"] + names,
+            [[n, m, config.weight.family, config.weight.theta, solution.method,
+              solution.iterations, solution.residual, design_fingerprint(config)]
+             + pack_solution(solution.value, solution.gain).tolist()],
+        ),
+    }
     if config.solver.trace and solution.trace is None:
         log.warning("trace requested but method %r records none", solution.method)
     if config.solver.trace and solution.trace is not None:
-        n, m = problem.n, problem.m
-        header = (
-            ["s"] + _vech_names("pi", n) + _vec_names("l", m, n) + ["delta", "residual"]
+        tables["trace.csv"] = (
+            ["s"] + names + ["delta", "residual"],
+            [[s] + pack_solution(value, gain).tolist() + [delta, residual]
+             for s, value, gain, delta, residual in solution.trace],
         )
-        rows = [
-            [s] + vech(value).tolist() + vec(gain).tolist() + [delta, residual]
-            for s, value, gain, delta, residual in solution.trace
-        ]
-        _write_csv(out_dir / "trace.csv", header, rows)
     if config.solver.dump_weights:
         wbank = build_weighted_bank(
             bank,
@@ -178,12 +178,14 @@ def cmd_design(config: RunConfig, out_dir: Path) -> int:
             problem.q,
             problem.r,
         )
-        save_weight_csv(wbank, out_dir / "weights.csv")
-        log.info("wrote %s", out_dir / "weights.csv")
-    return 0
+        tables["weights.csv"] = (
+            ["sample", "predictive_cost", "raw_weight", "weight"],
+            zip(range(wbank.size), wbank.predictive, wbank.raw_weights, wbank.weights),
+        )
+    return tables
 
 
-def cmd_sweep(config: RunConfig, out_dir: Path) -> int:
+def cmd_sweep(config: RunConfig) -> dict:
     bank = config_mod.make_bank(config)
     header = [
         "theta", "status", "iterations", "residual", "rho_plain", "rho_weighted",
@@ -197,49 +199,26 @@ def cmd_sweep(config: RunConfig, out_dir: Path) -> int:
         try:
             if isinstance(solution, NumericalError):
                 raise solution
-            plain = ms_check(bank, solution.gain)
-            wbank = build_weighted_bank(
-                bank, problem.weights, theta, solution.gain, solution.value,
-                problem.q, problem.r,
-            )
-            weighted = wms_check(wbank, solution.gain)
-            rows.append([
-                theta, "ok", solution.iterations, solution.residual,
-                plain.radius_plain, weighted.radius_weighted,
-                plain.ms_stable, weighted.wms_stable, "",
-            ])
+            columns = _stability_columns(bank, solution.gain, problem, solution.value)
+            rows.append([theta, "ok", solution.iterations, solution.residual, *columns, ""])
         except NumericalError as exc:
             log.warning("theta=%s failed: %s", theta, exc)
             rows.append([theta, "error", None, None, None, None, None, None, str(exc)])
-    _write_csv(out_dir / "sweep.csv", header, rows)
-    return 0
+    return {"sweep.csv": (header, rows)}
 
 
-def cmd_stability(config: RunConfig, out_dir: Path) -> int:
+def cmd_stability(config: RunConfig) -> dict:
     record = _resolve_gain(config)
     bank = config_mod.make_bank(config)
-    plain = ms_check(bank, record["gain"])
-    radius_weighted = None
-    wms_stable = None
-    if record.get("value") is not None:
+    problem = None
+    if record["value"] is not None:
         problem = config_mod.make_problem(config, bank, theta=record["theta"])
-        wbank = build_weighted_bank(
-            bank, problem.weights, record["theta"], record["gain"], record["value"],
-            problem.q, problem.r,
-        )
-        weighted = wms_check(wbank, record["gain"])
-        radius_weighted = weighted.radius_weighted
-        wms_stable = weighted.wms_stable
-    _write_csv(
-        out_dir / "stability.csv",
-        ["theta", "rho_plain", "rho_weighted", "ms_stable", "wms_stable"],
-        [[record.get("theta"), plain.radius_plain, radius_weighted,
-          plain.ms_stable, wms_stable]],
-    )
-    return 0
+    columns = _stability_columns(bank, record["gain"], problem, record["value"])
+    header = ["theta", "rho_plain", "rho_weighted", "ms_stable", "wms_stable"]
+    return {"stability.csv": (header, [[record["theta"], *columns]])}
 
 
-def cmd_simulate(config: RunConfig, out_dir: Path) -> int:
+def cmd_simulate(config: RunConfig) -> dict:
     record = _resolve_gain(config)
     dist = config_mod.make_distribution(config)
     q, r = config_mod._cost_matrices(config)
@@ -256,30 +235,26 @@ def cmd_simulate(config: RunConfig, out_dir: Path) -> int:
         config.task.seed,
         trajectory_count=config.task.trajectory_count,
     )
-    _write_csv(
-        out_dir / "costs.csv",
-        ["trial", "cost"],
-        [[k, summary.costs[k]] for k in range(summary.trials)],
+    trajectories = (
+        [k, t, *state]
+        for k, states in enumerate(summary.trajectories)
+        for t, state in enumerate(states)
     )
-    _write_csv(out_dir / "tail.csv", ["rho", "worst_average"], summary.tail_averages)
-    traj_rows = []
-    for k, states in enumerate(summary.trajectories):
-        for t in range(states.shape[0]):
-            traj_rows.append([k, t] + [float(v) for v in states[t]])
-    _write_csv(
-        out_dir / "trajectories.csv",
-        ["trial", "t"] + [f"x_{i + 1}" for i in range(config.system.n)],
-        traj_rows,
-    )
-    _write_csv(
-        out_dir / "summary.csv",
-        ["trials", "horizon", "mean_cost", "diverged"],
-        [[summary.trials, summary.horizon, summary.mean_cost, summary.diverged]],
-    )
-    return 0
+    return {
+        "costs.csv": (["trial", "cost"], enumerate(summary.costs)),
+        "tail.csv": (["rho", "worst_average"], summary.tail_averages),
+        "trajectories.csv": (
+            ["trial", "t"] + [f"x_{i + 1}" for i in range(config.system.n)],
+            trajectories,
+        ),
+        "summary.csv": (
+            ["trials", "horizon", "mean_cost", "diverged"],
+            [[summary.trials, summary.horizon, summary.mean_cost, summary.diverged]],
+        ),
+    }
 
 
-def cmd_robustness(config: RunConfig, out_dir: Path) -> int:
+def cmd_robustness(config: RunConfig) -> dict:
     dist = config_mod.make_distribution(config)
     q, r = config_mod._cost_matrices(config)
     spec = config_mod.make_weight_spec(config)
@@ -300,7 +275,6 @@ def cmd_robustness(config: RunConfig, out_dir: Path) -> int:
         for j in range(n)
         for i in range(m)
     ]
-    _write_csv(out_dir / "robustness.csv", ["row", "col", "mean", "stddev"], rows)
     gain_rows = []
     failed = dict(summary.failures)
     ok_gains = iter(summary.gains)
@@ -308,14 +282,11 @@ def cmd_robustness(config: RunConfig, out_dir: Path) -> int:
         if k in failed:
             gain_rows.append([k, "error"] + [None] * (m * n) + [failed[k]])
         else:
-            gain = next(ok_gains)
-            gain_rows.append([k, "ok"] + vec(gain).tolist() + [""])
-    _write_csv(
-        out_dir / "gains.csv",
-        ["repetition", "status"] + _vec_names("l", m, n) + ["error"],
-        gain_rows,
-    )
-    return 0
+            gain_rows.append([k, "ok"] + vec(next(ok_gains)).tolist() + [""])
+    return {
+        "robustness.csv": (["row", "col", "mean", "stddev"], rows),
+        "gains.csv": (["repetition", "status"] + _gain_names(m, n) + ["error"], gain_rows),
+    }
 
 
 _COMMANDS = {
@@ -380,7 +351,12 @@ def main(argv=None) -> int:
         config = load_config(args.config)
         config = _apply_overrides(config, args)
         _require_task_inputs(args.command, config.task)
-        return _COMMANDS[args.command](config, Path(config.output_dir))
+        tables = _COMMANDS[args.command](config)
+        out_dir = Path(config.output_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, (header, rows) in tables.items():
+            _write_csv(out_dir / name, header, rows)
+        return 0
     except ConfigurationError as exc:
         log.error("configuration error: %s", exc)
         return 1

@@ -548,39 +548,42 @@ def _lockstep(solves) -> list:
     flight: list[list] = []  # [index, problem, steps, request, footprint]
     held = 0
     pending = next(solves, None)
-    while flight or pending is not None:
-        while pending is not None:
-            problem, steps = pending
-            cost = _footprint(problem, flight)
-            if flight and held + cost > LOCKSTEP_BYTES:
-                break
-            results.append(None)
-            try:
-                flight.append([len(results) - 1, problem, steps, next(steps), cost])
-                held += cost
-            except NumericalError as exc:
-                results[-1] = exc
-            pending = next(solves, None)
-        if not flight:
-            continue
-        values, gains = zip(*(item[3] for item in flight))
-        outcomes = _evaluate([item[1] for item in flight], values, gains)
-        still = []
-        for item, outcome in zip(flight, outcomes):
-            steps = item[2]
-            try:
-                if isinstance(outcome, NumericalError):
-                    item[3] = steps.throw(outcome)
-                else:
-                    item[3] = steps.send(outcome)
-                still.append(item)
+    # Every non-finite value hidden here is turned into a typed error by the
+    # checks of the map evaluation.
+    with np.errstate(over="ignore", invalid="ignore"):
+        while flight or pending is not None:
+            while pending is not None:
+                problem, steps = pending
+                cost = _footprint(problem, flight)
+                if flight and held + cost > LOCKSTEP_BYTES:
+                    break
+                results.append(None)
+                try:
+                    flight.append([len(results) - 1, problem, steps, next(steps), cost])
+                    held += cost
+                except NumericalError as exc:
+                    results[-1] = exc
+                pending = next(solves, None)
+            if not flight:
                 continue
-            except StopIteration as stop:
-                results[item[0]] = stop.value
-            except NumericalError as exc:
-                results[item[0]] = exc
-            held -= item[4]
-        flight = still
+            values, gains = zip(*(item[3] for item in flight))
+            outcomes = _evaluate([item[1] for item in flight], values, gains)
+            still = []
+            for item, outcome in zip(flight, outcomes):
+                steps = item[2]
+                try:
+                    if isinstance(outcome, NumericalError):
+                        item[3] = steps.throw(outcome)
+                    else:
+                        item[3] = steps.send(outcome)
+                    still.append(item)
+                    continue
+                except StopIteration as stop:
+                    results[item[0]] = stop.value
+                except NumericalError as exc:
+                    results[item[0]] = exc
+                held -= item[4]
+            flight = still
     return results
 
 

@@ -45,7 +45,6 @@ about 88 ns an entry against 9 ns.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -66,7 +65,6 @@ __all__ = [
     "normalize_weights",
     "weight_vector",
     "build_weighted_bank",
-    "save_weight_csv",
 ]
 
 FAMILY_RN = "RN"
@@ -361,19 +359,3 @@ def build_weighted_bank(
         gain=gain,
         value=value,
     )
-
-
-def save_weight_csv(wbank: WeightedBank, path) -> None:
-    """Per-sample table of predictive cost, raw weight, normalized weight."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample", "predictive_cost", "raw_weight", "weight"])
-        for idx in range(wbank.size):
-            writer.writerow(
-                [
-                    idx,
-                    repr(float(wbank.predictive[idx])),
-                    repr(float(wbank.raw_weights[idx])),
-                    repr(float(wbank.weights[idx])),
-                ]
-            )

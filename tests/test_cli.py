@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import os
 import subprocess
 import sys
@@ -159,6 +160,20 @@ def test_solver_failure_leaves_no_output_directory(tmp_path, command, overrides)
     assert not out.exists()
 
 
+def test_failure_after_the_first_table_writes_nothing(tmp_path, monkeypatch):
+    # The solution and its trace are computed before the weights fail.
+    def fail(*args, **kwargs):
+        raise ws.NumericalError("injected weight failure")
+
+    monkeypatch.setattr("wsriccati.cli.build_weighted_bank", fail)
+    out = tmp_path / "out"
+    cfg = write_config(
+        tmp_path, base_config(out, solver={"trace": True, "dump_weights": True})
+    )
+    assert main(["design", str(cfg)]) == 2
+    assert not out.exists()
+
+
 def test_sweep_rows_and_error_isolation(tmp_path):
     out = tmp_path / "out"
     cfg_dict = base_config(
@@ -215,6 +230,11 @@ def test_sweep_single_point_matches_design_and_stability(tmp_path):
     assert float(stab_row["rho_weighted"]) == float(sweep_row["rho_weighted"])
 
 
+#: sha256 of stability.csv from the inline gain below, whose theta and
+#: weighted columns are empty.
+INLINE_STABILITY_PINNED = "9ae013301b9bfaed5669208f652c1b9d11d4cd467d6f671eb2597fa7bf7ef347"
+
+
 def test_stability_with_inline_gain(tmp_path):
     out = tmp_path / "out"
     cfg = write_config(
@@ -225,6 +245,8 @@ def test_stability_with_inline_gain(tmp_path):
     assert row["theta"] == ""
     assert row["rho_weighted"] == ""
     assert float(row["rho_plain"]) > 0.0
+    digest = hashlib.sha256((out / "stability.csv").read_bytes()).hexdigest()
+    assert digest == INLINE_STABILITY_PINNED
 
 
 def test_stability_requires_gain_source(tmp_path):
@@ -426,8 +448,7 @@ def test_system_without_stabilizing_root_exits_two(tmp_path, caplog, command, me
     out = tmp_path / "out"
     task = {"repetitions": 3, "robustness_bank_size": 50}
     cfg = write_config(tmp_path, _point_mass_config(out, "RN", task))
-    with np.errstate(invalid="ignore", over="ignore"):
-        assert main([command, str(cfg)]) == 2
+    assert main([command, str(cfg)]) == 2
     assert "solver error" in caplog.text
     assert message in caplog.text
 
@@ -435,8 +456,7 @@ def test_system_without_stabilizing_root_exits_two(tmp_path, caplog, command, me
 def test_sweep_without_stabilizing_root_writes_an_error_row_per_theta(tmp_path):
     out = tmp_path / "out"
     cfg = write_config(tmp_path, _point_mass_config(out, "RSL", {"theta_grid": [0.0, 0.5]}))
-    with np.errstate(invalid="ignore", over="ignore"):
-        assert main(["sweep", str(cfg)]) == 0
+    assert main(["sweep", str(cfg)]) == 0
     rows = read_rows(out / "sweep.csv")
     assert [(row["theta"], row["status"]) for row in rows] == [("0.0", "error"), ("0.5", "error")]
     assert rows[0]["error"] == "value map is not finite"

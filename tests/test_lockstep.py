@@ -185,8 +185,9 @@ def _weighted(family, theta, **params):
 
 
 def test_every_failure_kind_inside_one_stacked_batch():
-    # One group (n, m and bank size shared): the stacked pass fails, and
-    # each problem is evaluated again alone.
+    # Four groups by weight family, alpha and beta: in each of the RN, RSL
+    # and RRSL (10, 11) groups the stacked pass fails and each problem is
+    # evaluated again alone; the RRSL (1e6, 0) problem is a group of one.
     healthy = 50.0 * np.eye(2) + Q2
     gain = np.array([[0.5, 1.0]])
     inf_value = healthy.copy()

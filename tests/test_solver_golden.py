@@ -79,3 +79,27 @@ def test_stability_from_rrsl_solution_is_pinned(tmp_path):
     assert main(["stability", str(path)]) == 0
     got = hashlib.sha256((out / "stability.csv").read_bytes()).hexdigest()
     assert got == STABILITY_PINNED
+
+
+#: sha256 of gains.csv and robustness.csv from five 500-draw redesigns
+#: capped at 120 fixed-point iterations; the second and fifth do not
+#: converge, so the gains table holds ok and error rows.
+ROBUSTNESS_WITH_FAILURES_PINNED = {
+    "gains.csv": "03dd72f7eb9645602afbfabd83f10e3d2abaa0f5d277c43975b50050ed4f3e75",
+    "robustness.csv": "44c5491ec3fde6ec2251571a955326a33ce256e3c58dc32ae2d756db67b9034b",
+}
+
+
+def test_robustness_with_failed_redesigns_is_pinned(tmp_path):
+    config = yaml.safe_load(EXAMPLE.read_text())
+    config["solver"]["fp_max_iters"] = 120
+    config["task"].update(repetitions=5, robustness_bank_size=500)
+    out = tmp_path / "out"
+    config["output_dir"] = str(out)
+    path = tmp_path / "run.yaml"
+    path.write_text(yaml.safe_dump(config))
+    assert main(["robustness", str(path)]) == 0
+    statuses = [line.split(",")[1] for line in (out / "gains.csv").read_text().splitlines()[1:]]
+    assert statuses == ["ok", "error", "ok", "ok", "error"]
+    for name, digest in ROBUSTNESS_WITH_FAILURES_PINNED.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name

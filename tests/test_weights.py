@@ -248,19 +248,6 @@ def test_weighted_bank_invariant_enforced(bank2k):
         )
 
 
-def test_weight_csv_dump(tmp_path, bank2k, rrsl_spec):
-    wbank = ws.build_weighted_bank(
-        bank2k, rrsl_spec, 1.0, np.zeros((1, 2)), 100.0 * np.eye(2), Q2, R1
-    )
-    path = tmp_path / "weights.csv"
-    from wsriccati.weights import save_weight_csv
-
-    save_weight_csv(wbank, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "sample,predictive_cost,raw_weight,weight"
-    assert len(lines) == bank2k.size + 1
-
-
 @pytest.mark.parametrize(
     "raw, error, message",
     [
