@@ -4,16 +4,19 @@ Subcommands: design, sweep, stability, simulate, robustness. Every run is
 driven by one YAML configuration file. Each command computes its tables
 from the configuration and returns them, file name to (header, rows);
 :func:`main` then writes them all as CSV files with a fixed header row and
-full-precision floats, so a run that fails writes nothing. Exit codes: 0
-success, 1 configuration error, 2 numerical/solver error, 3 I/O error.
+full-precision floats, and moves them into place only once every one is
+written, so a run that fails writes nothing. Exit codes: 0 success, 1
+configuration error, 2 numerical/solver error, 3 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import logging
+import os
 import sys
 from pathlib import Path
 
@@ -47,7 +50,37 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
-    log.info("wrote %s", path)
+
+
+def _write_tables(out_dir: Path, tables: dict) -> None:
+    """Write every table into ``out_dir``, all of them or none.
+
+    Each table goes to a hidden temporary file next to its target, and the
+    temporaries are renamed onto their names with ``os.replace`` only after
+    every one is written. If anything fails, the temporaries left and the
+    directories this call made are removed before the error propagates;
+    files that were already in ``out_dir`` (a ``solution.csv`` that
+    ``simulate`` reads, say) are never touched.
+    """
+    made = [p for p in (out_dir, *out_dir.parents) if not p.exists()]
+    temps = {}
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, (header, rows) in tables.items():
+            temps[name] = out_dir / f".{name}.{os.getpid()}.tmp"
+            _write_csv(temps[name], header, rows)
+        for name, temp in list(temps.items()):
+            os.replace(temp, out_dir / name)
+            del temps[name]
+            log.info("wrote %s", out_dir / name)
+    except BaseException:
+        for path in temps.values():
+            with contextlib.suppress(OSError):
+                path.unlink()
+        for path in made:
+            with contextlib.suppress(OSError):
+                path.rmdir()
+        raise
 
 
 def _gain_names(m: int, n: int) -> list[str]:
@@ -352,10 +385,7 @@ def main(argv=None) -> int:
         config = _apply_overrides(config, args)
         _require_task_inputs(args.command, config.task)
         tables = _COMMANDS[args.command](config)
-        out_dir = Path(config.output_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for name, (header, rows) in tables.items():
-            _write_csv(out_dir / name, header, rows)
+        _write_tables(Path(config.output_dir), tables)
         return 0
     except ConfigurationError as exc:
         log.error("configuration error: %s", exc)

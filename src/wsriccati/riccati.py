@@ -113,9 +113,11 @@ DOMAIN_EIG_FLOOR = 1e-12
 ANDERSON_MEMORY = 5
 
 #: Bytes that fixed-point solves run in lockstep may hold beyond one solve's
-#: (see :func:`_footprint`): about four problems in flight, both for the points
-#: of a sweep on one 10k bank and for redesigns on their own 2k banks.
-LOCKSTEP_BYTES = 5 * 2**19
+#: (see :func:`_footprint`). On the example system that is every point of an
+#: 11-point sweep on one 10k bank (640 KB each) and 19 of 20 redesigns on
+#: their own 2k banks (560 KB each, bank included). A problem whose own
+#: footprint is larger still runs, alone.
+LOCKSTEP_BYTES = 5 * 2**21
 
 #: Bytes per draw of the temporaries of one map evaluation in a batch.
 _WORK_BYTES_PER_DRAW = 64

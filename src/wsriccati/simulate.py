@@ -280,8 +280,9 @@ def robustness_study(
     The designs run through :func:`~wsriccati.riccati.solve_all`, so the
     fixed-point route solves several in lockstep, each to the same bits as
     alone. Bank k is drawn only when design k joins, and the lockstep's
-    byte budget (``riccati.LOCKSTEP_BYTES``) keeps about four 2k banks of
-    the example system in memory at once, not all ``repetitions``.
+    byte budget (``riccati.LOCKSTEP_BYTES``) bounds the banks held at once:
+    19 of the example system's 2k banks, however many ``repetitions`` there
+    are.
     """
     if repetitions < 2:
         raise ConfigurationError("repetitions must be >= 2")

@@ -29,18 +29,25 @@ the first iterate from (0, 0), 5-9% of the draws over a fixed-point solve
 on the 10k-bank theta sweep (1-2% at the root) and 5.7% over the 20
 robustness designs on 2k banks.
 
-The sigmoid is scipy's ``expit``, the package's only use of scipy, and
-:func:`_rrsl_raw` imports it the first time an entry lies inside the
-window. Loading ``scipy.special`` takes about 0.23 s and 18 MB, so commands
-that never take an RRSL sigmoid (``simulate``, ``stability`` with an inline
-gain, RN and RSL designs, whose exponential is ``np.exp``, and RRSL at
-theta = 0) never load scipy. The sigmoid must stay ``expit``:
-``1 / (1 + np.exp(-x))`` is not the same function in floating point.
-numpy's SIMD ``exp`` and the C library ``exp`` that ``expit`` calls differ
-in the last bit on 4.6% of arguments drawn uniformly from the window (2M
-draws on an x86 VM), which moves 1.9% of the sigmoid values and with them
-every RRSL output digest. A ``math.exp`` loop gives the same bits but costs
-about 88 ns an entry against 9 ns.
+The sigmoid is :func:`_expit`, ``1 / (1 + exp(-x))`` with the C library's
+``exp``. That is the expression and the ``exp`` of ``scipy.special.expit``,
+so the weights have its bits and the package needs no scipy.
+
+- Not ``1 / (1 + np.exp(-x))``: numpy's float ``exp`` is SIMD code, not
+  the C library's. The two differ in the last bit on 4.6% of arguments
+  drawn uniformly from the window (2M draws on an x86 VM), which moves 1.9%
+  of the sigmoid values and with them every RRSL output digest.
+- numpy's complex ``exp`` calls the C library's ``cexp``, and glibc's
+  ``cexp`` returns ``exp(re) * 1.0`` for a zero imaginary part. So the real
+  part of ``np.exp`` of ``-x`` cast to complex is the C library's
+  ``exp(-x)``, at C speed. A ``math.exp`` loop gives the same bits at
+  about 18 times ``expit``'s cost.
+- For -x from 709.0 up to where ``exp`` overflows (709.78), glibc's ``cexp``
+  takes a scaled path whose subnormal result differs. Every x < -708
+  therefore takes ``math.exp``, inf once it overflows. Inside the window an
+  entry gets there only when |theta| exceeds about 1e291.
+- The kernel costs about 28 ns an entry against ``expit``'s 10 ns at 1,000
+  entries, and 19 ns against 10 ns at 10,000 (2-vCPU x86 VM).
 """
 
 from __future__ import annotations
@@ -78,6 +85,9 @@ RSL_MAX_EXPONENT = 700.0
 #: Sigmoid arguments from which expit is exactly 1.0 (see :func:`_rrsl_raw`).
 _EXPIT_ONE = 40.0
 _LOG_2_M55 = math.log(2.0**-55)
+#: Sigmoid arguments below which :func:`_expit` takes ``math.exp``, clear of
+#: glibc's scaled ``cexp`` path from -x > 709.0.
+_CEXP_FLOOR = -708.0
 
 
 @dataclass(frozen=True)
@@ -176,11 +186,6 @@ def _rrsl_raw(theta, x: np.ndarray) -> np.ndarray:
 
     ``theta`` is a float, or for a stack of rows ``x`` a (rows, 1) column
     of one theta per row.
-
-    scipy is imported by a function-level import the first time an entry
-    lies inside the window, not with the module: the sigmoid is the
-    package's only use of it, and at theta = 0 the window is empty. After
-    that first import it is a lookup in ``sys.modules`` (under 1 us).
     """
     stacked = isinstance(theta, np.ndarray) and theta.ndim > 0
     saturated = x >= _EXPIT_ONE
@@ -191,11 +196,32 @@ def _rrsl_raw(theta, x: np.ndarray) -> np.ndarray:
         low = _window_floor(theta)
     mid = np.flatnonzero(~(saturated | (x < low)))
     if mid.size:
-        from scipy.special import expit
-
         scale = theta[mid // x.shape[-1], 0] if stacked else theta
-        raw.reshape(-1)[mid] = 1.0 + scale * expit(x.reshape(-1)[mid])
+        raw.reshape(-1)[mid] = 1.0 + scale * _expit(x.reshape(-1)[mid])
     return raw
+
+
+def _expit(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) with the C library's exp: ``scipy.special.expit``'s bits.
+
+    The exponential is the real part of numpy's complex ``exp`` (the C
+    library's ``cexp``) for x >= -708 and ``math.exp``, inf once it
+    overflows, below; the module docstring says why. NaN stays NaN.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = np.exp(np.negative(x), dtype=np.complex128).real
+        low = x < _CEXP_FLOOR
+        if low.any():
+            e[low] = [_libm_exp(-v) for v in x[low]]
+        return 1.0 / (1.0 + e)
+
+
+def _libm_exp(v: float) -> float:
+    """The C library's exp(v), inf where it overflows."""
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf
 
 
 def _window_floor(theta: float) -> float:

@@ -10,6 +10,7 @@ import pytest
 import yaml
 
 import wsriccati as ws
+from wsriccati import cli
 from wsriccati.cli import main
 
 from conftest import MEAN_A, MEAN_B, Q2, R1
@@ -172,6 +173,45 @@ def test_failure_after_the_first_table_writes_nothing(tmp_path, monkeypatch):
     )
     assert main(["design", str(cfg)]) == 2
     assert not out.exists()
+
+
+def _fail_on_second_table(monkeypatch) -> list:
+    """Make cli._write_csv raise OSError on its second call; returns its paths."""
+    paths = []
+    write_csv = cli._write_csv
+
+    def write(path, header, rows):
+        paths.append(path)
+        if len(paths) == 2:
+            raise OSError(28, "No space left on device")
+        write_csv(path, header, rows)
+
+    monkeypatch.setattr(cli, "_write_csv", write)
+    return paths
+
+
+def test_io_error_while_writing_leaves_the_existing_files_alone(tmp_path, monkeypatch, caplog):
+    # simulate reads its gain from a solution.csv in its own output directory.
+    out = tmp_path / "out"
+    task = {"solution": str(out / "solution.csv"), "x0": [1.0, 1.0], "horizon": 10,
+            "trials": 20, "trajectory_count": 1}
+    cfg = write_config(tmp_path, base_config(out, task=task))
+    assert main(["design", str(cfg)]) == 0
+    solution = (out / "solution.csv").read_bytes()
+    paths = _fail_on_second_table(monkeypatch)
+    assert main(["simulate", str(cfg)]) == 3
+    assert "i/o error" in caplog.text and "No space left on device" in caplog.text
+    assert len(paths) == 2 and all(path.parent == out for path in paths)
+    assert [p.name for p in out.iterdir()] == ["solution.csv"]
+    assert (out / "solution.csv").read_bytes() == solution
+
+
+def test_io_error_while_writing_removes_the_directories_it_made(tmp_path, monkeypatch):
+    out = tmp_path / "new" / "out"
+    cfg = write_config(tmp_path, base_config(out, solver={"trace": True}))
+    _fail_on_second_table(monkeypatch)
+    assert main(["design", str(cfg)]) == 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.yaml"]
 
 
 def test_sweep_rows_and_error_isolation(tmp_path):

@@ -10,6 +10,7 @@ number of problems in flight.
 import functools
 import hashlib
 import logging
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -229,6 +230,49 @@ def test_every_failure_kind_inside_one_stacked_batch():
 def test_fixed_point_solve_all_default_window_matches_solo_solves(rrsl_problem_2k):
     problems = [rrsl_problem_2k.with_theta(theta) for theta in (0.0, 0.5, 1.0)]
     got = ws.fixed_point_solve_all(problems)
+    for problem, result in zip(problems, got):
+        _assert_same(result, ws.fixed_point_solve(problem))
+
+
+#: sha256 of the files ``robustness`` writes on configs/example.yaml as
+#: shipped (20 RRSL redesigns on 2k banks, task seed 7); taken when the
+#: lockstep held about four of them at once.
+EXAMPLE_ROBUSTNESS_PINNED = {
+    "gains.csv": "19c9751b4988976b9cd30fce757b35f3b08d050176bf7016c8c7fc2d9c8fad33",
+    "robustness.csv": "469a2e4bc0e0f5859a68465b5f785d93a870fc36ecc7f422c87812c6f2abde2d",
+}
+
+
+def _spy_on_evaluate(monkeypatch) -> list:
+    """Patch riccati._evaluate to record the number of problems of each call."""
+    sizes = []
+    evaluate = riccati._evaluate
+
+    def spy(problems, values, gains):
+        sizes.append(len(problems))
+        return evaluate(problems, values, gains)
+
+    monkeypatch.setattr(riccati, "_evaluate", spy)
+    return sizes
+
+
+def test_default_budget_holds_nineteen_robustness_redesigns(tmp_path, monkeypatch):
+    sizes = _spy_on_evaluate(monkeypatch)
+    example = Path(__file__).resolve().parent.parent / "configs" / "example.yaml"
+    out = tmp_path / "out"
+    assert main(["robustness", str(example), "--output-dir", str(out)]) == 0
+    assert max(sizes) >= 19
+    for name, digest in EXAMPLE_ROBUSTNESS_PINNED.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_problem_larger_than_the_budget_runs_alone(rrsl_problem_2k, monkeypatch):
+    problems = [rrsl_problem_2k.with_theta(theta) for theta in (0.5, 1.0)]
+    assert riccati._footprint(problems[0], []) <= riccati.LOCKSTEP_BYTES
+    monkeypatch.setattr(riccati, "LOCKSTEP_BYTES", riccati._footprint(problems[0], []) - 1)
+    sizes = _spy_on_evaluate(monkeypatch)
+    got = ws.fixed_point_solve_all(problems)
+    assert sizes and set(sizes) == {1}
     for problem, result in zip(problems, got):
         _assert_same(result, ws.fixed_point_solve(problem))
 

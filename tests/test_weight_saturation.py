@@ -4,21 +4,25 @@
 is at least 40 and to 1 where x is below log(2**-55 / |theta|), and takes
 ``1 + theta * expit(x)`` for every other entry. These tests hold it to that
 full expression bit for bit, with arguments placed on and next to both
-window edges, and check that a NaN argument still fails loudly.
+window edges, and check that a NaN argument still fails loudly. The
+package's sigmoid, ``weights._expit``, is held to ``scipy.special.expit``
+bit for bit, over the window of every theta and at the edges of its
+``math.exp`` fallback.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
 import wsriccati as ws
 from wsriccati import NonFiniteError
 from wsriccati.ensemble import SampleBank
-from wsriccati.weights import _raw_from_costs
+from wsriccati.weights import _expit, _raw_from_costs
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -62,6 +66,40 @@ def test_rrsl_raw_weights_equal_the_full_sigmoid(theta, slope, mean, offsets):
         got = _raw_from_costs(spec, theta, costs, mean)
         want = 1.0 + theta * expit(alpha * costs - beta * mean)
     assert np.array_equal(got, want, equal_nan=True)
+
+
+def _assert_expit_bits(x: np.ndarray) -> None:
+    """_expit(x) has the bits of scipy's expit(x), NaN for NaN, and warns not."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _expit(x)
+    with np.errstate(all="ignore"):
+        want = expit(x)
+    same = (got.view(np.int64) == want.view(np.int64)) | (np.isnan(got) & np.isnan(want))
+    differ = np.flatnonzero(~same)
+    assert differ.size == 0, (differ.size, x[differ[:5]])
+
+
+@settings(PROPERTY, max_examples=100)
+@given(st.floats(-300.0, 300.0), st.integers(0, 2**32 - 1))
+def test_expit_kernel_equals_scipy_expit_in_the_window(log10_theta, seed):
+    # The window [log(2**-55 / |theta|), 40) of |theta| = 10**log10_theta,
+    # where _rrsl_raw takes the sigmoid.
+    floor = math.log(2.0**-55) - log10_theta * math.log(10.0)
+    assume(floor < 40.0)  # for |theta| below 1.2e-34 the window is empty
+    x = np.random.default_rng(seed).uniform(floor, 40.0, 2_000)
+    _assert_expit_bits(np.concatenate([[floor, np.nextafter(40.0, -np.inf)], x]))
+
+
+def test_expit_kernel_equals_scipy_expit_at_the_edges():
+    floors = [math.log(2.0**-55) - math.log(t) for t in (1e-300, 1e-12, 1.0, 1e6, 1e300)]
+    x = [0.0, -0.0, np.inf, -np.inf, np.nan, 40.0, np.nextafter(40.0, -np.inf)]
+    for floor in floors:
+        x += [floor, np.nextafter(floor, -np.inf), np.nextafter(floor, np.inf)]
+    # Across glibc's scaled cexp path (-x in [709.0, 709.78]), exp's overflow
+    # and the -708 switch to math.exp, on both sides of each.
+    grid = np.linspace(-745.0, -700.0, 100_001)
+    _assert_expit_bits(np.concatenate([x, grid, [-708.0, np.nextafter(-708.0, 0.0)]]))
 
 
 def test_nan_argument_still_raises_through_weight_vector():
