@@ -25,24 +25,24 @@ for z = [vech(P); vec(L)], warm-started at the zero-sensitivity solution.
 Every route ends with the stabilizing-root postcondition P > 0, P - Q >= 0
 and raises :class:`NumericalError` when it fails.
 
-Fixed-point solves run in lockstep. Each solve is a generator
-(:func:`_fixed_point_steps`) that yields every point at which it needs the
-maps; :func:`_lockstep` gathers the one point each solve in flight asks for
-and evaluates them (:func:`_evaluate`), one stacked pass for each group of
-problems that share n, m, bank size, weight family, alpha and beta, then
-hands each solve its result or the error it raised. Each check of a map
-evaluation (a non-finite cost, an RSL overflow, weights that cannot be
+Every route runs in lockstep. A solve is a generator that yields requests
+(kind, problem, points): kind ``maps`` asks for (F, G) at each (P, L) of
+``points``, kind ``residual`` for h at each z. :func:`_lockstep` evaluates
+the requests of every solve in flight at once (:func:`_evaluate`), one
+stacked pass per group of points of one kind whose problems share n, m,
+bank size, weight family, alpha and beta, and sends each solve its list of
+results or throws in the first error among them. The fixed-point route is
+:func:`_fixed_point_steps`; a Newton route is :func:`_newton_run`, one
+theta = 0 start per run of problems on one bank, then :func:`_newton_steps`,
+whose finite-difference Jacobian is one request of 2 dim points. Each check
+of an evaluation (a non-finite cost, an RSL overflow, weights that cannot be
 normalized, a weighted input cost that is not positive definite, a value
-map that is not finite or not symmetric) is one test on the whole stack
-that raises the first flagged problem's own :class:`NumericalError`. The
-checks are all or nothing: if one problem of a group fails, each problem of
-the group is evaluated again alone and gets its own result or error.
-:func:`fixed_point_solve` is the lockstep of one problem, and a sweep or a
-robustness study puts several in flight (:func:`fixed_point_solve_all`), so
-numpy's per-call overhead is paid once per round instead of once per
-problem. Each result is the same bits as the problem's own solve, because
-every stacked step is one whose result for an item does not depend on the
-others, as checked on an x86 VM (numpy 2.4, OpenBLAS):
+map or residual that is not finite, a value map that is not symmetric) is
+one test on the whole stack that raises the first flagged point's own
+:class:`NumericalError`; if one point of a group fails, each is evaluated
+again alone. Each result is the same bits as the point's own evaluation,
+because every stacked step is one whose result for an item does not depend
+on the others, as checked on an x86 VM (numpy 2.4, OpenBLAS):
 
 - elementwise operations;
 - ``add.reduce``, ``min`` and ``max`` along the last axis of a C-contiguous
@@ -112,14 +112,14 @@ DOMAIN_EIG_FLOOR = 1e-12
 #: Number of residual differences mixed by an Anderson step (Walker & Ni's m).
 ANDERSON_MEMORY = 5
 
-#: Bytes that fixed-point solves run in lockstep may hold beyond one solve's
-#: (see :func:`_footprint`). On the example system that is every point of an
-#: 11-point sweep on one 10k bank (640 KB each) and 19 of 20 redesigns on
-#: their own 2k banks (560 KB each, bank included). A problem whose own
-#: footprint is larger still runs, alone.
+#: Bytes that solves in lockstep may hold beyond one solve's (see
+#: :func:`_footprint`). On the example system that is all 11 fixed-point
+#: sweep points on one 10k bank (640 KB each), and 19 fixed-point or 6 Newton
+#: redesigns on their own 2k banks (560 KB or 1.7 MB each, bank included).
+#: A solve whose own footprint is larger still runs, alone.
 LOCKSTEP_BYTES = 5 * 2**21
 
-#: Bytes per draw of the temporaries of one map evaluation in a batch.
+#: Bytes per draw of the temporaries of one evaluation in a batch.
 _WORK_BYTES_PER_DRAW = 64
 
 
@@ -198,16 +198,20 @@ class DesignSolution:
     trace: tuple | None = None
 
 
-def _zpz_all(problems, values: np.ndarray, gains: np.ndarray, qs: np.ndarray, rs: np.ndarray):
-    """E_w[Z^T P Z], Z = [A B], of every problem at its policy, stacked.
+def _zpz_all(problems, values, gains):
+    """The stacked P, L, Q, R and E_w[Z^T P Z], Z = [A B], of every problem at its policy.
 
-    Problems share n, m and the bank size; ``qs`` and ``rs`` stack their
-    cost matrices. Each E_w[Z^T P Z] is read off its bank's moment at the
+    Problems share n, m and the bank size; ``values`` and ``gains`` list
+    their policies. Each E_w[Z^T P Z] is read off its bank's moment at the
     weights of its policy (the unweighted moment for RN and theta = 0, whose
     weights are exactly one); the weighted problems share weight family,
     alpha and beta. A weight check that fails raises (see
     :func:`~wsriccati.weights._weigh_all`).
     """
+    values = _stack([np.asarray(v, dtype=float) for v in values])
+    gains = _stack([np.asarray(g, dtype=float) for g in gains])
+    qs = _stack([p.q for p in problems])
+    rs = _stack([p.r for p in problems])
     moments = [p.bank.moment() for p in problems]
     weighted = [i for i, p in enumerate(problems) if not _unit_weights(p.weights, p.theta)]
     if weighted:
@@ -221,7 +225,7 @@ def _zpz_all(problems, values: np.ndarray, gains: np.ndarray, qs: np.ndarray, rs
         for i, problem, w in zip(weighted, sub, weights):
             moments[i] = problem.bank.moment(w)
     zpz = quadratic_expect(_stack(moments), values)
-    return 0.5 * (zpz + zpz.transpose(0, 2, 1))
+    return values, gains, qs, rs, 0.5 * (zpz + zpz.transpose(0, 2, 1))
 
 
 def _check_input_cost(ebpb_r: np.ndarray, floors: np.ndarray) -> None:
@@ -249,12 +253,8 @@ def _stacked_maps(problems, values, gains):
     flagged problem's own :class:`NumericalError`, so on a batch of one the
     error is the problem's own.
     """
-    values = _stack([np.asarray(v, dtype=float) for v in values])
+    values, gains, qs, rs, zpz = _zpz_all(problems, values, gains)
     n = values.shape[1]
-    gains = _stack([np.asarray(g, dtype=float) for g in gains])
-    qs = _stack([p.q for p in problems])
-    rs = _stack([p.r for p in problems])
-    zpz = _zpz_all(problems, values, gains, qs, rs)
     eapa, eapb, ebpb = zpz[:, :n, :n], zpz[:, :n, n:], zpz[:, n:, n:]
     ebpb_r = ebpb + rs
     _check_input_cost(ebpb_r, np.array([p._domain_floor for p in problems]))
@@ -262,38 +262,60 @@ def _stacked_maps(problems, values, gains):
     return _symmetrize_all(eapa + qs - eapb @ new_gain), new_gain
 
 
-def _evaluate(problems, values, gains) -> list:
-    """The maps (F, G) of every problem at its (P, L), a stacked pass per group.
+def _stacked_residuals(problems, zs) -> np.ndarray:
+    """The stacked residuals h(z) of problems that share n, m, bank size and weights.
 
-    Entry i is (F, G) for ``problems[i]`` at (``values[i]``, ``gains[i]``),
-    the same bits as :func:`_maps` gives for it alone, or the
-    :class:`NumericalError` that :func:`_maps` raises for it. Problems are
-    grouped by n, m, bank size, weight family, alpha and beta; a group of
-    several takes one pass of :func:`_stacked_maps`, and a group of one
-    calls :func:`_maps`. The checks are all or nothing: when the pass of a
-    group of several problems raises, each of them is evaluated again alone
-    and gets its own result or error.
+    Row i is h at ``zs[i]`` for ``problems[i]``, with the checks of
+    :func:`_stacked_maps` and one more: a non-finite entry raises.
     """
+    n, m = problems[0].n, problems[0].m
+    values, gains = zip(*(unpack_solution(z, n, m) for z in zs))
+    values, gains, qs, rs, zpz = _zpz_all(problems, values, gains)
+    k_mat = np.concatenate([np.broadcast_to(np.eye(n), (len(zs), n, n)), -gains], axis=1)
+    empm = k_mat.transpose(0, 2, 1) @ zpz @ k_mat  # E_w[(A-BL)^T P (A-BL)]
+    empm = 0.5 * (empm + empm.transpose(0, 2, 1))
+    f_mat = empm + gains.transpose(0, 2, 1) @ rs @ gains + qs - values
+    g_mat = (zpz[:, n:, n:] + rs) @ gains - zpz[:, :n, n:].transpose(0, 2, 1)
+    rows, cols, _ = _pair_index(n)
+    out = np.concatenate(
+        [f_mat[:, cols, rows], g_mat.transpose(0, 2, 1).reshape(len(zs), -1)], axis=1
+    )
+    if not np.isfinite(out).all():
+        raise NonFiniteError("residual is not finite")
+    return out
+
+
+def _evaluate(requests) -> list:
+    """Each request's list of results, one stacked pass per group of points.
+
+    A request is (kind, problem, points). Each result is the same bits as its
+    point gives alone (:func:`_maps`, :func:`implicit_residual`), or the
+    :class:`NumericalError` it raises alone: when a group's pass raises,
+    each of its points is evaluated again alone.
+    """
+    flat = [(kind, p, x) for kind, p, points in requests for x in points]
     groups: dict[tuple, list[int]] = {}
-    for i, p in enumerate(problems):
-        key = (p.n, p.m, p.bank.size, p.weights.family, p.weights.alpha, p.weights.beta)
+    for i, (kind, p, _) in enumerate(flat):
+        key = (kind, p.n, p.m, p.bank.size, p.weights.family, p.weights.alpha, p.weights.beta)
         groups.setdefault(key, []).append(i)
-    out: list = [None] * len(problems)
-    for idx in groups.values():
-        batch = [(problems[i], values[i], gains[i]) for i in idx]
+    out: list = [None] * len(flat)
+    for (kind, *_), idx in groups.items():
+        problems, points = [flat[i][1] for i in idx], [flat[i][2] for i in idx]
         try:
-            if len(batch) == 1:
-                results = [_maps(*batch[0])]
+            if kind == "residual":
+                results = list(_stacked_residuals(problems, points))
+            elif len(idx) == 1:
+                results = [_maps(problems[0], *points[0])]
             else:
-                new_value, new_gain = _stacked_maps(*zip(*batch))
-                results = zip(new_value, new_gain)
+                results = list(zip(*_stacked_maps(problems, *zip(*points))))
         except NumericalError as exc:
-            results = [exc] if len(batch) == 1 else [
-                _evaluate([p], [v], [g])[0] for p, v, g in batch
+            results = [exc] if len(idx) == 1 else [
+                _evaluate([(kind, p, [x])])[0][0] for p, x in zip(problems, points)
             ]
         for i, result in zip(idx, results):
             out[i] = result
-    return out
+    results = iter(out)
+    return [[next(results) for _ in points] for _, _, points in requests]
 
 
 def _symmetrize_all(arr: np.ndarray) -> np.ndarray:
@@ -353,13 +375,13 @@ def _check_stabilizing(value: np.ndarray, q: np.ndarray, label: str) -> None:
         )
 
 
-def _map_step(value, gain):
+def _map_step(problem: DesignProblem, value, gain):
     """Map image (F, G) of (P, L) and the fixed-point residual ||F-P||_F + ||G-L||_F.
 
-    A generator step of a solve: it yields (P, L) to the lockstep, which sends
-    back (F, G) or throws in the :class:`NumericalError` evaluating them raised.
+    A generator step of a solve: the lockstep sends back [(F, G)] or throws
+    in the :class:`NumericalError` evaluating the maps raised.
     """
-    new_value, new_gain = yield value, gain
+    ((new_value, new_gain),) = yield "maps", problem, [(value, gain)]
     return new_value, new_gain, _frobenius(new_value - value) + _frobenius(new_gain - gain)
 
 
@@ -389,7 +411,7 @@ def _anderson_step(problem: DesignProblem, points, images, best: float):
     if np.linalg.eigvalsh(value - problem.q).min() < 0.0:
         return None
     try:
-        new_value, new_gain, delta = yield from _map_step(value, gain)
+        new_value, new_gain, delta = yield from _map_step(problem, value, gain)
     except NumericalError:
         return None
     if not delta < best:
@@ -444,7 +466,7 @@ def _fixed_point_steps(
             trace.append((len(trace), value.copy(), gain.copy(), delta, res))
 
     record(float("nan"))
-    new_value, new_gain, delta = yield from _map_step(value, gain)
+    new_value, new_gain, delta = yield from _map_step(problem, value, gain)
     deltas = [delta]
     best = delta
     accelerated = False
@@ -488,7 +510,7 @@ def _fixed_point_steps(
                 kept = 0
         accelerated = step is not None
         if step is None:
-            step = (new_value, new_gain) + (yield from _map_step(new_value, new_gain))
+            step = (new_value, new_gain) + (yield from _map_step(problem, new_value, new_gain))
         value, gain, new_value, new_gain, step_delta = step
         record(delta)
         delta = step_delta
@@ -518,45 +540,43 @@ def _fixed_point_steps(
     )
 
 
-def _footprint(problem: DesignProblem, flight) -> int:
-    """Bytes that solving ``problem`` next to the problems in ``flight`` adds.
+def _footprint(problem: DesignProblem, flight, width: int = 1) -> int:
+    """Bytes that solving ``problem`` next to the solves in ``flight`` adds.
 
-    Its map evaluations need ``_WORK_BYTES_PER_DRAW`` per draw of its bank;
-    a bank that no problem in flight shares adds its draws and moment
-    features, unless nothing is in flight (one problem at a time holds one
-    bank anyway).
+    Each of the ``width`` points it can request at once needs
+    ``_WORK_BYTES_PER_DRAW`` per draw of its bank; a bank that no solve in
+    flight shares adds its draws and moment features, unless nothing is in
+    flight (one solve at a time holds one bank anyway).
     """
     bank = problem.bank
-    cost = _WORK_BYTES_PER_DRAW * bank.size
+    cost = _WORK_BYTES_PER_DRAW * bank.size * width
     if flight and all(item[1].bank is not bank for item in flight):
         cost += bank.a.nbytes + bank.b.nbytes + bank.phi.nbytes
     return cost
 
 
 def _lockstep(solves) -> list:
-    """Run fixed-point solves side by side, one batched map evaluation a round.
+    """Run solves side by side, one batched evaluation of their requests a round.
 
-    ``solves`` yields (problem, steps) pairs, ``steps`` a
-    :func:`_fixed_point_steps` generator; a pair is taken only when its
-    problem joins. Each round evaluates the maps at the one point every
-    solve in flight asks for, and sends each its result. A problem joins
-    while the bytes of those in flight and its own stay within
-    ``LOCKSTEP_BYTES`` (see :func:`_footprint`), and when a problem finishes
-    the next one joins. Returns each solve's :class:`DesignSolution`, or the
-    :class:`NumericalError` it raised, in input order; any other exception
-    propagates.
+    ``solves`` yields (problem, width, steps): a problem on the solve's bank,
+    the most points it requests at once and its generator, taken only when
+    the solve joins. Each round sends every solve in flight the list of its
+    results, or throws in the first error among them in point order. A solve
+    joins while the bytes in flight stay within ``LOCKSTEP_BYTES`` (see
+    :func:`_footprint`). Returns what each solve returned, or the
+    :class:`NumericalError` it raised, in input order; others propagate.
     """
     results: list = []
     flight: list[list] = []  # [index, problem, steps, request, footprint]
     held = 0
     pending = next(solves, None)
     # Every non-finite value hidden here is turned into a typed error by the
-    # checks of the map evaluation.
+    # checks of the evaluation.
     with np.errstate(over="ignore", invalid="ignore"):
         while flight or pending is not None:
             while pending is not None:
-                problem, steps = pending
-                cost = _footprint(problem, flight)
+                problem, width, steps = pending
+                cost = _footprint(problem, flight, width)
                 if flight and held + cost > LOCKSTEP_BYTES:
                     break
                 results.append(None)
@@ -568,16 +588,13 @@ def _lockstep(solves) -> list:
                 pending = next(solves, None)
             if not flight:
                 continue
-            values, gains = zip(*(item[3] for item in flight))
-            outcomes = _evaluate([item[1] for item in flight], values, gains)
+            outcomes = _evaluate([item[3] for item in flight])
             still = []
             for item, outcome in zip(flight, outcomes):
                 steps = item[2]
+                error = next((x for x in outcome if isinstance(x, NumericalError)), None)
                 try:
-                    if isinstance(outcome, NumericalError):
-                        item[3] = steps.throw(outcome)
-                    else:
-                        item[3] = steps.send(outcome)
+                    item[3] = steps.send(outcome) if error is None else steps.throw(error)
                     still.append(item)
                     continue
                 except StopIteration as stop:
@@ -587,6 +604,14 @@ def _lockstep(solves) -> list:
                 held -= item[4]
             flight = still
     return results
+
+
+def _drive(problem: DesignProblem, steps):
+    """What the one solve ``steps`` on ``problem`` returns, run alone; its error raises."""
+    (result,) = _lockstep(iter([(problem, 1, steps)]))
+    if isinstance(result, NumericalError):
+        raise result
+    return result
 
 
 def fixed_point_solve(
@@ -621,15 +646,10 @@ def fixed_point_solve(
     The start must be positive semidefinite; the default is (0, 0). With
     ``record_trace`` the trace holds the start, one row per accepted iterate
     and the returned pair, each with the residual of the iterate before it.
-    This is the lockstep of :func:`fixed_point_solve_all` on one problem.
+    This is the lockstep of :func:`solve_all` on one problem.
     """
-    steps = _fixed_point_steps(
-        problem, value0, gain0, tol, max_iters, residual_tol, record_trace, 0
-    )
-    (result,) = _lockstep(iter([(problem, steps)]))
-    if isinstance(result, NumericalError):
-        raise result
-    return result
+    return _drive(problem, _fixed_point_steps(problem, value0, gain0, tol, max_iters,
+                                              residual_tol, record_trace, 0))
 
 
 def fixed_point_solve_all(
@@ -639,21 +659,8 @@ def fixed_point_solve_all(
     max_iters: int = DEFAULT_FP_MAX_ITERS,
     residual_tol: float = DEFAULT_RESIDUAL_TOL,
 ) -> list:
-    """:func:`fixed_point_solve` from (0, 0) on each problem, solved in lockstep.
-
-    Each problem runs the control flow of :func:`fixed_point_solve`
-    unchanged, but the problems in flight share one stacked map evaluation
-    per round (see :func:`_lockstep`), so each result is the same bits as its
-    own solve. ``problems`` may be any iterable; it is read only as problems
-    join, so a generator can build each problem (and draw its bank) just in
-    time. Returns, in input order, each :class:`DesignSolution` or the
-    :class:`NumericalError` its solve raised.
-    """
-    return _lockstep(
-        (problem, _fixed_point_steps(problem, None, None, tol, max_iters, residual_tol,
-                                     False, k))
-        for k, problem in enumerate(problems)
-    )
+    """:func:`solve_all` under the fixed-point route."""
+    return solve_all(problems, fp_tol=tol, fp_max_iters=max_iters, residual_tol=residual_tol)
 
 
 def pack_solution(value, gain) -> np.ndarray:
@@ -675,35 +682,24 @@ def unpack_solution(z: np.ndarray, n: int, m: int) -> tuple[np.ndarray, np.ndarr
 
 
 def implicit_residual(z, problem: DesignProblem, theta=None) -> np.ndarray:
-    """Stacked residual h(z) whose root is the design solution (at ``theta`` if given)."""
+    """Residual h(z) whose root is the design solution (at ``theta`` if given): one row."""
     if theta is not None:
         problem = problem.with_theta(theta)
-    n, m = problem.n, problem.m
-    value, gain = unpack_solution(z, n, m)
-    zpz = _zpz_all([problem], value[None], gain[None], problem.q[None], problem.r[None])[0]
-    k_mat = np.concatenate([np.eye(n), -gain])
-    empm = k_mat.T @ zpz @ k_mat  # E_w[(A-BL)^T P (A-BL)]
-    empm = 0.5 * (empm + empm.T)
-    eapb, ebpb = zpz[:n, n:], zpz[n:, n:]
-    f_part = vech(empm + gain.T @ problem.r @ gain + problem.q - value)
-    g_mat = (ebpb + problem.r) @ gain - eapb.T
-    g_part = g_mat.reshape(-1, order="F")
-    return np.concatenate([f_part, g_part])
+    return _stacked_residuals([problem], [z])[0]
 
 
-def _fd_jacobian(z: np.ndarray, problem: DesignProblem) -> np.ndarray:
-    dim = z.size
-    jac = np.empty((dim, dim))
-    step_base = float(np.finfo(float).eps) ** (1.0 / 3.0)
-    for j in range(dim):
-        h = step_base * max(1.0, abs(float(z[j])))
-        zp = z.copy()
-        zp[j] += h
-        zm = z.copy()
-        zm[j] -= h
-        diff = implicit_residual(zp, problem) - implicit_residual(zm, problem)
-        jac[:, j] = diff / (2.0 * h)
-    return jac
+def _fd_jacobian(z: np.ndarray, problem: DesignProblem):
+    """Central differences of the residual at ``z``, as a generator.
+
+    The points z + h_j e_j and z - h_j e_j of every j are one request.
+    """
+    steps = float(np.finfo(float).eps) ** (1.0 / 3.0) * np.maximum(1.0, np.abs(z))
+    points = np.repeat(z[None], 2 * z.size, axis=0)
+    j = np.arange(z.size)
+    points[2 * j, j] += steps
+    points[2 * j + 1, j] -= steps
+    residuals = np.array((yield "residual", problem, points))
+    return (residuals[0::2] - residuals[1::2]).T / (2.0 * steps)
 
 
 def _analytic_jacobian_theta0(z: np.ndarray, problem: DesignProblem) -> np.ndarray:
@@ -715,27 +711,19 @@ def _analytic_jacobian_theta0(z: np.ndarray, problem: DesignProblem) -> np.ndarr
     bank = problem.bank
     head = n * (n + 1) // 2
     operator, zsc = _closed_loop_operator(bank.moment(), gain)
-    zpz = _zpz_all([problem], value[None], gain[None], problem.q[None], problem.r[None])[0]
+    zpz = _zpz_all([problem], [value], [gain])[-1][0]
     eapb, ebpb = zpz[:n, n:], zpz[n:, n:]
     ebpb_r = ebpb + problem.r
     s_mat = ebpb_r @ gain - eapb.T
     t_mat = gain.T @ ebpb_r - eapb
 
     df_dvalue = operator - np.eye(head)
-    df_dgain = np.empty((head, m * n))
-    col = 0
-    for j in range(n):
-        for i in range(m):
-            unit = np.zeros((m, n))
-            unit[i, j] = 1.0
-            df_dgain[:, col] = vech(unit.T @ s_mat + t_mat @ unit)
-            col += 1
+    # The unit gain directions in vec order: column j * m + i is E_ij.
+    units = np.eye(m * n).reshape(m * n, n, m).transpose(0, 2, 1)
+    df_dgain = np.stack([vech(u.T @ s_mat + t_mat @ u) for u in units], axis=1)
     dg_dvalue = -zsc[:, n:, :].transpose(0, 2, 1).reshape(head, m * n).T
     dg_dgain = np.kron(np.eye(n), ebpb_r)
-
-    top = np.hstack([df_dvalue, df_dgain])
-    bottom = np.hstack([dg_dvalue, dg_dgain])
-    return np.vstack([top, bottom])
+    return np.block([[df_dvalue, df_dgain], [dg_dvalue, dg_dgain]])
 
 
 def residual_jacobian(z, problem: DesignProblem, mode: str = "finite-diff") -> np.ndarray:
@@ -747,14 +735,67 @@ def residual_jacobian(z, problem: DesignProblem, mode: str = "finite-diff") -> n
     """
     z = np.asarray(z, dtype=float).reshape(-1)
     if mode == "finite-diff":
-        return _fd_jacobian(z, problem)
+        return _drive(problem, _fd_jacobian(z, problem))
     if mode == "analytic-theta0":
         if problem.theta != 0.0:
-            raise ConfigurationError(
-                "analytic-theta0 Jacobian is only valid at theta = 0"
-            )
+            raise ConfigurationError("analytic-theta0 Jacobian is only valid at theta = 0")
         return _analytic_jacobian_theta0(z, problem)
     raise ConfigurationError(f"unknown Jacobian mode {mode!r}")
+
+
+def _newton_steps(problem: DesignProblem, z: np.ndarray, tol: float, max_iters: int):
+    """The damped Newton iteration of :func:`newton_solve` from ``z``, as a generator.
+
+    The start, the Jacobian (:func:`_fd_jacobian`) and each line-search trial
+    are residual requests.
+    """
+    (residual,) = yield "residual", problem, [z]
+    norm = float(np.linalg.norm(residual))
+    history = [norm]
+    while norm >= tol:
+        iterations = len(history) - 1
+        if iterations >= max_iters:
+            raise ConvergenceError(
+                f"Newton did not reach tolerance in {max_iters} iterations "
+                f"(residual {norm:.3e})",
+                history=tuple(history),
+            )
+        jac = yield from _fd_jacobian(z, problem)
+        try:
+            step = np.linalg.solve(jac, residual)
+        except np.linalg.LinAlgError as exc:
+            cond = float(np.linalg.cond(jac))
+            raise SingularJacobianError(
+                f"singular Jacobian at iteration {iterations} "
+                f"(condition estimate {cond:.3e})",
+                condition_estimate=cond,
+            ) from exc
+        for halvings in range(DEFAULT_MAX_HALVINGS + 1):
+            candidate = z - 0.5**halvings * step
+            (cand_res,) = yield "residual", problem, [candidate]
+            cand_norm = float(np.linalg.norm(cand_res))
+            if cand_norm < norm:
+                break
+        else:
+            raise ConvergenceError(
+                f"Newton made no progress after {DEFAULT_MAX_HALVINGS} halvings "
+                f"(residual {norm:.3e})",
+                history=tuple(history),
+            )
+        z, residual, norm = candidate, cand_res, cand_norm
+        history.append(norm)
+
+    value, gain = unpack_solution(z, problem.n, problem.m)
+    value = symmetrize(value)
+    _check_stabilizing(value, problem.q, "Newton solve")
+    return DesignSolution(
+        value=value,
+        gain=gain,
+        method="newton",
+        iterations=len(history) - 1,
+        residual=norm,
+        deltas=tuple(history),
+    )
 
 
 def newton_solve(
@@ -770,68 +811,15 @@ def newton_solve(
     the fixed-point route and used as the start, which is the initialization
     with a convergence guarantee near theta = 0. Steps are halved (at most
     ``DEFAULT_MAX_HALVINGS`` times) whenever the residual norm fails to
-    decrease.
+    decrease. This is :func:`_newton_steps` run alone.
     """
     if theta is not None:
         problem = problem.with_theta(theta)
     if z0 is None:
         base = fixed_point_solve(problem.with_theta(0.0))
-        z = pack_solution(base.value, base.gain)
-    else:
-        z = np.asarray(z0, dtype=float).reshape(-1).copy()
-
-    residual = implicit_residual(z, problem)
-    norm = float(np.linalg.norm(residual))
-    history = [norm]
-    iterations = 0
-    while norm >= tol:
-        if iterations >= max_iters:
-            raise ConvergenceError(
-                f"Newton did not reach tolerance in {max_iters} iterations "
-                f"(residual {norm:.3e})",
-                history=tuple(history),
-            )
-        jac = residual_jacobian(z, problem)
-        try:
-            step = np.linalg.solve(jac, residual)
-        except np.linalg.LinAlgError as exc:
-            cond = float(np.linalg.cond(jac))
-            raise SingularJacobianError(
-                f"singular Jacobian at iteration {iterations} "
-                f"(condition estimate {cond:.3e})",
-                condition_estimate=cond,
-            ) from exc
-        scale = 1.0
-        accepted = False
-        for _ in range(DEFAULT_MAX_HALVINGS + 1):
-            candidate = z - scale * step
-            cand_res = implicit_residual(candidate, problem)
-            cand_norm = float(np.linalg.norm(cand_res))
-            if cand_norm < norm:
-                accepted = True
-                break
-            scale *= 0.5
-        if not accepted:
-            raise ConvergenceError(
-                f"Newton made no progress after {DEFAULT_MAX_HALVINGS} halvings "
-                f"(residual {norm:.3e})",
-                history=tuple(history),
-            )
-        z, residual, norm = candidate, cand_res, cand_norm
-        history.append(norm)
-        iterations += 1
-
-    value, gain = unpack_solution(z, problem.n, problem.m)
-    value = symmetrize(value)
-    _check_stabilizing(value, problem.q, "Newton solve")
-    return DesignSolution(
-        value=value,
-        gain=gain,
-        method="newton",
-        iterations=iterations,
-        residual=norm,
-        deltas=tuple(history),
-    )
+        z0 = pack_solution(base.value, base.gain)
+    steps = _newton_steps(problem, np.array(z0, dtype=float).reshape(-1), tol, max_iters)
+    return _drive(problem, steps)
 
 
 def _theta_steps(problem: DesignProblem, method: str, continuation) -> tuple[float, ...]:
@@ -873,26 +861,68 @@ def solve(
     then the target). A Newton route is :func:`solve_all` on one problem.
     """
     if method == "fixed-point":
-        return fixed_point_solve(
-            problem,
-            tol=fp_tol,
-            max_iters=fp_max_iters,
-            residual_tol=residual_tol,
-            record_trace=record_trace,
-        )
+        return fixed_point_solve(problem, None, None, fp_tol, fp_max_iters, residual_tol,
+                                 record_trace)
     (result,) = solve_all(
-        [problem],
-        method,
-        fp_tol=fp_tol,
-        fp_max_iters=fp_max_iters,
-        residual_tol=residual_tol,
-        newton_tol=newton_tol,
-        newton_max_iters=newton_max_iters,
+        [problem], method, fp_tol=fp_tol, fp_max_iters=fp_max_iters,
+        residual_tol=residual_tol, newton_tol=newton_tol, newton_max_iters=newton_max_iters,
         continuation=continuation,
     )
     if isinstance(result, NumericalError):
         raise result
     return result
+
+
+def _newton_solves(problems, method: str, continuation, fp_options, newton_options):
+    """The lockstep's (problem, width, steps) for each run of the Newton routes.
+
+    A run lists (problem, theta grid) for consecutive problems on the same
+    bank and cost matrices; the lockstep reads the next solve once one joins,
+    so the list is complete before the run's start ends. Banks are compared
+    with ``is`` to a problem the run holds: a freed bank's ``id`` is reused.
+    """
+    run: list = []
+    label = -1  # the run's index, which names its start in the DEBUG lines
+    for problem in problems:
+        grid = _theta_steps(problem, method, continuation)
+        owner = run[0][0] if run else problem
+        same = problem.bank is owner.bank and np.array_equal(problem.q, owner.q)
+        if run and same and np.array_equal(problem.r, owner.r):
+            run.append((problem, grid))
+            continue
+        run = [(problem, grid)]
+        label += 1
+        width = 2 * (problem.n * (problem.n + 1) // 2 + problem.m * problem.n)
+        yield problem, width, _newton_run(run, method, fp_options, newton_options, label)
+
+
+def _newton_run(run, method: str, fp_options, newton_options, label: int):
+    """A Newton route on each problem of ``run`` from one theta = 0 start, as a generator.
+
+    Each problem runs Newton through its theta grid, each step from the
+    solution of the one before. Returns each problem's solution or error; a
+    start that fails is the error of every problem of the run.
+    """
+    try:
+        start = yield from _fixed_point_steps(
+            run[0][0].with_theta(0.0), None, None, *fp_options, False, label
+        )
+    except NumericalError as exc:
+        return [exc] * len(run)
+    results = []
+    for problem, grid in run:
+        z = pack_solution(start.value, start.gain)
+        iterations = 0
+        try:
+            for theta in grid:
+                solution = yield from _newton_steps(problem.with_theta(theta), z, *newton_options)
+                z = pack_solution(solution.value, solution.gain)
+                iterations += solution.iterations
+        except NumericalError as exc:
+            results.append(exc)
+            continue
+        results.append(dataclasses.replace(solution, method=method, iterations=iterations))
+    return results
 
 
 def solve_all(
@@ -908,51 +938,20 @@ def solve_all(
 ) -> list:
     """:func:`solve` on each problem: its solution or the NumericalError it raised.
 
-    Results are in input order. The fixed-point route solves the problems in
-    lockstep (:func:`fixed_point_solve_all`), each to the same bits as alone.
-    The Newton routes solve them one at a time, each after its theta grid
-    is checked. Each run of consecutive problems on the same bank and cost
-    matrices (a sweep's points) shares one theta = 0 fixed-point start, and
-    a start that fails is the error of every problem of its run.
-    ``problems`` may be a generator, read as problems are solved.
+    Results are in input order, each the same bits as the problem's own
+    solve, and every route runs in lockstep. Under a Newton route each run
+    of consecutive problems on the same bank and cost matrices (a sweep's
+    points) is one solve (:func:`_newton_run`): one theta = 0 fixed-point
+    start, then Newton on each problem in turn. ``problems`` may be a
+    generator, read as problems join.
     """
+    fp_options = (fp_tol, fp_max_iters, residual_tol)
     if method == "fixed-point":
-        return fixed_point_solve_all(
-            problems, tol=fp_tol, max_iters=fp_max_iters, residual_tol=residual_tol
+        return _lockstep(
+            (problem, 1, _fixed_point_steps(problem, None, None, *fp_options, False, k))
+            for k, problem in enumerate(problems)
         )
-    results: list = []
-    owner = None  # the problem whose theta = 0 solution ``start`` is
-    for problem in problems:
-        steps = _theta_steps(problem, method, continuation)
-        if owner is None or not (
-            problem.bank is owner.bank
-            and np.array_equal(problem.q, owner.q)
-            and np.array_equal(problem.r, owner.r)
-        ):
-            owner = problem
-            try:
-                start = fixed_point_solve(
-                    problem.with_theta(0.0),
-                    tol=fp_tol,
-                    max_iters=fp_max_iters,
-                    residual_tol=residual_tol,
-                )
-            except NumericalError as exc:
-                start = exc
-        if isinstance(start, NumericalError):
-            results.append(start)
-            continue
-        z = pack_solution(start.value, start.gain)
-        iterations = 0
-        try:
-            for theta in steps:
-                solution = newton_solve(
-                    problem, theta=theta, z0=z, tol=newton_tol, max_iters=newton_max_iters
-                )
-                z = pack_solution(solution.value, solution.gain)
-                iterations += solution.iterations
-        except NumericalError as exc:
-            results.append(exc)
-            continue
-        results.append(dataclasses.replace(solution, method=method, iterations=iterations))
-    return results
+    solves = _newton_solves(
+        problems, method, continuation, fp_options, (newton_tol, newton_max_iters)
+    )
+    return [result for run in _lockstep(solves) for result in run]

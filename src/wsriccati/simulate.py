@@ -277,12 +277,13 @@ def robustness_study(
     that fail are recorded and excluded from the statistics; at least two
     must succeed for a standard deviation to exist.
 
-    The designs run through :func:`~wsriccati.riccati.solve_all`, so the
-    fixed-point route solves several in lockstep, each to the same bits as
-    alone. Bank k is drawn only when design k joins, and the lockstep's
-    byte budget (``riccati.LOCKSTEP_BYTES``) bounds the banks held at once:
-    19 of the example system's 2k banks, however many ``repetitions`` there
-    are.
+    The designs run through :func:`~wsriccati.riccati.solve_all`, so every
+    route solves several in lockstep, each to the same bits as alone; under
+    a Newton route each bank has its own theta = 0 start. Bank k is drawn
+    only when design k joins, and the lockstep's byte budget
+    (``riccati.LOCKSTEP_BYTES``) bounds the banks held at once: 19 of the
+    example system's 2k banks under the fixed-point route and 6 under a
+    Newton route, however many ``repetitions`` there are.
     """
     if repetitions < 2:
         raise ConfigurationError("repetitions must be >= 2")

@@ -25,20 +25,33 @@ each, the package path it checks:
   (0, 0) as a plain loop, one problem and one ``riccati._maps`` call at a
   time; ``riccati.fixed_point_solve_all`` must give the same bits for each
   problem it solves in lockstep.
+- :func:`sequential_newton_solve`: the Newton routes of ``riccati.solve_all``
+  as plain loops, one problem and one ``riccati.implicit_residual`` call at
+  a time; ``riccati.solve_all`` must give the same bits for each problem it
+  solves in lockstep.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from wsriccati.ensemble import SampleBank
-from wsriccati.errors import ConvergenceError, NonFiniteError, NumericalError
+from wsriccati.errors import (
+    ConvergenceError,
+    NonFiniteError,
+    NumericalError,
+    SingularJacobianError,
+)
 from wsriccati.matops import as_matrix, duplication_matrix, elimination_matrix, symmetrize
 from wsriccati.riccati import (
     ANDERSON_MEMORY,
+    DEFAULT_MAX_HALVINGS,
     DesignSolution,
     _check_stabilizing,
     _maps,
+    _theta_steps,
     implicit_residual,
     pack_solution,
     unpack_solution,
@@ -215,3 +228,121 @@ def sequential_fixed_point_solve(problem, tol, max_iters, residual_tol) -> Desig
         residual=residual,
         deltas=tuple(deltas),
     )
+
+
+def _fd_jacobian(z, problem) -> np.ndarray:
+    """Central differences of the residual, one column and two residuals at a time."""
+    dim = z.size
+    jac = np.empty((dim, dim))
+    step_base = float(np.finfo(float).eps) ** (1.0 / 3.0)
+    for j in range(dim):
+        h = step_base * max(1.0, abs(float(z[j])))
+        zp = z.copy()
+        zp[j] += h
+        zm = z.copy()
+        zm[j] -= h
+        diff = implicit_residual(zp, problem) - implicit_residual(zm, problem)
+        jac[:, j] = diff / (2.0 * h)
+    return jac
+
+
+def _newton(problem, z, tol, max_iters) -> DesignSolution:
+    """Damped Newton from ``z``, one residual evaluation at a time."""
+    residual = implicit_residual(z, problem)
+    norm = float(np.linalg.norm(residual))
+    history = [norm]
+    iterations = 0
+    while norm >= tol:
+        if iterations >= max_iters:
+            raise ConvergenceError(
+                f"Newton did not reach tolerance in {max_iters} iterations "
+                f"(residual {norm:.3e})",
+                history=tuple(history),
+            )
+        jac = _fd_jacobian(z, problem)
+        try:
+            step = np.linalg.solve(jac, residual)
+        except np.linalg.LinAlgError as exc:
+            cond = float(np.linalg.cond(jac))
+            raise SingularJacobianError(
+                f"singular Jacobian at iteration {iterations} "
+                f"(condition estimate {cond:.3e})",
+                condition_estimate=cond,
+            ) from exc
+        scale = 1.0
+        accepted = False
+        for _ in range(DEFAULT_MAX_HALVINGS + 1):
+            candidate = z - scale * step
+            cand_res = implicit_residual(candidate, problem)
+            cand_norm = float(np.linalg.norm(cand_res))
+            if cand_norm < norm:
+                accepted = True
+                break
+            scale *= 0.5
+        if not accepted:
+            raise ConvergenceError(
+                f"Newton made no progress after {DEFAULT_MAX_HALVINGS} halvings "
+                f"(residual {norm:.3e})",
+                history=tuple(history),
+            )
+        z, residual, norm = candidate, cand_res, cand_norm
+        history.append(norm)
+        iterations += 1
+
+    value, gain = unpack_solution(z, problem.n, problem.m)
+    value = symmetrize(value)
+    _check_stabilizing(value, problem.q, "Newton solve")
+    return DesignSolution(
+        value=value,
+        gain=gain,
+        method="newton",
+        iterations=iterations,
+        residual=norm,
+        deltas=tuple(history),
+    )
+
+
+def sequential_newton_solve(
+    problems, method, continuation, fp_tol, fp_max_iters, residual_tol, newton_tol,
+    newton_max_iters,
+) -> list:
+    """The Newton routes on each problem in turn: its solution or its NumericalError.
+
+    Each run of consecutive problems on the same bank and cost matrices
+    shares one theta = 0 start (:func:`sequential_fixed_point_solve`), and a
+    start that fails is the error of every problem of its run. Each problem
+    then runs Newton through its theta grid, each step from the solution of
+    the one before.
+    """
+    results: list = []
+    owner = None  # the problem whose theta = 0 solution ``start`` is
+    with np.errstate(over="ignore", invalid="ignore"):
+        for problem in problems:
+            steps = _theta_steps(problem, method, continuation)
+            if owner is None or not (
+                problem.bank is owner.bank
+                and np.array_equal(problem.q, owner.q)
+                and np.array_equal(problem.r, owner.r)
+            ):
+                owner = problem
+                try:
+                    start = sequential_fixed_point_solve(
+                        problem.with_theta(0.0), fp_tol, fp_max_iters, residual_tol
+                    )
+                except NumericalError as exc:
+                    start = exc
+            if isinstance(start, NumericalError):
+                results.append(start)
+                continue
+            z = pack_solution(start.value, start.gain)
+            iterations = 0
+            try:
+                for theta in steps:
+                    solution = _newton(problem.with_theta(theta), z, newton_tol, newton_max_iters)
+                    z = pack_solution(solution.value, solution.gain)
+                    iterations += solution.iterations
+            except NumericalError as exc:
+                results.append(exc)
+                continue
+            results.append(dataclasses.replace(solution, method=method, iterations=iterations))
+    return results

@@ -1,12 +1,13 @@
-"""Fixed-point solves run in lockstep give each problem its own solve's bits.
+"""Solves run in lockstep give each problem its own solve's bits.
 
-``fixed_point_solve_all`` drives several problems through the control flow
-of ``fixed_point_solve`` and evaluates the maps of all of them in one
-stacked pass per round. Every result, solution or error, must equal the
-sequential oracle in ``tests/reference.py`` bit for bit, whatever the
-number of problems in flight.
+``solve_all`` drives several solves, fixed-point or Newton, through their
+own control flow and evaluates the maps and residuals all of them ask for in
+one stacked pass per round. Every result, solution or error, must equal the
+sequential oracles in ``tests/reference.py`` bit for bit, whatever the
+number of solves in flight.
 """
 
+import dataclasses
 import functools
 import hashlib
 import logging
@@ -14,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
@@ -29,7 +31,7 @@ from wsriccati.errors import (
 )
 
 from conftest import MEAN_A, MEAN_B, Q2, R1
-from reference import sequential_fixed_point_solve
+from reference import sequential_fixed_point_solve, sequential_newton_solve
 from test_cli import base_config, write_config
 
 # Shrinking would rerun whole solves many times over; a failing example is
@@ -118,12 +120,18 @@ def _assert_same(got, want):
     )
 
 
-def _in_lockstep(problems, window, **kwargs):
-    """fixed_point_solve_all with exactly ``window`` problems in flight."""
+def _evaluate_maps(problems, values, gains) -> list:
+    """riccati._evaluate with one maps request per problem: each (F, G) or error."""
+    requests = [("maps", p, [(v, g)]) for p, v, g in zip(problems, values, gains)]
+    return [outcome for (outcome,) in riccati._evaluate(requests)]
+
+
+def _in_lockstep(problems, window, solve=ws.fixed_point_solve_all, **kwargs):
+    """``solve`` (fixed_point_solve_all) with exactly ``window`` solves in flight."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(riccati, "_footprint", lambda problem, flight: 1)
+        mp.setattr(riccati, "_footprint", lambda problem, flight, width: 1)
         mp.setattr(riccati, "LOCKSTEP_BYTES", window)
-        return ws.fixed_point_solve_all(iter(problems), **kwargs)
+        return solve(iter(problems), **kwargs)
 
 
 @PROPERTY
@@ -146,7 +154,7 @@ def test_stacked_evaluation_matches_maps_of_each_problem(problems):
         root = rng.standard_normal((problem.n, problem.n))
         values.append(50.0 * root @ root.T + problem.q)
         gains.append(rng.standard_normal((problem.m, problem.n)))
-    got = riccati._evaluate(problems, values, gains)
+    got = _evaluate_maps(problems, values, gains)
     for problem, value, gain, result in zip(problems, values, gains, got):
         try:
             want = riccati._maps(problem, value, gain)
@@ -155,6 +163,35 @@ def test_stacked_evaluation_matches_maps_of_each_problem(problems):
             continue
         assert np.array_equal(result[0], want[0])
         assert np.array_equal(result[1], want[1])
+    # The residual kind, two points a request, in one call with the maps.
+    points = [
+        [ws.pack_solution(value, gain), ws.pack_solution(2.0 * value, -gain)]
+        for value, gain in zip(values, gains)
+    ]
+    requests = [("residual", p, z) for p, z in zip(problems, points)]
+    requests += [("maps", p, [(v, g)]) for p, v, g in zip(problems, values, gains)]
+    mixed = riccati._evaluate(requests)
+    for result, (outcome,) in zip(got, mixed[len(problems):]):
+        assert type(outcome) is type(result)
+        if not isinstance(result, NumericalError):
+            assert np.array_equal(outcome[0], result[0])
+            assert np.array_equal(outcome[1], result[1])
+    for problem, zs, outcome in zip(problems, points, mixed):
+        assert len(outcome) == len(zs)
+        for z, result in zip(zs, outcome):
+            _assert_same_residual(result, problem, z)
+
+
+def _assert_same_residual(result, problem, z):
+    """``result`` is implicit_residual at z alone, in bits or in error."""
+    try:
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = ws.implicit_residual(z, problem)
+    except NumericalError as exc:
+        assert type(result) is type(exc) and str(result) == str(exc)
+        return
+    assert not isinstance(result, NumericalError), result
+    assert np.array_equal(result, want)
 
 
 def test_one_failing_problem_never_aborts_the_others():
@@ -208,7 +245,7 @@ def test_every_failure_kind_inside_one_stacked_batch():
     problems = [problem for _, problem, _, _ in cases]
     values = [value for _, _, value, _ in cases]
     with np.errstate(invalid="ignore"):  # the infinite value entry meets zeros
-        got = riccati._evaluate(problems, values, [gain] * len(cases))
+        got = _evaluate_maps(problems, values, [gain] * len(cases))
     messages = set()
     for (label, problem, value, kind), result in zip(cases, got):
         try:
@@ -225,6 +262,24 @@ def test_every_failure_kind_inside_one_stacked_batch():
     assert any(message.startswith("raw weight negative") for message in messages)
     assert "all raw weights are zero; normalization impossible" in messages
     assert len(messages) == 5
+    # The same points as residual requests, each group one stacked pass
+    # beside the maps; an RN residual at an infinite value is not finite.
+    cases.append(("non-finite residual", _weighted("RN", 0.0), inf_value, NonFiniteError))
+    inf_z = ws.pack_solution(healthy, gain)
+    inf_z[0] = np.inf  # P[0, 0], as in inf_value
+    zs = [inf_z if v is inf_value else ws.pack_solution(v, gain) for _, _, v, _ in cases]
+    requests = [("maps", p, [(v, gain)]) for _, p, v, _ in cases]
+    requests += [("residual", p, [z]) for (_, p, _, _), z in zip(cases, zs)]
+    with np.errstate(invalid="ignore"):
+        mixed = riccati._evaluate(requests)
+    outcomes = [outcome for (outcome,) in mixed[len(cases):]]
+    for (_, problem, _, _), z, result in zip(cases, zs, outcomes):
+        _assert_same_residual(result, problem, z)
+    failed = {label for (label, *_), result in zip(cases, outcomes)
+              if isinstance(result, NumericalError)}
+    assert {"non-finite cost", "RSL overflow", "non-finite residual"} <= failed
+    assert not {"healthy RN", "healthy RSL", "healthy RRSL"} & failed
+    assert str(outcomes[-1]) == "residual is not finite"
 
 
 def test_fixed_point_solve_all_default_window_matches_solo_solves(rrsl_problem_2k):
@@ -244,13 +299,13 @@ EXAMPLE_ROBUSTNESS_PINNED = {
 
 
 def _spy_on_evaluate(monkeypatch) -> list:
-    """Patch riccati._evaluate to record the number of problems of each call."""
+    """Patch riccati._evaluate to record the number of requests of each call."""
     sizes = []
     evaluate = riccati._evaluate
 
-    def spy(problems, values, gains):
-        sizes.append(len(problems))
-        return evaluate(problems, values, gains)
+    def spy(requests):
+        sizes.append(len(requests))
+        return evaluate(requests)
 
     monkeypatch.setattr(riccati, "_evaluate", spy)
     return sizes
@@ -277,6 +332,71 @@ def test_problem_larger_than_the_budget_runs_alone(rrsl_problem_2k, monkeypatch)
         _assert_same(result, ws.fixed_point_solve(problem))
 
 
+#: sha256 of the files ``robustness`` writes on configs/example.yaml under
+#: each Newton route at task seeds 7 and 42 (seed 42's repetition 6 fails
+#: under ``newton``); taken when the routes solved one problem at a time.
+NEWTON_ROBUSTNESS_PINNED = {
+    ("newton", 7): (
+        "18cd4ccee63b6ad80feab592c55852e38b08d2ff80e45cbd9871fe1eb1d43558",
+        "1fe455f68565938b730befc8b451196717381f93d6ee0318e9b648a301912a3c",
+    ),
+    ("newton", 42): (
+        "80a3eac6025866b61846ad93899e5be51321ac2d0c05a52a8d86f9c1413f1d23",
+        "a7bae14ce6f111a1470568796a9cbea012d60c2b9af24ae0148a65acba21b395",
+    ),
+    ("newton-continuation", 7): (
+        "334dabbd9650469fbcbea753e6daeb84088f68641b1fb57d2dd97169b0e0e451",
+        "911353f08cdbda85c098864b5d91c69c535fe48504ea934c42efdf7832e4e5f8",
+    ),
+    ("newton-continuation", 42): (
+        "74c9e0fb6f24fa0d3fc2685c211d8fc7ec58e3b886ab03974c7713751895bdf8",
+        "d473f8a925f267f4c1fb281b0d7ff0c7d82be5a6e00cea6ca63fad92655efb2a",
+    ),
+}
+
+
+def _spy_on_bytes_in_flight(monkeypatch) -> list:
+    """Patch riccati._evaluate to record (requests, bytes in flight) of each round.
+
+    The bytes are each point's work (``_WORK_BYTES_PER_DRAW`` per draw) and
+    every bank but one, which the budget leaves out: a lower bound of what
+    the lockstep counts against ``LOCKSTEP_BYTES``.
+    """
+    rounds = []
+    evaluate = riccati._evaluate
+
+    def spy(requests):
+        work = sum(
+            riccati._WORK_BYTES_PER_DRAW * p.bank.size * len(points)
+            for _, p, points in requests
+        )
+        banks = {id(p.bank): p.bank for _, p, _ in requests}.values()
+        sizes = sorted(b.a.nbytes + b.b.nbytes + b.phi.nbytes for b in banks)
+        rounds.append((len(requests), work + sum(sizes[:-1])))
+        return evaluate(requests)
+
+    monkeypatch.setattr(riccati, "_evaluate", spy)
+    return rounds
+
+
+@pytest.mark.parametrize("method, seed", sorted(NEWTON_ROBUSTNESS_PINNED))
+def test_newton_robustness_stays_within_the_budget(tmp_path, monkeypatch, method, seed):
+    # The shipped 20 x 2k study of configs/example.yaml under a Newton route.
+    rounds = _spy_on_bytes_in_flight(monkeypatch)
+    out = tmp_path / "out"
+    example = Path(__file__).resolve().parent.parent / "configs" / "example.yaml"
+    config = yaml.safe_load(example.read_text())
+    config["solver"]["method"] = method
+    config["task"]["seed"] = seed
+    config["output_dir"] = str(out)
+    assert main(["robustness", str(write_config(tmp_path, config))]) == 0
+    assert max(requests for requests, _ in rounds) >= 2
+    assert max(held for _, held in rounds) <= riccati.LOCKSTEP_BYTES
+    pins = zip(("gains.csv", "robustness.csv"), NEWTON_ROBUSTNESS_PINNED[method, seed])
+    for name, digest in pins:
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
 #: sha256 of sweep.csv from the RSL sweep over theta = 0 and 50 of
 #: tests/test_cli.py::test_sweep_rows_and_error_isolation, whose second point
 #: overflows; taken before the sweep's solves ran in lockstep.
@@ -295,15 +415,21 @@ def test_error_isolating_sweep_is_pinned(tmp_path):
     assert hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest() == RSL_SWEEP_PINNED
 
 
-def test_newton_sweep_solves_its_base_once(tmp_path, monkeypatch):
+def _count_fixed_point_solves(monkeypatch) -> list:
+    """Patch the engine's fixed-point solve to record the theta of each one started."""
     calls = []
-    solve_fp = riccati.fixed_point_solve
+    steps = riccati._fixed_point_steps
 
     def counted(problem, *args, **kwargs):
         calls.append(problem.theta)
-        return solve_fp(problem, *args, **kwargs)
+        return steps(problem, *args, **kwargs)
 
-    monkeypatch.setattr(riccati, "fixed_point_solve", counted)
+    monkeypatch.setattr(riccati, "_fixed_point_steps", counted)
+    return calls
+
+
+def test_newton_sweep_solves_its_base_once(tmp_path, monkeypatch):
+    calls = _count_fixed_point_solves(monkeypatch)
     out = tmp_path / "out"
     cfg = write_config(
         tmp_path,
@@ -315,19 +441,6 @@ def test_newton_sweep_solves_its_base_once(tmp_path, monkeypatch):
     )
     assert main(["sweep", str(cfg)]) == 0
     assert calls == [0.0]
-
-
-def _count_fixed_point_solves(monkeypatch) -> list:
-    """Patch riccati.fixed_point_solve to record the theta of each call."""
-    calls = []
-    solve_fp = riccati.fixed_point_solve
-
-    def counted(problem, *args, **kwargs):
-        calls.append(problem.theta)
-        return solve_fp(problem, *args, **kwargs)
-
-    monkeypatch.setattr(riccati, "fixed_point_solve", counted)
-    return calls
 
 
 def test_newton_robustness_solves_one_start_per_bank(benchmark_dist, monkeypatch):
@@ -379,6 +492,117 @@ def test_newton_start_is_shared_only_by_the_same_bank_and_costs(benchmark_dist):
         assert result.deltas == want.deltas
 
 
+@functools.lru_cache(maxsize=None)
+def _newton_base(system: str, size: int, seed: int):
+    """The RN problem on one bank key, whose bank and costs a run shares.
+
+    ``uncontrollable`` is a 20-draw bank with no stabilizing root, so every
+    start on it fails.
+    """
+    if system == "uncontrollable":
+        return _uncontrollable_problem(2, 4.0, seed, ws.WeightSpec(family="RN"))
+    return _problem(system, size, seed, "RN", 0.0)
+
+
+@functools.lru_cache(maxsize=None)
+def _overflow_theta(system: str, size: int, seed: int) -> float:
+    """An RSL theta at which the start's residual is finite but its Jacobian overflows.
+
+    Every exponent theta * J stays a relative 1e-9 below RSL_MAX_EXPONENT at
+    the theta = 0 root, so a central-difference point that raises a cost by
+    more than that overflows.
+    """
+    base = _newton_base(system, size, seed)
+    with np.errstate(invalid="ignore", over="ignore"):
+        start = _solo(base)
+    if isinstance(start, NumericalError):
+        return 1.0
+    n = base.n
+    costs = ws.weights.predictive_costs(
+        base.bank.a, base.bank.b, start.gain, start.value, np.eye(n), base.q, base.r
+    )
+    return ws.weights.RSL_MAX_EXPONENT / float(costs.max()) * (1.0 - 1e-9)
+
+
+def _newton_problem(key, family, theta):
+    if theta == "overflow":
+        theta = _overflow_theta(*key)
+    params = {"alpha": 10.0, "beta": 11.0} if family == "RRSL" else {}
+    spec = ws.WeightSpec(family=family, theta=theta, **params)
+    return dataclasses.replace(_newton_base(*key), weights=spec)
+
+
+def _newton_runs(max_runs):
+    """Lists of problems in runs on one bank key each (a run may share its key)."""
+    run = st.tuples(
+        st.tuples(
+            st.sampled_from(sorted(SYSTEMS) + ["uncontrollable"]),
+            st.sampled_from([120, 200]),
+            st.integers(0, 2),
+        ),
+        st.lists(
+            st.sampled_from([
+                ("RN", 0.0), ("RSL", 0.00125), ("RSL", "overflow"), ("RRSL", 0.0),
+                ("RRSL", 1.0), ("RRSL", 1.0),
+            ]),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    return st.lists(run, min_size=1, max_size=max_runs).map(
+        lambda runs: [_newton_problem(key, *weights) for key, run in runs for weights in run]
+    )
+
+
+def _assert_newton_matches_sequential_oracle(problems, method):
+    want = sequential_newton_solve(
+        problems, method, None, ws.riccati.DEFAULT_FP_TOL, MAX_ITERS,
+        ws.riccati.DEFAULT_RESIDUAL_TOL, ws.riccati.DEFAULT_NEWTON_TOL,
+        ws.riccati.DEFAULT_NEWTON_MAX_ITERS,
+    )
+    for window in range(1, len(problems) + 1):
+        got = _in_lockstep(
+            problems, window, solve=ws.solve_all, method=method, fp_max_iters=MAX_ITERS
+        )
+        assert len(got) == len(problems)
+        for result, expected in zip(got, want):
+            if not isinstance(expected, NumericalError):
+                assert result.method == expected.method
+            _assert_same(result, expected)
+    return want
+
+
+@PROPERTY
+@given(_newton_runs(3), st.sampled_from(["newton", "newton-continuation"]))
+def test_newton_routes_match_sequential_oracle_for_every_window(problems, method):
+    _assert_newton_matches_sequential_oracle(problems, method)
+
+
+@pytest.mark.parametrize("method", ["newton", "newton-continuation"])
+def test_newton_failures_match_sequential_oracle_for_every_window(method):
+    shared = ("2x1", 200, 1)
+    problems = [
+        _newton_problem(shared, "RRSL", 1.0),
+        _newton_problem(shared, "RSL", "overflow"),
+        _newton_problem(shared, "RN", 0.0),
+        _newton_problem(("uncontrollable", 20, 3), "RRSL", 1.0),
+        _newton_problem(("uncontrollable", 20, 3), "RN", 0.0),
+        _newton_problem(("3x2", 120, 2), "RSL", 0.00125),
+    ]
+    want = _assert_newton_matches_sequential_oracle(problems, method)
+    assert [isinstance(result, NumericalError) for result in want] == [
+        False, True, False, True, True, False
+    ]
+    assert isinstance(want[1], WeightOverflowError)
+    if method == "newton":
+        # The overflow is raised inside the Jacobian: the start's residual
+        # at the target theta is finite.
+        assert np.isfinite(ws.implicit_residual(
+            ws.pack_solution(want[2].value, want[2].gain), problems[1]
+        )).all()
+    assert str(want[3]) == str(want[4])
+
+
 def test_robustness_draws_banks_from_patched_derive_seed(benchmark_dist, monkeypatch):
     seeds = []
 
@@ -396,10 +620,29 @@ def test_robustness_draws_banks_from_patched_derive_seed(benchmark_dist, monkeyp
         assert np.array_equal(gain, solo.gain)
 
 
-def test_debug_log_has_one_line_per_accepted_iterate(rrsl_problem_2k, caplog):
+def test_debug_log_has_one_line_per_accepted_iterate(rrsl_problem_2k, benchmark_dist, caplog):
     problems = [rrsl_problem_2k.with_theta(theta) for theta in (0.0, 1.0)]
     with caplog.at_level(logging.DEBUG, logger="wsriccati"):
         solutions = ws.fixed_point_solve_all(problems)
+    _assert_one_debug_line_per_iterate(caplog, problems, solutions)
+    # The theta = 0 starts of a Newton robustness study share rounds, and
+    # each logs under the index of its bank's run.
+    spec = ws.WeightSpec(family="RRSL", theta=1.0, alpha=10.0, beta=11.0)
+    starts = [
+        ws.DesignProblem(
+            bank=ws.draw_bank(benchmark_dist, 300, ws.derive_seed(5, k)), q=Q2, r=R1,
+            weights=spec,
+        ).with_theta(0.0)
+        for k in range(3)
+    ]
+    solutions = [ws.fixed_point_solve(start) for start in starts]
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="wsriccati"):
+        ws.robustness_study(benchmark_dist, Q2, R1, spec, 3, 300, base_seed=5, method="newton")
+    _assert_one_debug_line_per_iterate(caplog, starts, solutions)
+
+
+def _assert_one_debug_line_per_iterate(caplog, problems, solutions):
     for k, (problem, solution) in enumerate(zip(problems, solutions)):
         lines = [
             record.getMessage()
@@ -485,7 +728,7 @@ def test_each_failure_kind_next_to_a_healthy_problem_of_its_group(
             )
         assert str(stacked.value) == str(alone.value)
         # ... and each problem then gets its own result or error.
-        got = riccati._evaluate([partner, failing], [healthy, value], [gain, gain])
+        got = _evaluate_maps([partner, failing], [healthy, value], [gain, gain])
     want = riccati._maps(partner, healthy, gain)
     assert np.array_equal(got[0][0], want[0]) and np.array_equal(got[0][1], want[1])
     assert type(got[1]) is kind and str(got[1]) == str(alone.value)
@@ -503,7 +746,7 @@ def test_problems_of_other_weight_parameters_are_evaluated_apart():
     ]
     value = 50.0 * np.eye(2) + Q2
     gain = np.array([[0.5, 1.0]])
-    got = riccati._evaluate(problems, [value] * len(problems), [gain] * len(problems))
+    got = _evaluate_maps(problems, [value] * len(problems), [gain] * len(problems))
     images = set()
     for problem, result in zip(problems, got):
         want = riccati._maps(problem, value, gain)
@@ -523,7 +766,7 @@ def test_non_finite_value_map_is_a_typed_error_of_its_problem_alone():
     values = [1.7e308 * np.eye(2), 50.0 * np.eye(2)]
     gains = [np.zeros((1, 2))] * 2
     with np.errstate(invalid="ignore", over="ignore"):
-        got = riccati._evaluate(problems, values, gains)
+        got = _evaluate_maps(problems, values, gains)
     assert isinstance(got[0], NonFiniteError)
     assert str(got[0]) == "value map is not finite"
     want = riccati._maps(problems[1], values[1], gains[1])
