@@ -39,8 +39,8 @@ from .matops import (
 from .riccati import (
     DesignProblem,
     DesignSolution,
+    SolverOptions,
     fixed_point_solve,
-    fixed_point_solve_all,
     implicit_residual,
     newton_solve,
     pack_solution,
@@ -87,9 +87,9 @@ __all__ = [
     "build_weighted_bank",
     "DesignProblem",
     "DesignSolution",
+    "SolverOptions",
     "value_map",
     "fixed_point_solve",
-    "fixed_point_solve_all",
     "pack_solution",
     "unpack_solution",
     "implicit_residual",

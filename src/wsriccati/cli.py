@@ -116,18 +116,6 @@ def _load_solution(path: Path) -> dict:
         raise ConfigurationError(f"{path}: malformed solution file ({exc})") from exc
 
 
-def _solver_options(config: RunConfig) -> dict:
-    s = config.solver
-    return {
-        "fp_tol": s.fp_tol,
-        "fp_max_iters": s.fp_max_iters,
-        "residual_tol": s.residual_tol,
-        "newton_tol": s.newton_tol,
-        "newton_max_iters": s.newton_max_iters,
-        "continuation": s.continuation,
-    }
-
-
 def _resolve_gain(config: RunConfig):
     """Gain for analysis commands: inline from the task block or a solution file."""
     task = config.task
@@ -144,13 +132,17 @@ def _resolve_gain(config: RunConfig):
     return {"gain": gain, "value": None, "theta": None}
 
 
-def _require_task_inputs(command: str, task) -> None:
-    """Reject a task block that lacks an input the command needs.
+def _require_task_inputs(command: str, config: RunConfig) -> None:
+    """Reject a configuration that lacks an input the command needs or sets one it cannot use.
 
     :func:`main` calls this before the command runs.
     """
+    task = config.task
     if command == "sweep" and task.theta_grid is None:
         raise ConfigurationError("task.theta_grid is required for sweep")
+    if command == "sweep" and config.solver.continuation is not None:
+        # A continuation grid ends at one theta, and each sweep point has its own.
+        raise ConfigurationError("solver.continuation cannot be used with sweep")
     if command in ("stability", "simulate") and task.solution is None and task.gain is None:
         raise ConfigurationError("task.solution or task.gain is required")
     if command == "simulate" and task.x0 is None:
@@ -176,12 +168,7 @@ def _stability_columns(bank, gain, problem=None, value=None) -> list:
 def cmd_design(config: RunConfig) -> dict:
     bank = config_mod.make_bank(config)
     problem = config_mod.make_problem(config, bank)
-    solution = solve(
-        problem,
-        method=config.solver.method,
-        record_trace=config.solver.trace,
-        **_solver_options(config),
-    )
+    solution = solve(problem, config.solver, record_trace=config.solver.trace)
     n, m = problem.n, problem.m
     names = _solution_names(n, m)
     tables = {
@@ -226,7 +213,7 @@ def cmd_sweep(config: RunConfig) -> dict:
     ]
     grid = config.task.theta_grid
     problems = [config_mod.make_problem(config, bank, theta=theta) for theta in grid]
-    results = solve_all(problems, config.solver.method, **_solver_options(config))
+    results = solve_all(problems, config.solver)
     rows = []
     for theta, problem, solution in zip(grid, problems, results):
         try:
@@ -299,8 +286,7 @@ def cmd_robustness(config: RunConfig) -> dict:
         config.task.repetitions,
         config.task.robustness_bank_size,
         config.task.seed,
-        method=config.solver.method,
-        solver_options=_solver_options(config),
+        config.solver,
     )
     n, m = config.system.n, config.system.m
     rows = [
@@ -383,7 +369,7 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config)
         config = _apply_overrides(config, args)
-        _require_task_inputs(args.command, config.task)
+        _require_task_inputs(args.command, config)
         tables = _COMMANDS[args.command](config)
         _write_tables(Path(config.output_dir), tables)
         return 0

@@ -2,10 +2,11 @@
 
 All science parameters live in the file; the command line only selects the
 subcommand and may override the output directory and a seed. Each setting is
-declared once, as a field of a section dataclass below: its name is the YAML
-key, its default applies when the key is absent, and its annotation decides
-how the value is checked. Validation reports the exact dotted path of an
-offending field.
+declared once, as a field of a section dataclass below (``SolverConfig``
+inherits the solver's from :class:`~wsriccati.riccati.SolverOptions`): its
+name is the YAML key, its default applies when the key is absent, and its
+annotation decides how the value is checked. Validation reports the exact
+dotted path of an offending field.
 """
 
 from __future__ import annotations
@@ -22,14 +23,7 @@ import yaml
 from .ensemble import ParameterDistribution, SampleBank, build_distribution, draw_bank
 from .errors import ConfigurationError
 from .matops import symmetrize
-from .riccati import (
-    DEFAULT_FP_MAX_ITERS,
-    DEFAULT_FP_TOL,
-    DEFAULT_NEWTON_MAX_ITERS,
-    DEFAULT_NEWTON_TOL,
-    DEFAULT_RESIDUAL_TOL,
-    DesignProblem,
-)
+from .riccati import DesignProblem, SolverOptions
 from .weights import FAMILY_RN, WeightSpec
 
 __all__ = [
@@ -46,8 +40,6 @@ __all__ = [
     "make_weight_spec",
     "make_problem",
 ]
-
-_METHODS = ("fixed-point", "newton", "newton-continuation")
 
 
 @dataclass(frozen=True)
@@ -83,31 +75,18 @@ class WeightConfig:
 
 
 @dataclass(frozen=True)
-class SolverConfig:
-    method: str = "fixed-point"
+class SolverConfig(SolverOptions):
     bank_size: int = 10_000
     seed: int = 0
-    fp_tol: float = DEFAULT_FP_TOL
-    fp_max_iters: int = DEFAULT_FP_MAX_ITERS
-    residual_tol: float = DEFAULT_RESIDUAL_TOL
-    newton_tol: float = DEFAULT_NEWTON_TOL
-    newton_max_iters: int = DEFAULT_NEWTON_MAX_ITERS
-    continuation: tuple[float, ...] | None = None
     trace: bool = False
     dump_weights: bool = False
 
     def __post_init__(self):
-        if self.method not in _METHODS:
-            raise ConfigurationError(
-                f"solver.method: unknown method {self.method!r}, expected one of {_METHODS}"
-            )
+        super().__post_init__()
         if self.bank_size < 1:
             raise ConfigurationError("solver.bank_size must be >= 1")
         if self.seed < 0:
             raise ConfigurationError("solver.seed must be >= 0")
-        for name in ("fp_tol", "fp_max_iters", "residual_tol", "newton_tol", "newton_max_iters"):
-            if getattr(self, name) <= 0:
-                raise ConfigurationError(f"solver.{name} must be > 0")
 
 
 @dataclass(frozen=True)

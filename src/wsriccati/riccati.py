@@ -84,11 +84,11 @@ __all__ = [
     "DEFAULT_RESIDUAL_TOL",
     "DEFAULT_NEWTON_TOL",
     "DEFAULT_NEWTON_MAX_ITERS",
+    "SolverOptions",
     "DesignProblem",
     "DesignSolution",
     "value_map",
     "fixed_point_solve",
-    "fixed_point_solve_all",
     "pack_solution",
     "unpack_solution",
     "implicit_residual",
@@ -122,6 +122,39 @@ LOCKSTEP_BYTES = 5 * 2**21
 #: Bytes per draw of the temporaries of one evaluation in a batch.
 _WORK_BYTES_PER_DRAW = 64
 
+_METHODS = ("fixed-point", "newton", "newton-continuation")
+
+
+@dataclass(frozen=True)
+class SolverOptions:
+    """The solution route and its stopping rules, checked when built.
+
+    ``fp_tol``, ``fp_max_iters`` and ``residual_tol`` govern the fixed-point
+    route and the theta = 0 start of the Newton routes (see
+    :func:`fixed_point_solve`), ``newton_tol`` and ``newton_max_iters`` each
+    Newton run (see :func:`newton_solve`). ``continuation`` is the theta grid
+    of ``newton-continuation``; it must end at the problem's theta, and
+    without it the grid is half the target, then the target.
+    """
+
+    method: str = "fixed-point"
+    fp_tol: float = DEFAULT_FP_TOL
+    fp_max_iters: int = DEFAULT_FP_MAX_ITERS
+    residual_tol: float = DEFAULT_RESIDUAL_TOL
+    newton_tol: float = DEFAULT_NEWTON_TOL
+    newton_max_iters: int = DEFAULT_NEWTON_MAX_ITERS
+    continuation: tuple[float, ...] | None = None
+
+    def __post_init__(self):
+        if self.method not in _METHODS:
+            raise ConfigurationError(
+                f"solver.method: unknown method {self.method!r}, expected one of {_METHODS}"
+            )
+        for name in ("fp_tol", "fp_max_iters", "residual_tol", "newton_tol", "newton_max_iters"):
+            if getattr(self, name) <= 0:
+                raise ConfigurationError(f"solver.{name} must be > 0")
+        if self.continuation is not None and len(self.continuation) == 0:
+            raise ConfigurationError("solver.continuation must not be empty")
 
 
 @dataclass(frozen=True)
@@ -435,9 +468,7 @@ def _fixed_point_steps(
     problem: DesignProblem,
     value0,
     gain0,
-    tol: float,
-    max_iters: int,
-    residual_tol: float,
+    options: SolverOptions,
     record_trace: bool,
     label: int,
 ):
@@ -484,11 +515,11 @@ def _fixed_point_steps(
                 label, problem.theta, len(deltas), delta,
                 "anderson" if accelerated else "plain",
             )
-        if delta < tol:
+        if delta < options.fp_tol:
             break
-        if len(deltas) >= max_iters:
+        if len(deltas) >= options.fp_max_iters:
             raise ConvergenceError(
-                f"fixed-point iteration did not converge in {max_iters} iterations "
+                f"fixed-point iteration did not converge in {options.fp_max_iters} iterations "
                 f"(last delta {delta:.3e})",
                 history=tuple(deltas),
             )
@@ -522,10 +553,10 @@ def _fixed_point_steps(
     residual = float(
         np.linalg.norm(implicit_residual(pack_solution(value, gain), problem))
     )
-    if residual > residual_tol:
+    if residual > options.residual_tol:
         raise ConvergenceError(
             f"fixed point stalled: residual {residual:.3e} exceeds "
-            f"{residual_tol:.1e}",
+            f"{options.residual_tol:.1e}",
             history=tuple(deltas),
         )
     _check_stabilizing(value, problem.q, "fixed-point solve")
@@ -648,19 +679,8 @@ def fixed_point_solve(
     and the returned pair, each with the residual of the iterate before it.
     This is the lockstep of :func:`solve_all` on one problem.
     """
-    return _drive(problem, _fixed_point_steps(problem, value0, gain0, tol, max_iters,
-                                              residual_tol, record_trace, 0))
-
-
-def fixed_point_solve_all(
-    problems,
-    *,
-    tol: float = DEFAULT_FP_TOL,
-    max_iters: int = DEFAULT_FP_MAX_ITERS,
-    residual_tol: float = DEFAULT_RESIDUAL_TOL,
-) -> list:
-    """:func:`solve_all` under the fixed-point route."""
-    return solve_all(problems, fp_tol=tol, fp_max_iters=max_iters, residual_tol=residual_tol)
+    options = SolverOptions(fp_tol=tol, fp_max_iters=max_iters, residual_tol=residual_tol)
+    return _drive(problem, _fixed_point_steps(problem, value0, gain0, options, record_trace, 0))
 
 
 def pack_solution(value, gain) -> np.ndarray:
@@ -807,33 +827,29 @@ def newton_solve(
 ) -> DesignSolution:
     """Damped Newton iteration on the stacked residual (at ``theta`` if given).
 
-    When ``z0`` is omitted the zero-sensitivity solution is computed with
-    the fixed-point route and used as the start, which is the initialization
-    with a convergence guarantee near theta = 0. Steps are halved (at most
-    ``DEFAULT_MAX_HALVINGS`` times) whenever the residual norm fails to
-    decrease. This is :func:`_newton_steps` run alone.
+    When ``z0`` is omitted this is :func:`solve` under the ``newton`` route:
+    Newton starts at the zero-sensitivity solution of the fixed-point route,
+    the initialization with a convergence guarantee near theta = 0. Steps
+    are halved (at most ``DEFAULT_MAX_HALVINGS`` times) whenever the residual
+    norm fails to decrease. From ``z0`` this is :func:`_newton_steps` run
+    alone.
     """
     if theta is not None:
         problem = problem.with_theta(theta)
     if z0 is None:
-        base = fixed_point_solve(problem.with_theta(0.0))
-        z0 = pack_solution(base.value, base.gain)
+        return solve(problem, SolverOptions("newton", newton_tol=tol, newton_max_iters=max_iters))
     steps = _newton_steps(problem, np.array(z0, dtype=float).reshape(-1), tol, max_iters)
     return _drive(problem, steps)
 
 
-def _theta_steps(problem: DesignProblem, method: str, continuation) -> tuple[float, ...]:
+def _theta_steps(problem: DesignProblem, options: SolverOptions) -> tuple[float, ...]:
     """The theta grid a Newton route runs through to ``problem.theta``."""
     target = problem.theta
-    if method == "newton":
+    if options.method == "newton":
         return (target,)
-    if method != "newton-continuation":
-        raise ConfigurationError(f"unknown solve method {method!r}")
-    if continuation is None:
+    steps = options.continuation
+    if steps is None:
         return (target / 2.0, target) if target != 0.0 else (0.0,)
-    steps = tuple(float(t) for t in continuation)
-    if not steps:
-        raise ConfigurationError("continuation grid is empty")
     if steps[-1] != target:
         raise ConfigurationError(
             f"continuation grid must end at theta={target}, got {steps[-1]}"
@@ -843,37 +859,28 @@ def _theta_steps(problem: DesignProblem, method: str, continuation) -> tuple[flo
 
 def solve(
     problem: DesignProblem,
-    method: str = "fixed-point",
-    fp_tol: float = DEFAULT_FP_TOL,
-    fp_max_iters: int = DEFAULT_FP_MAX_ITERS,
-    residual_tol: float = DEFAULT_RESIDUAL_TOL,
-    newton_tol: float = DEFAULT_NEWTON_TOL,
-    newton_max_iters: int = DEFAULT_NEWTON_MAX_ITERS,
-    continuation: tuple[float, ...] | None = None,
+    options: SolverOptions = SolverOptions(),
     record_trace: bool = False,
 ) -> DesignSolution:
-    """Front-end dispatching to the configured solution route.
+    """Solve ``problem`` by the route ``options.method``.
 
     Both Newton routes solve at theta = 0 with the fixed-point route first
     and then run Newton through a grid of theta values, warm-starting each
     run at the previous solution. ``newton`` uses the one-point grid (theta,);
-    ``newton-continuation`` uses ``continuation`` (default: half the target,
-    then the target). A Newton route is :func:`solve_all` on one problem.
+    ``newton-continuation`` uses ``options.continuation`` (default: half the
+    target, then the target). Only the fixed-point route records a trace. A
+    Newton route is :func:`solve_all` on one problem.
     """
-    if method == "fixed-point":
-        return fixed_point_solve(problem, None, None, fp_tol, fp_max_iters, residual_tol,
-                                 record_trace)
-    (result,) = solve_all(
-        [problem], method, fp_tol=fp_tol, fp_max_iters=fp_max_iters,
-        residual_tol=residual_tol, newton_tol=newton_tol, newton_max_iters=newton_max_iters,
-        continuation=continuation,
-    )
+    if options.method == "fixed-point":
+        return fixed_point_solve(problem, None, None, options.fp_tol, options.fp_max_iters,
+                                 options.residual_tol, record_trace)
+    (result,) = solve_all([problem], options)
     if isinstance(result, NumericalError):
         raise result
     return result
 
 
-def _newton_solves(problems, method: str, continuation, fp_options, newton_options):
+def _newton_solves(problems, options: SolverOptions):
     """The lockstep's (problem, width, steps) for each run of the Newton routes.
 
     A run lists (problem, theta grid) for consecutive problems on the same
@@ -884,7 +891,7 @@ def _newton_solves(problems, method: str, continuation, fp_options, newton_optio
     run: list = []
     label = -1  # the run's index, which names its start in the DEBUG lines
     for problem in problems:
-        grid = _theta_steps(problem, method, continuation)
+        grid = _theta_steps(problem, options)
         owner = run[0][0] if run else problem
         same = problem.bank is owner.bank and np.array_equal(problem.q, owner.q)
         if run and same and np.array_equal(problem.r, owner.r):
@@ -893,10 +900,10 @@ def _newton_solves(problems, method: str, continuation, fp_options, newton_optio
         run = [(problem, grid)]
         label += 1
         width = 2 * (problem.n * (problem.n + 1) // 2 + problem.m * problem.n)
-        yield problem, width, _newton_run(run, method, fp_options, newton_options, label)
+        yield problem, width, _newton_run(run, options, label)
 
 
-def _newton_run(run, method: str, fp_options, newton_options, label: int):
+def _newton_run(run, options: SolverOptions, label: int):
     """A Newton route on each problem of ``run`` from one theta = 0 start, as a generator.
 
     Each problem runs Newton through its theta grid, each step from the
@@ -905,7 +912,7 @@ def _newton_run(run, method: str, fp_options, newton_options, label: int):
     """
     try:
         start = yield from _fixed_point_steps(
-            run[0][0].with_theta(0.0), None, None, *fp_options, False, label
+            run[0][0].with_theta(0.0), None, None, options, False, label
         )
     except NumericalError as exc:
         return [exc] * len(run)
@@ -915,43 +922,32 @@ def _newton_run(run, method: str, fp_options, newton_options, label: int):
         iterations = 0
         try:
             for theta in grid:
-                solution = yield from _newton_steps(problem.with_theta(theta), z, *newton_options)
+                solution = yield from _newton_steps(
+                    problem.with_theta(theta), z, options.newton_tol, options.newton_max_iters
+                )
                 z = pack_solution(solution.value, solution.gain)
                 iterations += solution.iterations
         except NumericalError as exc:
             results.append(exc)
             continue
-        results.append(dataclasses.replace(solution, method=method, iterations=iterations))
+        results.append(dataclasses.replace(solution, method=options.method, iterations=iterations))
     return results
 
 
-def solve_all(
-    problems,
-    method: str = "fixed-point",
-    *,
-    fp_tol: float = DEFAULT_FP_TOL,
-    fp_max_iters: int = DEFAULT_FP_MAX_ITERS,
-    residual_tol: float = DEFAULT_RESIDUAL_TOL,
-    newton_tol: float = DEFAULT_NEWTON_TOL,
-    newton_max_iters: int = DEFAULT_NEWTON_MAX_ITERS,
-    continuation: tuple[float, ...] | None = None,
-) -> list:
+def solve_all(problems, options: SolverOptions = SolverOptions()) -> list:
     """:func:`solve` on each problem: its solution or the NumericalError it raised.
 
-    Results are in input order, each the same bits as the problem's own
-    solve, and every route runs in lockstep. Under a Newton route each run
-    of consecutive problems on the same bank and cost matrices (a sweep's
-    points) is one solve (:func:`_newton_run`): one theta = 0 fixed-point
-    start, then Newton on each problem in turn. ``problems`` may be a
-    generator, read as problems join.
+    Every problem is solved with ``options``. Results are in input order,
+    each the same bits as the problem's own solve, and every route runs in
+    lockstep. Under a Newton route each run of consecutive problems on the
+    same bank and cost matrices (a sweep's points) is one solve
+    (:func:`_newton_run`): one theta = 0 fixed-point start, then Newton on
+    each problem in turn. ``problems`` may be a generator, read as problems
+    join.
     """
-    fp_options = (fp_tol, fp_max_iters, residual_tol)
-    if method == "fixed-point":
+    if options.method == "fixed-point":
         return _lockstep(
-            (problem, 1, _fixed_point_steps(problem, None, None, *fp_options, False, k))
+            (problem, 1, _fixed_point_steps(problem, None, None, options, False, k))
             for k, problem in enumerate(problems)
         )
-    solves = _newton_solves(
-        problems, method, continuation, fp_options, (newton_tol, newton_max_iters)
-    )
-    return [result for run in _lockstep(solves) for result in run]
+    return [result for run in _lockstep(_newton_solves(problems, options)) for result in run]

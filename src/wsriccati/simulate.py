@@ -41,7 +41,7 @@ import numpy as np
 from .ensemble import ParameterDistribution, _stream_rngs, derive_seed, draw_bank
 from .errors import ConfigurationError, NumericalError
 from .matops import symmetrize
-from .riccati import DesignProblem, solve_all
+from .riccati import DesignProblem, SolverOptions, solve_all
 from .weights import WeightSpec
 
 __all__ = [
@@ -268,8 +268,7 @@ def robustness_study(
     repetitions: int,
     bank_size: int,
     base_seed: int,
-    method: str = "fixed-point",
-    solver_options: dict | None = None,
+    options: SolverOptions = SolverOptions(),
 ) -> RobustnessSummary:
     """Redesign the gain across freshly seeded banks and report dispersion.
 
@@ -277,13 +276,13 @@ def robustness_study(
     that fail are recorded and excluded from the statistics; at least two
     must succeed for a standard deviation to exist.
 
-    The designs run through :func:`~wsriccati.riccati.solve_all`, so every
-    route solves several in lockstep, each to the same bits as alone; under
-    a Newton route each bank has its own theta = 0 start. Bank k is drawn
-    only when design k joins, and the lockstep's byte budget
-    (``riccati.LOCKSTEP_BYTES``) bounds the banks held at once: 19 of the
-    example system's 2k banks under the fixed-point route and 6 under a
-    Newton route, however many ``repetitions`` there are.
+    The designs run through :func:`~wsriccati.riccati.solve_all` with
+    ``options``, so every route solves several in lockstep, each to the same
+    bits as alone; under a Newton route each bank has its own theta = 0
+    start. Bank k is drawn only when design k joins, and the lockstep's
+    byte budget (``riccati.LOCKSTEP_BYTES``) bounds the banks held at once:
+    19 of the example system's 2k banks under the fixed-point route and 6
+    under a Newton route, however many ``repetitions`` there are.
     """
     if repetitions < 2:
         raise ConfigurationError("repetitions must be >= 2")
@@ -298,7 +297,7 @@ def robustness_study(
     )
     gains = []
     failures: list[tuple[int, str]] = []
-    for k, result in enumerate(solve_all(problems, method, **(solver_options or {}))):
+    for k, result in enumerate(solve_all(problems, options)):
         if isinstance(result, NumericalError):
             failures.append((k, str(result)))
         else:

@@ -23,8 +23,8 @@ each, the package path it checks:
   ``matops.elimination_matrix`` and ``matops.duplication_matrix``.
 - :func:`sequential_fixed_point_solve`: ``riccati.fixed_point_solve`` from
   (0, 0) as a plain loop, one problem and one ``riccati._maps`` call at a
-  time; ``riccati.fixed_point_solve_all`` must give the same bits for each
-  problem it solves in lockstep.
+  time; ``riccati.solve_all`` under the fixed-point route must give the same
+  bits for each problem it solves in lockstep.
 - :func:`sequential_newton_solve`: the Newton routes of ``riccati.solve_all``
   as plain loops, one problem and one ``riccati.implicit_residual`` call at
   a time; ``riccati.solve_all`` must give the same bits for each problem it
@@ -302,11 +302,8 @@ def _newton(problem, z, tol, max_iters) -> DesignSolution:
     )
 
 
-def sequential_newton_solve(
-    problems, method, continuation, fp_tol, fp_max_iters, residual_tol, newton_tol,
-    newton_max_iters,
-) -> list:
-    """The Newton routes on each problem in turn: its solution or its NumericalError.
+def sequential_newton_solve(problems, options) -> list:
+    """The Newton route ``options.method`` on each problem in turn: its solution or its error.
 
     Each run of consecutive problems on the same bank and cost matrices
     shares one theta = 0 start (:func:`sequential_fixed_point_solve`), and a
@@ -318,7 +315,7 @@ def sequential_newton_solve(
     owner = None  # the problem whose theta = 0 solution ``start`` is
     with np.errstate(over="ignore", invalid="ignore"):
         for problem in problems:
-            steps = _theta_steps(problem, method, continuation)
+            steps = _theta_steps(problem, options)
             if owner is None or not (
                 problem.bank is owner.bank
                 and np.array_equal(problem.q, owner.q)
@@ -327,7 +324,8 @@ def sequential_newton_solve(
                 owner = problem
                 try:
                     start = sequential_fixed_point_solve(
-                        problem.with_theta(0.0), fp_tol, fp_max_iters, residual_tol
+                        problem.with_theta(0.0), options.fp_tol, options.fp_max_iters,
+                        options.residual_tol,
                     )
                 except NumericalError as exc:
                     start = exc
@@ -338,11 +336,15 @@ def sequential_newton_solve(
             iterations = 0
             try:
                 for theta in steps:
-                    solution = _newton(problem.with_theta(theta), z, newton_tol, newton_max_iters)
+                    solution = _newton(
+                        problem.with_theta(theta), z, options.newton_tol, options.newton_max_iters
+                    )
                     z = pack_solution(solution.value, solution.gain)
                     iterations += solution.iterations
             except NumericalError as exc:
                 results.append(exc)
                 continue
-            results.append(dataclasses.replace(solution, method=method, iterations=iterations))
+            results.append(
+                dataclasses.replace(solution, method=options.method, iterations=iterations)
+            )
     return results

@@ -275,6 +275,23 @@ def test_sweep_single_point_matches_design_and_stability(tmp_path):
 INLINE_STABILITY_PINNED = "9ae013301b9bfaed5669208f652c1b9d11d4cd467d6f671eb2597fa7bf7ef347"
 
 
+@pytest.mark.parametrize("method", ["fixed-point", "newton-continuation"])
+def test_sweep_rejects_a_continuation_grid_before_drawing(tmp_path, caplog, monkeypatch, method):
+    monkeypatch.setattr(ws.config, "make_bank", lambda config: pytest.fail("bank drawn"))
+    out = tmp_path / "out"
+    cfg = write_config(
+        tmp_path,
+        base_config(
+            out,
+            solver={"method": method, "continuation": [0.5, 1.0]},
+            task={"theta_grid": [0.0, 1.0]},
+        ),
+    )
+    assert main(["sweep", str(cfg)]) == 1
+    assert "configuration error: solver.continuation cannot be used with sweep" in caplog.text
+    assert not out.exists()
+
+
 def test_stability_with_inline_gain(tmp_path):
     out = tmp_path / "out"
     cfg = write_config(

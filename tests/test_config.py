@@ -10,6 +10,7 @@ import yaml
 from wsriccati.cli import main
 from wsriccati.config import RunConfig, design_fingerprint, load_config, parse_config
 from wsriccati.errors import ConfigurationError
+from wsriccati.riccati import SolverOptions
 
 from test_cli import base_config, write_config
 
@@ -201,6 +202,21 @@ def test_example_fingerprint_is_stable():
     )
 
 
+#: design_fingerprint of NON_DEFAULT, which sets every solver key, under each
+#: method; taken when SolverConfig declared all of its fields itself.
+SOLVER_FINGERPRINTS = {
+    "fixed-point": "a6c0dfa4d632ab6331208ae369b23471d68f4467be821422d376b44f5232b23e",
+    "newton": "fbedfdbaf414309d4717528b6247343f291aeb4dadc27e677f40b9609d56bfb4",
+    "newton-continuation": "4423cdbf4e1c1a0101008536a49ef1fb8b361f0fee3e85c6ec0e71f7998e7aec",
+}
+
+
+@pytest.mark.parametrize("method", sorted(SOLVER_FINGERPRINTS))
+def test_fingerprint_of_every_solver_key_is_pinned(method):
+    data = {**NON_DEFAULT, "solver": {**NON_DEFAULT["solver"], "method": method}}
+    assert design_fingerprint(parse_config(data)) == SOLVER_FINGERPRINTS[method]
+
+
 @pytest.mark.parametrize(
     "command, section, values, message",
     [
@@ -221,6 +237,8 @@ def test_example_fingerprint_is_stable():
         ("design", "solver", {"fp_max_iters": 0}, "solver.fp_max_iters must be > 0"),
         ("design", "solver", {"newton_max_iters": -5}, "solver.newton_max_iters must be > 0"),
         ("design", "solver", {"seed": -1}, "solver.seed must be >= 0"),
+        ("design", "solver", {"method": "gradient-descent"}, "solver.method: unknown method 'gradient-descent'"),
+        ("design", "solver", {"continuation": []}, "solver.continuation must not be empty"),
         ("simulate", "task", {"seed": -1}, "task.seed must be >= 0"),
         ("robustness", "task", {"seed": -7}, "task.seed must be >= 0"),
         ("simulate", "task", {"trajectory_count": -1}, "task.trajectory_count must be >= 0"),
@@ -235,6 +253,10 @@ def test_range_errors_exit_one_before_output(tmp_path, caplog, command, section,
     assert main([command, str(cfg)]) == 1
     assert f"configuration error: {message}" in caplog.text
     assert not out.exists()
+    # API callers get the same check when they build the options.
+    if section == "solver" and set(values) <= {f.name for f in dataclasses.fields(SolverOptions)}:
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            SolverOptions(**values)
 
 
 @pytest.mark.parametrize(

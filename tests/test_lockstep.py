@@ -126,12 +126,12 @@ def _evaluate_maps(problems, values, gains) -> list:
     return [outcome for (outcome,) in riccati._evaluate(requests)]
 
 
-def _in_lockstep(problems, window, solve=ws.fixed_point_solve_all, **kwargs):
-    """``solve`` (fixed_point_solve_all) with exactly ``window`` solves in flight."""
+def _in_lockstep(problems, window, options):
+    """``solve_all`` with ``options`` and exactly ``window`` solves in flight."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(riccati, "_footprint", lambda problem, flight, width: 1)
         mp.setattr(riccati, "LOCKSTEP_BYTES", window)
-        return solve(iter(problems), **kwargs)
+        return ws.solve_all(iter(problems), options)
 
 
 @PROPERTY
@@ -139,7 +139,7 @@ def _in_lockstep(problems, window, solve=ws.fixed_point_solve_all, **kwargs):
 def test_lockstep_matches_sequential_oracle_for_every_window(problems):
     want = [_solo(problem) for problem in problems]
     for window in range(1, len(problems) + 1):
-        got = _in_lockstep(problems, window, max_iters=MAX_ITERS)
+        got = _in_lockstep(problems, window, ws.SolverOptions(fp_max_iters=MAX_ITERS))
         assert len(got) == len(problems)
         for result, expected in zip(got, want):
             _assert_same(result, expected)
@@ -204,7 +204,7 @@ def test_one_failing_problem_never_aborts_the_others():
         _problem("3x2", 300, 1, "RRSL", 1.0),
         _problem("3x2", 300, 1, "RSL", 0.00125),
     ]
-    got = _in_lockstep(problems, len(problems), max_iters=100)
+    got = _in_lockstep(problems, len(problems), ws.SolverOptions(fp_max_iters=100))
     assert isinstance(got[1], WeightOverflowError)
     assert isinstance(got[2], ConvergenceError)
     assert sum(isinstance(result, NumericalError) for result in got) == 2
@@ -284,7 +284,7 @@ def test_every_failure_kind_inside_one_stacked_batch():
 
 def test_fixed_point_solve_all_default_window_matches_solo_solves(rrsl_problem_2k):
     problems = [rrsl_problem_2k.with_theta(theta) for theta in (0.0, 0.5, 1.0)]
-    got = ws.fixed_point_solve_all(problems)
+    got = ws.solve_all(problems)
     for problem, result in zip(problems, got):
         _assert_same(result, ws.fixed_point_solve(problem))
 
@@ -326,7 +326,7 @@ def test_problem_larger_than_the_budget_runs_alone(rrsl_problem_2k, monkeypatch)
     assert riccati._footprint(problems[0], []) <= riccati.LOCKSTEP_BYTES
     monkeypatch.setattr(riccati, "LOCKSTEP_BYTES", riccati._footprint(problems[0], []) - 1)
     sizes = _spy_on_evaluate(monkeypatch)
-    got = ws.fixed_point_solve_all(problems)
+    got = ws.solve_all(problems)
     assert sizes and set(sizes) == {1}
     for problem, result in zip(problems, got):
         _assert_same(result, ws.fixed_point_solve(problem))
@@ -446,7 +446,9 @@ def test_newton_sweep_solves_its_base_once(tmp_path, monkeypatch):
 def test_newton_robustness_solves_one_start_per_bank(benchmark_dist, monkeypatch):
     calls = _count_fixed_point_solves(monkeypatch)
     spec = ws.WeightSpec(family="RRSL", theta=1.0, alpha=10.0, beta=11.0)
-    ws.robustness_study(benchmark_dist, Q2, R1, spec, 3, 300, base_seed=5, method="newton")
+    ws.robustness_study(
+        benchmark_dist, Q2, R1, spec, 3, 300, base_seed=5, options=ws.SolverOptions("newton")
+    )
     assert calls == [0.0, 0.0, 0.0]
 
 
@@ -483,7 +485,7 @@ def test_newton_start_is_shared_only_by_the_same_bank_and_costs(benchmark_dist):
         ws.DesignProblem(bank=other, q=2.0 * Q2, r=R1, weights=spec),
         ws.DesignProblem(bank=other, q=2.0 * Q2, r=R1, weights=spec).with_theta(0.5),
     ]
-    got = ws.solve_all(problems, "newton")
+    got = ws.solve_all(problems, ws.SolverOptions("newton"))
     for problem, result in zip(problems, got):
         start = ws.fixed_point_solve(problem.with_theta(0.0))
         want = ws.newton_solve(problem, z0=ws.pack_solution(start.value, start.gain))
@@ -555,15 +557,10 @@ def _newton_runs(max_runs):
 
 
 def _assert_newton_matches_sequential_oracle(problems, method):
-    want = sequential_newton_solve(
-        problems, method, None, ws.riccati.DEFAULT_FP_TOL, MAX_ITERS,
-        ws.riccati.DEFAULT_RESIDUAL_TOL, ws.riccati.DEFAULT_NEWTON_TOL,
-        ws.riccati.DEFAULT_NEWTON_MAX_ITERS,
-    )
+    options = ws.SolverOptions(method, fp_max_iters=MAX_ITERS)
+    want = sequential_newton_solve(problems, options)
     for window in range(1, len(problems) + 1):
-        got = _in_lockstep(
-            problems, window, solve=ws.solve_all, method=method, fp_max_iters=MAX_ITERS
-        )
+        got = _in_lockstep(problems, window, options)
         assert len(got) == len(problems)
         for result, expected in zip(got, want):
             if not isinstance(expected, NumericalError):
@@ -623,7 +620,7 @@ def test_robustness_draws_banks_from_patched_derive_seed(benchmark_dist, monkeyp
 def test_debug_log_has_one_line_per_accepted_iterate(rrsl_problem_2k, benchmark_dist, caplog):
     problems = [rrsl_problem_2k.with_theta(theta) for theta in (0.0, 1.0)]
     with caplog.at_level(logging.DEBUG, logger="wsriccati"):
-        solutions = ws.fixed_point_solve_all(problems)
+        solutions = ws.solve_all(problems)
     _assert_one_debug_line_per_iterate(caplog, problems, solutions)
     # The theta = 0 starts of a Newton robustness study share rounds, and
     # each logs under the index of its bank's run.
@@ -638,7 +635,10 @@ def test_debug_log_has_one_line_per_accepted_iterate(rrsl_problem_2k, benchmark_
     solutions = [ws.fixed_point_solve(start) for start in starts]
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="wsriccati"):
-        ws.robustness_study(benchmark_dist, Q2, R1, spec, 3, 300, base_seed=5, method="newton")
+        ws.robustness_study(
+            benchmark_dist, Q2, R1, spec, 3, 300, base_seed=5,
+            options=ws.SolverOptions("newton"),
+        )
     _assert_one_debug_line_per_iterate(caplog, starts, solutions)
 
 
@@ -674,7 +674,7 @@ def test_no_debug_line_or_formatting_below_debug(rrsl_problem_2k, caplog, monkey
     monkeypatch.setattr(log, "debug", lambda *args: pytest.fail("formatted"))
     problems = [rrsl_problem_2k.with_theta(theta) for theta in (0.0, 0.5, 1.0)]
     with caplog.at_level(logging.WARNING, logger="wsriccati"):
-        ws.fixed_point_solve_all(problems)
+        ws.solve_all(problems)
     assert caplog.records == []
     assert checks == [logging.DEBUG] * len(problems)
 
@@ -812,7 +812,7 @@ def test_systems_without_a_stabilizing_root_fail_with_typed_errors(n, growth, se
     problem = _uncontrollable_problem(n, growth, seed, spec)
     problems = [problem.with_theta(0.0), problem]
     with np.errstate(invalid="ignore", over="ignore"):
-        got = ws.fixed_point_solve_all(problems)
+        got = ws.solve_all(problems)
         for problem, result in zip(problems, got):
             assert isinstance(result, (ws.DesignSolution, NumericalError)), result
             try:

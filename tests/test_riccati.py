@@ -413,15 +413,15 @@ def test_pack_unpack_roundtrip():
 
 
 def test_solve_dispatch_fixed_point(rrsl_problem_2k, rrsl_solution_2k):
-    sol = ws.solve(rrsl_problem_2k, method="fixed-point")
+    sol = ws.solve(rrsl_problem_2k, ws.SolverOptions("fixed-point"))
     assert np.array_equal(sol.value, rrsl_solution_2k.value)
     assert np.array_equal(sol.gain, rrsl_solution_2k.gain)
 
 
 def test_solve_continuation_path_independent(rrsl_problem_2k):
-    direct = ws.solve(rrsl_problem_2k, method="newton")
+    direct = ws.solve(rrsl_problem_2k, ws.SolverOptions("newton"))
     stepped = ws.solve(
-        rrsl_problem_2k, method="newton-continuation", continuation=[0.5, 1.0]
+        rrsl_problem_2k, ws.SolverOptions("newton-continuation", continuation=[0.5, 1.0])
     )
     assert stepped.method == "newton-continuation"
     assert np.linalg.norm(direct.value - stepped.value) <= 1e-6
@@ -430,14 +430,14 @@ def test_solve_continuation_path_independent(rrsl_problem_2k):
 
 def test_solve_continuation_grid_validation(rrsl_problem_2k):
     with pytest.raises(ConfigurationError):
-        ws.solve(rrsl_problem_2k, method="newton-continuation", continuation=[0.5])
+        ws.solve(rrsl_problem_2k, ws.SolverOptions("newton-continuation", continuation=[0.5]))
     with pytest.raises(ConfigurationError):
-        ws.solve(rrsl_problem_2k, method="newton-continuation", continuation=[])
+        ws.solve(rrsl_problem_2k, ws.SolverOptions("newton-continuation", continuation=[]))
 
 
 def test_solve_unknown_method(rrsl_problem_2k):
     with pytest.raises(ConfigurationError):
-        ws.solve(rrsl_problem_2k, method="gradient-descent")
+        ws.solve(rrsl_problem_2k, ws.SolverOptions("gradient-descent"))
 
 
 # ---------------------------------------------------------------------------

@@ -173,7 +173,7 @@ def test_robustness_records_failures(benchmark_dist):
     with pytest.raises(NumericalError):
         ws.robustness_study(
             benchmark_dist, Q2, R1, spec, repetitions=2, bank_size=50,
-            base_seed=1, solver_options={"fp_max_iters": 3},
+            base_seed=1, options=ws.SolverOptions(fp_max_iters=3),
         )
 
 
