@@ -26,7 +26,7 @@ from . import config as config_mod
 from .config import RunConfig, design_fingerprint, load_config
 from .errors import ConfigurationError, NumericalError
 from .matops import vec
-from .riccati import pack_solution, solve, solve_all, unpack_solution
+from .riccati import _check_grid_end, pack_solution, solve, solve_all, unpack_solution
 from .simulate import mc_cost_study, robustness_study
 from .stability import ms_check, wms_check
 from .weights import build_weighted_bank
@@ -35,10 +35,10 @@ log = logging.getLogger("wsriccati")
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
     if value is None:
         return ""
     return str(value)
@@ -143,6 +143,13 @@ def _require_task_inputs(command: str, config: RunConfig) -> None:
     if command == "sweep" and config.solver.continuation is not None:
         # A continuation grid ends at one theta, and each sweep point has its own.
         raise ConfigurationError("solver.continuation cannot be used with sweep")
+    solver = config.solver
+    if (
+        command in ("design", "robustness")
+        and solver.method == "newton-continuation"
+        and solver.continuation is not None
+    ):
+        _check_grid_end(solver.continuation, config.weight.theta)
     if command in ("stability", "simulate") and task.solution is None and task.gain is None:
         raise ConfigurationError("task.solution or task.gain is required")
     if command == "simulate" and task.x0 is None:
@@ -255,13 +262,14 @@ def cmd_simulate(config: RunConfig) -> dict:
         config.task.seed,
         trajectory_count=config.task.trajectory_count,
     )
+    # Python floats, so that each value is formatted by one repr.
     trajectories = (
         [k, t, *state]
         for k, states in enumerate(summary.trajectories)
-        for t, state in enumerate(states)
+        for t, state in enumerate(states.tolist())
     )
     return {
-        "costs.csv": (["trial", "cost"], enumerate(summary.costs)),
+        "costs.csv": (["trial", "cost"], enumerate(summary.costs.tolist())),
         "tail.csv": (["rho", "worst_average"], summary.tail_averages),
         "trajectories.csv": (
             ["trial", "t"] + [f"x_{i + 1}" for i in range(config.system.n)],

@@ -850,11 +850,14 @@ def _theta_steps(problem: DesignProblem, options: SolverOptions) -> tuple[float,
     steps = options.continuation
     if steps is None:
         return (target / 2.0, target) if target != 0.0 else (0.0,)
-    if steps[-1] != target:
-        raise ConfigurationError(
-            f"continuation grid must end at theta={target}, got {steps[-1]}"
-        )
+    _check_grid_end(steps, target)
     return steps
+
+
+def _check_grid_end(steps: tuple[float, ...], theta: float) -> None:
+    """Reject a continuation grid that does not end at the design's ``theta``."""
+    if steps[-1] != theta:
+        raise ConfigurationError(f"continuation grid must end at theta={theta}, got {steps[-1]}")
 
 
 def solve(

@@ -12,20 +12,31 @@ indices at once, in the uint32 arithmetic of numpy's SeedSequence, so each
 is in the state ``stream_rng(seed, k)`` would give it. Within a block of
 horizon H, with d = n(n+m) parameter components:
 
-- each trial takes its H parameter vectors from its own stream, the same
-  numbers in the same order as ``ParameterDistribution.draw``, straight
-  into its slice of a trial-major B x d x H array; the scale and shift of
-  the normal components then run once over the block;
-- the closed-loop matrices C_t = A_t - B_t L are built from strided views of
-  it into one H x n x n x B array, the trial axis last and contiguous;
+- the trials draw in chunks of C = max(1, 2**20 // (8 d H)) trials, whose
+  raw draws take about 1 MiB (C = 72 for n = 2, m = 1 and H = 300). Each
+  trial of a chunk takes its H parameter vectors from its own stream, the
+  same numbers in the same order as ``ParameterDistribution.draw``, into its
+  slice of a trial-major C x d x H buffer; the scale and shift of the normal
+  components run once over the chunk;
+- each chunk then forms its trials' closed-loop matrices C_t = A_t - B_t L
+  trial-major, from views of the buffer, and copies them into one
+  H x n x n x B array, the trial axis last and contiguous;
 - the states x_0..x_H form one (H+1) x n x B array, filled by one product
   x_{t+1} = C_t x_t over the whole block per step;
 - the divergence test, the zeroing of diverged states and the costs are
   then taken over all steps at once.
 
-The draws and the closed-loop matrices coexist while the latter are built,
-so a block peaks at about 8 B H (d + n^2) bytes: 12 MB for n = 2, m = 1 and
-H = 300 at B = 512.
+Every array of a block lives in one workspace, allocated once per call of
+``mc_cost_study`` or ``rollout`` and reused by each of its blocks:
+
+    8 (C (d + n^2) H + B H n^2 + B (H + 1)(n + 2)) bytes,
+
+the chunk's draws and closed-loop matrices, the block's closed-loop
+matrices and states, and two (H+1) x B buffers for the cost fold. That is
+11.6 MB (11.0 MiB) for the example system at H = 300 and B = 512. A block
+of k < B trials views each buffer's first entries as its own C-contiguous
+arrays, so every product runs on, and rounds as on, the layout a block of
+k trials alone would have.
 
 A trial diverges at the first step t >= 1 whose state is non-finite or has
 a Euclidean norm above ``OVERFLOW_LIMIT``. Its cost is infinite, and its
@@ -34,6 +45,7 @@ states from that step on are reported as zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +71,8 @@ __all__ = [
 OVERFLOW_LIMIT = 1e12
 
 _BLOCK = 512
+#: Raw-draw bytes of one chunk of trials (see the module docstring).
+_CHUNK_BYTES = 2**20
 
 
 @dataclass(frozen=True)
@@ -107,6 +121,30 @@ class RobustnessSummary:
     failures: tuple[tuple[int, str], ...] = ()
 
 
+class _Workspace:
+    """The arrays of one block of up to ``size`` trials, as flat buffers.
+
+    A block of k trials takes each of its arrays as a reshaped prefix of a
+    buffer (:func:`_prefix`). The chunk size, in trials, is computed here
+    from the target of ``_CHUNK_BYTES`` raw-draw bytes.
+    """
+
+    def __init__(self, dist: ParameterDistribution, horizon: int, size: int):
+        n, cells = dist.n, dist.dim * horizon
+        self.chunk = min(size, max(1, _CHUNK_BYTES // max(8 * cells, 1)))
+        self.draws = np.empty(self.chunk * cells)
+        self.chunk_closed = np.empty(self.chunk * horizon * n * n)
+        self.closed = np.empty(size * horizon * n * n)
+        self.states = np.empty(size * (horizon + 1) * n)
+        self.quad = np.empty(size * (horizon + 1))
+        self.term = np.empty(size * (horizon + 1))
+
+
+def _prefix(buffer: np.ndarray, *shape: int) -> np.ndarray:
+    """The first prod(shape) entries of a flat buffer, as a C-contiguous array."""
+    return buffer[: math.prod(shape)].reshape(shape)
+
+
 def _run_trials(
     dist: ParameterDistribution,
     gain: np.ndarray,
@@ -115,41 +153,49 @@ def _run_trials(
     x0: np.ndarray,
     horizon: int,
     rngs,
+    work: _Workspace,
 ):
-    """Simulate one block of trials, one fresh draw per trial and step.
+    """Simulate one block of trials in ``work``, one fresh draw per trial and step.
 
-    Returns the per-trial costs, the step at which each trial diverged (-1
-    if it did not) and the states, (horizon + 1) x n x trials. Trial k takes
-    its draws from ``rngs[k]`` as one ``draw(rngs[k], horizon)`` would, so
-    results match a standalone single-trial run.
+    Trial k takes its draws from ``rngs[k]`` as one ``draw(rngs[k], horizon)``
+    would, so results match a standalone single-trial run. Returns the
+    per-trial costs, the step at which each trial diverged (-1 if it did
+    not) and the states, (horizon + 1) x n x trials: a view into ``work``
+    that the next block overwrites.
     """
     count = len(rngs)
     n, m = dist.n, dist.m
-    lam = np.empty((count, dist.dim, horizon))
-    dist._fill(rngs, lam)
-    # Component i + n j is entry (i, j) of A, then of B (column-major); the
-    # views index [t, i, j, k].
-    a_seq = lam[:, : n * n].reshape(count, n, n, horizon).transpose(3, 2, 1, 0)
-    b_seq = lam[:, n * n :].reshape(count, m, n, horizon).transpose(3, 2, 1, 0)
-    closed = np.empty((horizon, n, n, count))
-    np.einsum("tijk,jl->tilk", b_seq, gain, out=closed)
-    np.subtract(a_seq, closed, out=closed)
-    del lam, a_seq, b_seq
+    closed = _prefix(work.closed, horizon, n, n, count)
+    for k0 in range(0, count, work.chunk):
+        size = min(work.chunk, count - k0)
+        lam = _prefix(work.draws, size, dist.dim, horizon)
+        dist._fill(rngs[k0 : k0 + size], lam)
+        # Component i + n j is entry (i, j) of A, then of B (column-major); the
+        # views index [k, j, i, t]. C_t is formed trial-major, where every
+        # operand is contiguous in t, and then copied into the block's array.
+        a_seq = lam[:, : n * n].reshape(size, n, n, horizon)
+        b_seq = lam[:, n * n :].reshape(size, m, n, horizon)
+        part = _prefix(work.chunk_closed, size, n, n, horizon)
+        np.einsum("kjit,jl->klit", b_seq, gain, out=part)
+        np.subtract(a_seq, part, out=part)
+        np.copyto(closed[..., k0 : k0 + size], part.transpose(3, 2, 1, 0))
 
-    states = np.empty((horizon + 1, n, count))
+    states = _prefix(work.states, horizon + 1, n, count)
     states[0] = np.asarray(x0, dtype=float).reshape(n, 1)
     dead_steps = np.zeros(count, dtype=int)
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(horizon):
             np.einsum("ijk,jk->ik", closed[t], states[t], out=states[t + 1])
-        del closed
         after = states[1:]
         # Entries within LIMIT/(2n) keep every norm below the limit, so only
         # a block that fails this test (or holds a NaN) needs the norms.
         bound = OVERFLOW_LIMIT / (2 * n)
         if not (after.max(initial=0.0) <= bound and after.min(initial=0.0) >= -bound):
-            # The norm as np.linalg.norm forms it; NaN fails the comparison.
-            norm = np.sqrt(np.add.reduce(after * after, axis=1))
+            # The norm as np.linalg.norm forms it, its squares in the spent
+            # closed-loop buffer; NaN fails the comparison.
+            squares = np.multiply(after, after, out=_prefix(work.closed, horizon, n, count))
+            norm = np.add.reduce(squares, axis=1, out=_prefix(work.quad, horizon, count))
+            np.sqrt(norm, out=norm)
             dead = np.logical_or.accumulate(~(norm <= OVERFLOW_LIMIT), axis=0)
             np.copyto(after, 0.0, where=dead[:, None, :])
             dead_steps = dead.sum(axis=0)
@@ -157,11 +203,15 @@ def _run_trials(
     # x' W x summed as (x_i W_ij) x_j over i, then j, and over the steps by
     # cumsum: the same left folds, in the same order, as a per-step loop.
     weight_mat = q + gain.T @ r @ gain
-    quad = np.zeros((horizon + 1, count))
+    quad = _prefix(work.quad, horizon + 1, count)
+    term = _prefix(work.term, horizon + 1, count)
+    quad[...] = 0.0
     for i in range(n):
         for j in range(n):
-            quad += states[:, i] * weight_mat[i, j] * states[:, j]
-    cost = np.cumsum(quad, axis=0)[-1]
+            np.multiply(states[:, i], weight_mat[i, j], out=term)
+            term *= states[:, j]
+            quad += term
+    cost = np.cumsum(quad, axis=0, out=term)[-1].copy()
     diverged_at = np.where(dead_steps > 0, horizon + 1 - dead_steps, -1)
     cost[dead_steps > 0] = np.inf
     return cost, diverged_at, states
@@ -189,12 +239,15 @@ def rollout(
     q = symmetrize(q, "Q")
     r = symmetrize(r, "R")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    cost, diverged_at, states = _run_trials(dist, gain, q, r, x0, horizon, [rng])
-    path = np.ascontiguousarray(states[:, :, 0])
+    cost, diverged_at, states = _run_trials(
+        dist, gain, q, r, x0, horizon, [rng], _Workspace(dist, horizon, 1)
+    )
     stop = int(diverged_at[0])
     if stop < 0:
-        return RolloutResult(states=path, cost=float(cost[0]), diverged_at=None)
-    return RolloutResult(states=path[: stop + 1], cost=float(cost[0]), diverged_at=stop)
+        return RolloutResult(states=states[:, :, 0].copy(), cost=float(cost[0]))
+    return RolloutResult(
+        states=states[: stop + 1, :, 0].copy(), cost=float(cost[0]), diverged_at=stop
+    )
 
 
 def worst_percent_averages(costs, rho_list) -> list[tuple[float, float]]:
@@ -238,15 +291,16 @@ def mc_cost_study(
     costs = np.empty(trials)
     diverged = 0
     trajectories = []
+    work = _Workspace(dist, horizon, min(trials, _BLOCK))
     for start in range(0, trials, _BLOCK):
         stop = min(start + _BLOCK, trials)
         block_costs, block_div, states = _run_trials(
-            dist, gain, q, r, x0, horizon, _stream_rngs(seed, start, stop)
+            dist, gain, q, r, x0, horizon, _stream_rngs(seed, start, stop), work
         )
         costs[start:stop] = block_costs
         diverged += int(np.sum(block_div >= 0))
         for k in range(start, min(stop, trajectory_count)):
-            trajectories.append(np.ascontiguousarray(states[:, :, k - start]))
+            trajectories.append(states[:, :, k - start].copy())
 
     tail = tuple(worst_percent_averages(costs, rho_list))
     return SimulationSummary(

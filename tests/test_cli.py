@@ -292,6 +292,45 @@ def test_sweep_rejects_a_continuation_grid_before_drawing(tmp_path, caplog, monk
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["design", "robustness"])
+def test_continuation_grid_off_theta_is_rejected_before_drawing(
+    tmp_path, caplog, monkeypatch, command
+):
+    def drawn(*args, **kwargs):
+        pytest.fail("bank drawn")
+
+    for module, name in [(ws.config, "make_bank"), (ws.config, "draw_bank"),
+                         (ws.simulate, "draw_bank")]:
+        monkeypatch.setattr(module, name, drawn)
+    out = tmp_path / "out"
+    cfg = write_config(
+        tmp_path,
+        base_config(
+            out,
+            solver={"method": "newton-continuation", "continuation": [0.25, 0.5]},
+            task={"repetitions": 2, "robustness_bank_size": 300},
+        ),
+    )
+    assert main([command, str(cfg)]) == 1
+    assert "configuration error: continuation grid must end at theta=1.0, got 0.5" in caplog.text
+    assert not out.exists()
+
+
+def test_continuation_grid_off_theta_does_not_stop_stability(tmp_path):
+    # Only design and robustness solve; stability never runs the grid.
+    out = tmp_path / "out"
+    cfg = write_config(
+        tmp_path,
+        base_config(
+            out,
+            solver={"method": "newton-continuation", "continuation": [0.25, 0.5]},
+            task={"gain": [[4.0, 3.5]]},
+        ),
+    )
+    assert main(["stability", str(cfg)]) == 0
+    assert (out / "stability.csv").exists()
+
+
 def test_stability_with_inline_gain(tmp_path):
     out = tmp_path / "out"
     cfg = write_config(

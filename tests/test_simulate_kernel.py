@@ -14,6 +14,7 @@ that case is held to a first-order error bound (see ``_bounds``).
 
 import hashlib
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -183,7 +184,13 @@ def _bounds(dist, gain, weight_mat, x0, horizon, rngs):
     return np.nan_to_num(state, nan=np.inf), np.nan_to_num(cost, nan=np.inf)
 
 
-@pytest.mark.parametrize("trials", [1, 511, 512, 513, 1025])
+#: Trials per draw chunk on the example system (d = 6) at 300 steps.
+EXAMPLE_CHUNK = simulate._CHUNK_BYTES // (8 * 6 * 300)
+
+
+@pytest.mark.parametrize(
+    "trials", [1, EXAMPLE_CHUNK - 1, EXAMPLE_CHUNK, EXAMPLE_CHUNK + 1, 511, 512, 513, 1025]
+)
 @settings(max_examples=12, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_study_matches_per_step_reference(trials, data):
@@ -262,6 +269,60 @@ def test_study_with_diverging_trials_matches_reference(benchmark_dist):
     assert summary.diverged == int(np.sum(diverged_at >= 0))
     assert np.array_equal(summary.costs, cost)
     assert np.array_equal(np.stack(summary.trajectories), states[:600])
+
+
+@pytest.mark.parametrize(
+    "trials",
+    [EXAMPLE_CHUNK - 1, EXAMPLE_CHUNK, EXAMPLE_CHUNK + 1, simulate._BLOCK + EXAMPLE_CHUNK + 1],
+)
+def test_chunk_edges_match_reference_and_trajectories_are_copies(benchmark_dist, trials):
+    # On the example system at 300 steps a block draws in chunks of
+    # EXAMPLE_CHUNK trials; every trajectory is kept, the last block's too.
+    gain = np.array([[-6.5, -6.5]])
+    q, r = 3.0 * np.eye(2), np.eye(1)
+    summary = ws.mc_cost_study(
+        benchmark_dist, gain, q, r, [1.0, 1.0], 300, trials, [100.0], seed=11,
+        trajectory_count=trials,
+    )
+    rngs = [ws.stream_rng(11, k) for k in range(trials)]
+    cost, diverged_at, states = reference_trials(
+        benchmark_dist, gain, q, r, [1.0, 1.0], 300, rngs
+    )
+    assert summary.diverged == int(np.sum(diverged_at >= 0))
+    assert np.array_equal(summary.costs, cost)
+    assert np.array_equal(np.stack(summary.trajectories), states)
+    for path in summary.trajectories:
+        assert path.base is None and path.flags.c_contiguous
+    first, last = summary.trajectories[0], summary.trajectories[-1]
+    assert not np.shares_memory(first, last)
+    result = ws.rollout(benchmark_dist, gain, q, r, [1.0, 1.0], 300, seed=ws.stream_rng(11, 0))
+    assert result.states.base is None
+
+
+def test_study_peaks_within_its_workspace(benchmark_dist):
+    # The workspace bound of the simulate module docstring, for the example
+    # system at 300 steps, plus 2 MiB for Python objects.
+    n, d, horizon, block = 2, 6, 300, simulate._BLOCK
+    workspace = 8 * (
+        EXAMPLE_CHUNK * (d + n * n) * horizon
+        + block * horizon * n * n
+        + block * (horizon + 1) * (n + 2)
+    )
+    gain = np.array([[6.683243074124488, 7.448763532065042]])
+    args = (benchmark_dist, gain, 3.0 * np.eye(2), np.eye(1), [1.0, 1.0], horizon)
+    ws.mc_cost_study(*args, 3, [100.0], seed=7)
+    tracemalloc.start()
+    try:
+        ws.mc_cost_study(*args, 1100, [100.0], seed=7)
+        study_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        ws.rollout(*args, seed=7)
+        rollout_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert study_peak <= workspace + 2 * 2**20
+    assert rollout_peak < 64 * 2**10
 
 
 #: sha256 of the simulate outputs below, as written before the block kernel.
