@@ -56,6 +56,19 @@ w' phi, stay one gemv per problem: one gemm over several columns gives other
 bits. So does the Frobenius norm taken over a stack (``np.linalg.norm`` with
 ``axis=(1, 2)``, or an einsum), so each solve takes its own fixed-point
 residual.
+
+A round's weights are computed in one reused workspace. :func:`_zpz_all`,
+which both the maps (:func:`_stacked_maps`) and the residuals
+(:func:`_stacked_residuals`, so Newton's Jacobian requests too) go through,
+hands the stacked weight pass the calling thread's
+:class:`~wsriccati.weights._Workspace`. The pass writes the round's
+predictive costs, sigmoid arguments, raw and normalized weights and its two
+masks into those buffers with ``out=`` ufuncs, 26 bytes per draw per point
+against the 64 of ``_WORK_BYTES_PER_DRAW``, instead of allocating (rows, N)
+arrays afresh every round. The weights leave the pass only as the moments
+read off them, so the next round may overwrite the buffers; every step is
+the same operation as on fresh arrays, so the bits are the same. Solves in
+other threads have workspaces of their own.
 """
 
 from __future__ import annotations
@@ -76,7 +89,7 @@ from .errors import (
     SingularJacobianError,
 )
 from .matops import _pair_index, _stack, symmetrize, unvech, vech
-from .weights import WeightSpec, _unit_weights, _weigh_all
+from .weights import WeightSpec, _thread_workspace, _unit_weights, _weigh_all
 
 __all__ = [
     "DEFAULT_FP_TOL",
@@ -239,7 +252,8 @@ def _zpz_all(problems, values, gains):
     weights of its policy (the unweighted moment for RN and theta = 0, whose
     weights are exactly one); the weighted problems share weight family,
     alpha and beta. A weight check that fails raises (see
-    :func:`~wsriccati.weights._weigh_all`).
+    :func:`~wsriccati.weights._weigh_all`). The weights are written into
+    the calling thread's workspace and used only here, for the moments.
     """
     values = _stack([np.asarray(v, dtype=float) for v in values])
     gains = _stack([np.asarray(g, dtype=float) for g in gains])
@@ -253,7 +267,8 @@ def _zpz_all(problems, values, gains):
             sub = [problems[i] for i in weighted]
             stacks = tuple(x[weighted] for x in stacks)
         weights = _weigh_all(
-            [p.bank for p in sub], [p.weights for p in sub], [p.theta for p in sub], *stacks
+            [p.bank for p in sub], [p.weights for p in sub], [p.theta for p in sub], *stacks,
+            work=_thread_workspace(),
         )[2]
         for i, problem, w in zip(weighted, sub, weights):
             moments[i] = problem.bank.moment(w)

@@ -145,6 +145,19 @@ def _prefix(buffer: np.ndarray, *shape: int) -> np.ndarray:
     return buffer[: math.prod(shape)].reshape(shape)
 
 
+def _fold_steps(quad: np.ndarray) -> np.ndarray:
+    """Each column's sum over the steps, (H+1) x trials, as the left fold t = 0, 1, ..., H.
+
+    ``np.add.reduce`` along the first axis of a C-contiguous array of two or
+    more columns adds one step's row at a time: the left fold, without the
+    (H+1) x trials array of ``np.cumsum``. A lone column it sums pairwise,
+    so one trial takes its ``cumsum``.
+    """
+    if quad.shape[1] == 1:
+        return np.cumsum(quad[:, 0])[-1:]
+    return np.add.reduce(quad, axis=0)
+
+
 def _run_trials(
     dist: ParameterDistribution,
     gain: np.ndarray,
@@ -201,7 +214,7 @@ def _run_trials(
             dead_steps = dead.sum(axis=0)
 
     # x' W x summed as (x_i W_ij) x_j over i, then j, and over the steps by
-    # cumsum: the same left folds, in the same order, as a per-step loop.
+    # _fold_steps: the same left folds, in the same order, as a per-step loop.
     weight_mat = q + gain.T @ r @ gain
     quad = _prefix(work.quad, horizon + 1, count)
     term = _prefix(work.term, horizon + 1, count)
@@ -211,7 +224,7 @@ def _run_trials(
             np.multiply(states[:, i], weight_mat[i, j], out=term)
             term *= states[:, j]
             quad += term
-    cost = np.cumsum(quad, axis=0, out=term)[-1].copy()
+    cost = _fold_steps(quad)
     diverged_at = np.where(dead_steps > 0, horizon + 1 - dead_steps, -1)
     cost[dead_steps > 0] = np.inf
     return cost, diverged_at, states

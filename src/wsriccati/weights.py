@@ -53,6 +53,7 @@ so the weights have its bits and the package needs no scipy.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,6 +143,48 @@ def predictive_costs(
     return np.einsum("sij,ji->s", quad, sigma) + base
 
 
+class _Workspace:
+    """Reused buffers of the stacked weight pass: 3 float64 and 2 bool arrays.
+
+    They hold the predictive costs, the sigmoid arguments or RSL exponents
+    (later the normalized weights), the raw weights and the two RRSL masks:
+    3 x 8 + 2 = 26 bytes per draw per point, within the lockstep's
+    ``_WORK_BYTES_PER_DRAW`` of 64. Each is one flat buffer, grown to the
+    largest stack seen, and a pass of any shape takes its first entries as
+    C-contiguous arrays (:meth:`take`), so its rows lie as a fresh stack's
+    would. A pass on a new ``_Workspace()`` returns arrays that nothing
+    else holds.
+    """
+
+    def __init__(self):
+        self._buffers = ()
+
+    def take(self, shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+        """Costs, arguments, raw weights and the two masks of one pass, each of ``shape``."""
+        cells = math.prod(shape)
+        if not self._buffers or cells > self._buffers[0].size:
+            self._buffers = tuple(np.empty(cells) for _ in range(3)) + tuple(
+                np.empty(cells, dtype=bool) for _ in range(2)
+            )
+        return tuple(buf[:cells].reshape(shape) for buf in self._buffers)
+
+
+_LOCAL = threading.local()
+
+
+def _thread_workspace() -> _Workspace:
+    """The calling thread's own :class:`_Workspace`, kept from call to call.
+
+    Solves in other threads never see its buffers. It holds 26 bytes per
+    draw per point of the largest stack the thread weighed: 2.6 MB for the
+    ten weighted points of the example sweep on its 10k bank.
+    """
+    work = getattr(_LOCAL, "work", None)
+    if work is None:
+        work = _LOCAL.work = _Workspace()
+    return work
+
+
 def _raw_from_costs(
     spec: WeightSpec,
     theta: float | np.ndarray,
@@ -153,12 +196,24 @@ def _raw_from_costs(
     For a stack, ``theta`` and ``mean_predictive`` are (rows, 1) columns,
     one entry per row, and every row shares the family, alpha and beta of
     ``spec``. An RSL exponent beyond ``RSL_MAX_EXPONENT`` raises for the
-    first row that has one, with that row's largest exponent.
+    first row that has one, with that row's largest exponent. The result is
+    a new array: this is :func:`_raw_into` on buffers of its own.
+    """
+    _, args, raw, saturated, window = _Workspace().take(np.shape(costs))
+    return _raw_into(spec, theta, costs, mean_predictive, args, raw, saturated, window)
+
+
+def _raw_into(spec, theta, costs, mean_predictive, args, raw, saturated, window):
+    """:func:`_raw_from_costs` written into ``raw``, with ``args`` and the masks as scratch.
+
+    The buffers have the shape of ``costs``. ``args`` ends up holding the RSL
+    exponents or the RRSL sigmoid arguments; ``raw`` is returned.
     """
     if spec.family == FAMILY_RN:
-        return np.ones_like(costs)
+        raw[...] = 1.0
+        return raw
     if spec.family == FAMILY_RSL:
-        exponents = theta * costs
+        exponents = np.multiply(theta, costs, out=args)
         if exponents.size and exponents.max() > RSL_MAX_EXPONENT:
             worst = exponents.max(axis=-1).reshape(-1)
             row = int(np.argmax(worst > RSL_MAX_EXPONENT))
@@ -166,37 +221,50 @@ def _raw_from_costs(
                 f"RSL weight overflow: theta * J reaches {worst[row]:.6g}, "
                 f"beyond exp({RSL_MAX_EXPONENT:.0f})"
             )
-        return np.exp(exponents)
-    return _rrsl_raw(theta, spec.alpha * costs - spec.beta * mean_predictive)
+        return np.exp(exponents, out=raw)
+    x = np.multiply(spec.alpha, costs, out=args)
+    np.subtract(x, spec.beta * mean_predictive, out=x)
+    return _rrsl_raw(theta, x, raw, saturated, window)
 
 
-def _rrsl_raw(theta, x: np.ndarray) -> np.ndarray:
-    """1 + theta * expit(x), taking the sigmoid only where the result is not exact.
+def _rrsl_raw(theta, x: np.ndarray, raw, saturated, window) -> np.ndarray:
+    """1 + theta * expit(x) into ``raw``, taking the sigmoid only where the result is not exact.
 
     For x >= 40, exp(-x) < 2**-53, so 1 + exp(-x) rounds to 1, expit(x) is
     exactly 1.0 and the weight exactly 1 + theta. For x below
     log(2**-55 / |theta|), |theta| expit(x) < |theta| exp(x) < 2**-55; the
     few roundings of expit, of the product and of the bound itself keep it
     below 2**-54, half an ulp of 1 from below, so 1 + theta * expit(x)
-    rounds to 1.0 (at theta = 0 for every finite x). One pass sets both
-    exact values, 1 + theta and 1; at theta = +-inf or NaN no x lies below
-    the window. Every other entry, NaN included, takes the full expression,
-    so the result equals it bit for bit and a NaN still reaches
-    :func:`normalize_weights`.
+    rounds to 1.0 (at theta = 0 for every finite x). One product and one
+    sum set both exact values, theta [x >= 40] + 1: 1 + theta where x >= 40
+    and 0 + 1 = 1 elsewhere. At theta = +-inf or NaN, whose product with 0
+    is NaN, no x lies below the window, so every entry that is not
+    saturated is overwritten. Every other entry, NaN included, takes the
+    full expression, so the result equals it bit for bit and a NaN still
+    reaches :func:`normalize_weights`.
 
     ``theta`` is a float, or for a stack of rows ``x`` a (rows, 1) column
-    of one theta per row.
+    of one theta per row. ``saturated`` and ``window`` are boolean scratch
+    of the shape of ``x``.
     """
     stacked = isinstance(theta, np.ndarray) and theta.ndim > 0
-    saturated = x >= _EXPIT_ONE
-    raw = np.where(saturated, 1.0 + theta, 1.0)
+    np.greater_equal(x, _EXPIT_ONE, out=saturated)
+    np.multiply(saturated, theta, out=raw)
+    raw += 1.0
     if stacked:
         low = np.array([[_window_floor(t)] for t in theta[:, 0]])
     else:
         low = _window_floor(theta)
-    mid = np.flatnonzero(~(saturated | (x < low)))
+    np.less(x, low, out=window)
+    window |= saturated
+    np.logical_not(window, out=window)
+    mid = np.flatnonzero(window)
     if mid.size:
-        scale = theta[mid // x.shape[-1], 0] if stacked else theta
+        scale = theta  # a float, or the (1, 1) column of a stack of one row
+        if stacked and len(theta) > 1:
+            # mid runs through the rows in order: row i's entries lie in [i N, (i + 1) N).
+            bounds = np.searchsorted(mid, x.shape[-1] * np.arange(len(theta) + 1))
+            scale = theta[:, 0].repeat(bounds[1:] - bounds[:-1])
         raw.reshape(-1)[mid] = 1.0 + scale * _expit(x.reshape(-1)[mid])
     return raw
 
@@ -213,7 +281,8 @@ def _expit(x: np.ndarray) -> np.ndarray:
         low = x < _CEXP_FLOOR
         if low.any():
             e[low] = [_libm_exp(-v) for v in x[low]]
-        return 1.0 / (1.0 + e)
+        e += 1.0
+        return np.divide(1.0, e)
 
 
 def _libm_exp(v: float) -> float:
@@ -235,7 +304,11 @@ def normalize_weights(raw: np.ndarray) -> np.ndarray:
     ``raw`` is one row of weights or a (rows, N) stack. The first bad row
     raises: a non-finite weight, then a negative one, then all zero.
     """
-    raw = np.asarray(raw, dtype=float)
+    return _normalize_into(np.asarray(raw, dtype=float), None)
+
+
+def _normalize_into(raw: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """:func:`normalize_weights` of a float array, written into ``out`` if given."""
     mean = np.add.reduce(raw, axis=-1, keepdims=True) / raw.shape[-1]
     # One min and one max clear the common case (NaN fails both tests); the
     # index search runs only when a check is bound to fail.
@@ -250,7 +323,7 @@ def normalize_weights(raw: np.ndarray) -> np.ndarray:
             idx = int(np.argmax(row < 0.0))
             raise NumericalError(f"raw weight negative at sample {idx}")
         raise NumericalError("all raw weights are zero; normalization impossible")
-    return raw / mean
+    return np.divide(raw, mean, out=out)
 
 
 def _unit_weights(spec: WeightSpec, theta: float) -> bool:
@@ -271,7 +344,7 @@ def _check_costs(costs: np.ndarray, sums: np.ndarray) -> None:
             raise NonFiniteError(f"predictive cost non-finite at sample {idx}")
 
 
-def _weigh_all(banks, specs, thetas, gains, values, qs, rs):
+def _weigh_all(banks, specs, thetas, gains, values, qs, rs, work: _Workspace | None = None):
     """Predictive costs, raw and normalized weights of several problems at once.
 
     Row i of each returned (rows, N) array is for ``banks[i]``, all of one
@@ -288,6 +361,11 @@ def _weigh_all(banks, specs, thetas, gains, values, qs, rs):
     that order) is one test on the whole stack and raises the
     :class:`NumericalError` of the first row it flags, so on a single row
     the error is the row's own.
+
+    The (rows, N) arrays are written with ``out=`` into the buffers of
+    ``work``, which the next pass on it overwrites; without it, into new
+    ones. Either way the bits are the same: each step is the same operation
+    on the same operands.
     """
     count, n = values.shape[:2]
     sigma = _stack([spec.resolved_sigma(n) for spec in specs])
@@ -300,14 +378,17 @@ def _weigh_all(banks, specs, thetas, gains, values, qs, rs):
     outer = k_mat @ sigma @ k_mat.transpose(0, 2, 1)
     dim = outer.shape[1] * n
     kron = (outer[:, :, None, :, None] * values[:, None, :, None, :]).reshape(count, dim, dim)
-    forms = [bank.quadratic_forms(h) for bank, h in zip(banks, kron)]
-    costs = _stack(forms)
-    costs += base[:, None]
+    size = banks[0].size
+    costs, args, raw, saturated, window = (work if work is not None else _Workspace()).take(
+        (count, size)
+    )
+    for row, bank, h, offset in zip(costs, banks, kron, base):
+        np.add(bank.quadratic_forms(h), offset, out=row)
     sums = np.add.reduce(costs, axis=1)
     _check_costs(costs, sums)
     theta = np.array(thetas, dtype=float)[:, None]
-    raw = _raw_from_costs(specs[0], theta, costs, sums[:, None] / banks[0].size)
-    return costs, raw, normalize_weights(raw)
+    raw = _raw_into(specs[0], theta, costs, sums[:, None] / size, args, raw, saturated, window)
+    return costs, raw, _normalize_into(raw, args)
 
 
 def _weigh(bank: SampleBank, spec: WeightSpec, theta: float, gain, value, q, r):

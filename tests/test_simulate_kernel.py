@@ -253,6 +253,25 @@ def test_grouped_draw_is_bit_identical_to_per_component_draws(drawn, size, seed)
     assert np.array_equal(got, reference_draw(dist, np.random.default_rng(seed), size))
 
 
+@pytest.mark.parametrize("width", [1, 2, 511, 512])
+@pytest.mark.parametrize("horizon", [0, 1, 300])
+def test_step_fold_equals_the_cumsum_fold(width, horizon):
+    # Per-step costs spread over many magnitudes, so that summing in any
+    # other order than t = 0, 1, ..., H would round differently. The block
+    # takes them as a C-contiguous prefix of a longer buffer, as a block of
+    # fewer trials than the workspace holds does.
+    rng = np.random.default_rng(width * 1000 + horizon)
+    buffer = np.exp(rng.uniform(-30.0, 30.0, (horizon + 1) * width + 17))
+    quad = buffer[: (horizon + 1) * width].reshape(horizon + 1, width)
+    want = np.cumsum(quad, axis=0)[-1]
+    got = simulate._fold_steps(quad)
+    assert got.shape == (width,)
+    assert np.array_equal(got, want)
+    if width == 1 and horizon == 300:
+        # numpy's own reduction of a lone column is pairwise, not this fold.
+        assert not np.array_equal(np.add.reduce(quad, axis=0), want)
+
+
 def test_study_with_diverging_trials_matches_reference(benchmark_dist):
     # Some trials of this gain diverge, some do not, in every block.
     gain = np.array([[-6.5, -6.5]])
