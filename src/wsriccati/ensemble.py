@@ -353,8 +353,7 @@ class SampleBank:
         """E_w[z z'] = (1/N) sum_i w_i z_i z_i', d by d; ``None`` is the unweighted moment."""
         if weights is None:
             return self._plain
-        flat = np.asarray(weights, dtype=float) @ self.phi / self.size
-        out = flat[_pair_index(self.n * (self.n + self.m))[2]]
+        out = _weighted_moments([self], np.asarray(weights, dtype=float)[None])[0]
         out.setflags(write=False)
         return out
 
@@ -364,6 +363,21 @@ class SampleBank:
         flat = np.asarray(h, dtype=float).reshape(-1)
         upper = flat[upper_at]
         return self.phi @ np.where(diagonal, upper, upper + flat[lower_at])
+
+
+def _weighted_moments(banks, weights: np.ndarray) -> np.ndarray:
+    """E_w[z z'] of each bank at its row of the (rows, N) ``weights``: (rows, d, d).
+
+    The banks share n, m and N. One gemv w' phi per bank writes its row of
+    one (rows, d(d+1)/2) stack, and one division and one gather unpack the
+    whole stack: each moment is the bits :meth:`SampleBank.moment` gives it,
+    which is this on a stack of one.
+    """
+    flats = np.empty((len(banks), banks[0].phi.shape[1]))
+    for flat, bank, w in zip(flats, banks, weights):
+        np.matmul(w, bank.phi, out=flat)
+    flats /= banks[0].size
+    return flats[:, _pair_index(banks[0].n * (banks[0].n + banks[0].m))[2]]
 
 
 def quadratic_expect(moment: np.ndarray, value: np.ndarray) -> np.ndarray:

@@ -79,7 +79,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import SampleBank, _closed_loop_operator, quadratic_expect
+from .ensemble import SampleBank, _closed_loop_operator, _weighted_moments, quadratic_expect
 from .errors import (
     ConfigurationError,
     ConvergenceError,
@@ -253,26 +253,27 @@ def _zpz_all(problems, values, gains):
     weights are exactly one); the weighted problems share weight family,
     alpha and beta. A weight check that fails raises (see
     :func:`~wsriccati.weights._weigh_all`). The weights are written into
-    the calling thread's workspace and used only here, for the moments.
+    the calling thread's workspace and used only here, for the moments,
+    which are read off one stack (:func:`~wsriccati.ensemble._weighted_moments`).
     """
     values = _stack([np.asarray(v, dtype=float) for v in values])
     gains = _stack([np.asarray(g, dtype=float) for g in gains])
     qs = _stack([p.q for p in problems])
     rs = _stack([p.r for p in problems])
-    moments = [p.bank.moment() for p in problems]
+    moments = np.array([p.bank.moment() for p in problems])
     weighted = [i for i, p in enumerate(problems) if not _unit_weights(p.weights, p.theta)]
     if weighted:
         sub, stacks = problems, (gains, values, qs, rs)
         if len(weighted) < len(problems):
             sub = [problems[i] for i in weighted]
             stacks = tuple(x[weighted] for x in stacks)
+        banks = [p.bank for p in sub]
         weights = _weigh_all(
-            [p.bank for p in sub], [p.weights for p in sub], [p.theta for p in sub], *stacks,
+            banks, [p.weights for p in sub], [p.theta for p in sub], *stacks,
             work=_thread_workspace(),
         )[2]
-        for i, problem, w in zip(weighted, sub, weights):
-            moments[i] = problem.bank.moment(w)
-    zpz = quadratic_expect(_stack(moments), values)
+        moments[weighted] = _weighted_moments(banks, weights)
+    zpz = quadratic_expect(moments, values)
     return values, gains, qs, rs, 0.5 * (zpz + zpz.transpose(0, 2, 1))
 
 

@@ -26,15 +26,28 @@ horizon H, with d = n(n+m) parameter components:
 - the divergence test, the zeroing of diverged states and the costs are
   then taken over all steps at once.
 
-Every array of a block lives in one workspace, allocated once per call of
-``mc_cost_study`` or ``rollout`` and reused by each of its blocks:
+A block's arrays live in two flat buffers, allocated once per call of
+``mc_cost_study`` or ``rollout`` and reused by each of its blocks. Arrays
+that are never live at the same time share a buffer:
 
-    8 (C (d + n^2) H + B H n^2 + B (H + 1)(n + 2)) bytes,
+- the states buffer holds the block's states. During the chunk loop, before
+  any state is written, it also holds the chunk's raw draws, from its start,
+  and the chunk's closed-loop matrices, from the first 64-byte line past
+  room for C draws. Both are dead once the last chunk is copied into the
+  block's closed-loop array;
+- the closed-loop buffer holds the block's closed-loop array, which is dead
+  once the states are propagated. The overflow test then takes the squares
+  of the states and their norms in it, at disjoint offsets, and the cost
+  fold its two (H+1) x B buffers.
 
-the chunk's draws and closed-loop matrices, the block's closed-loop
-matrices and states, and two (H+1) x B buffers for the cost fold. That is
-11.6 MB (11.0 MiB) for the example system at H = 300 and B = 512. A block
-of k < B trials views each buffer's first entries as its own C-contiguous
+With align8(k) = 8 ceil(k / 8), the two buffers take
+
+    8 (max(B (H+1) n, align8(C d H) + C n^2 H)
+       + max(B H n^2, 2 align8(B (H+1)), align8(B H n) + B H)) bytes,
+
+7.4 MB (7.0 MiB) for the example system at H = 300 and B = 512. Every
+array is a C-contiguous view that starts on a 64-byte line of its buffer.
+A block of k < B trials views the first entries at each offset as its own
 arrays, so every product runs on, and rounds as on, the layout a block of
 k trials alone would have.
 
@@ -121,23 +134,37 @@ class RobustnessSummary:
     failures: tuple[tuple[int, str], ...] = ()
 
 
-class _Workspace:
-    """The arrays of one block of up to ``size`` trials, as flat buffers.
+def _align(cells: int) -> int:
+    """``cells`` rounded up to whole 64-byte lines of float64 entries."""
+    return -(-cells // 8) * 8
 
-    A block of k trials takes each of its arrays as a reshaped prefix of a
-    buffer (:func:`_prefix`). The chunk size, in trials, is computed here
-    from the target of ``_CHUNK_BYTES`` raw-draw bytes.
+
+class _Workspace:
+    """The two flat buffers of one block of up to ``size`` trials.
+
+    ``states`` holds the states, and before them the chunk's draws and, from
+    ``chunk_at``, its closed-loop matrices; ``closed`` holds the closed-loop
+    array, and after it the overflow test's squares and norms and the cost
+    fold (see the module docstring). A block of k trials takes each array as
+    a reshaped prefix of the buffer from its offset (:func:`_prefix`). The
+    chunk size, in trials, is computed here from the target of
+    ``_CHUNK_BYTES`` raw-draw bytes.
     """
 
     def __init__(self, dist: ParameterDistribution, horizon: int, size: int):
         n, cells = dist.n, dist.dim * horizon
         self.chunk = min(size, max(1, _CHUNK_BYTES // max(8 * cells, 1)))
-        self.draws = np.empty(self.chunk * cells)
-        self.chunk_closed = np.empty(self.chunk * horizon * n * n)
-        self.closed = np.empty(size * horizon * n * n)
-        self.states = np.empty(size * (horizon + 1) * n)
-        self.quad = np.empty(size * (horizon + 1))
-        self.term = np.empty(size * (horizon + 1))
+        self.chunk_at = _align(self.chunk * cells)
+        self.states = np.empty(
+            max(size * (horizon + 1) * n, self.chunk_at + self.chunk * n * n * horizon)
+        )
+        self.closed = np.empty(
+            max(
+                size * horizon * n * n,
+                2 * _align(size * (horizon + 1)),
+                _align(size * horizon * n) + size * horizon,
+            )
+        )
 
 
 def _prefix(buffer: np.ndarray, *shape: int) -> np.ndarray:
@@ -173,22 +200,27 @@ def _run_trials(
     Trial k takes its draws from ``rngs[k]`` as one ``draw(rngs[k], horizon)``
     would, so results match a standalone single-trial run. Returns the
     per-trial costs, the step at which each trial diverged (-1 if it did
-    not) and the states, (horizon + 1) x n x trials: a view into ``work``
-    that the next block overwrites.
+    not) and the states, (horizon + 1) x n x trials: a view into
+    ``work.states`` that the next block, or its chunk loop, overwrites.
+
+    Each array is a view into one of the two buffers of ``work``, and each is
+    dead before the next array at its offset is written: the chunk's draws
+    and closed-loop matrices before the states, the closed-loop array before
+    the squares, the norms and the fold buffers.
     """
     count = len(rngs)
     n, m = dist.n, dist.m
     closed = _prefix(work.closed, horizon, n, n, count)
     for k0 in range(0, count, work.chunk):
         size = min(work.chunk, count - k0)
-        lam = _prefix(work.draws, size, dist.dim, horizon)
+        lam = _prefix(work.states, size, dist.dim, horizon)
         dist._fill(rngs[k0 : k0 + size], lam)
         # Component i + n j is entry (i, j) of A, then of B (column-major); the
         # views index [k, j, i, t]. C_t is formed trial-major, where every
         # operand is contiguous in t, and then copied into the block's array.
         a_seq = lam[:, : n * n].reshape(size, n, n, horizon)
         b_seq = lam[:, n * n :].reshape(size, m, n, horizon)
-        part = _prefix(work.chunk_closed, size, n, n, horizon)
+        part = _prefix(work.states[work.chunk_at :], size, n, n, horizon)
         np.einsum("kjit,jl->klit", b_seq, gain, out=part)
         np.subtract(a_seq, part, out=part)
         np.copyto(closed[..., k0 : k0 + size], part.transpose(3, 2, 1, 0))
@@ -204,10 +236,12 @@ def _run_trials(
         # a block that fails this test (or holds a NaN) needs the norms.
         bound = OVERFLOW_LIMIT / (2 * n)
         if not (after.max(initial=0.0) <= bound and after.min(initial=0.0) >= -bound):
-            # The norm as np.linalg.norm forms it, its squares in the spent
-            # closed-loop buffer; NaN fails the comparison.
+            # The norm as np.linalg.norm forms it, its squares and then the
+            # norms in the spent closed-loop buffer, apart, so that the
+            # reduction needs no copy; NaN fails the comparison.
             squares = np.multiply(after, after, out=_prefix(work.closed, horizon, n, count))
-            norm = np.add.reduce(squares, axis=1, out=_prefix(work.quad, horizon, count))
+            norm = _prefix(work.closed[_align(squares.size) :], horizon, count)
+            np.add.reduce(squares, axis=1, out=norm)
             np.sqrt(norm, out=norm)
             dead = np.logical_or.accumulate(~(norm <= OVERFLOW_LIMIT), axis=0)
             np.copyto(after, 0.0, where=dead[:, None, :])
@@ -216,8 +250,8 @@ def _run_trials(
     # x' W x summed as (x_i W_ij) x_j over i, then j, and over the steps by
     # _fold_steps: the same left folds, in the same order, as a per-step loop.
     weight_mat = q + gain.T @ r @ gain
-    quad = _prefix(work.quad, horizon + 1, count)
-    term = _prefix(work.term, horizon + 1, count)
+    quad = _prefix(work.closed, horizon + 1, count)
+    term = _prefix(work.closed[_align(quad.size) :], horizon + 1, count)
     quad[...] = 0.0
     for i in range(n):
         for j in range(n):
@@ -245,6 +279,12 @@ def rollout(
     x_t' Q x_t + u_t' R u_t for t = 0..horizon inclusive; if the state norm
     exceeds ``OVERFLOW_LIMIT`` the trial is reported as diverged with
     infinite cost and the trajectory is truncated at that step.
+
+    The trial runs as a block of one (B = C = 1 in the module docstring's
+    formula): its workspace takes 33.6 KB for the example system at
+    H = 300, where the states buffer is sized by the draws and closed-loop
+    matrices of the chunk. The returned states are a copy, cut to the
+    divergence step.
     """
     if horizon < 0:
         raise ConfigurationError("horizon must be >= 0")

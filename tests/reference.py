@@ -29,6 +29,12 @@ each, the package path it checks:
   as plain loops, one problem and one ``riccati.implicit_residual`` call at
   a time; ``riccati.solve_all`` must give the same bits for each problem it
   solves in lockstep.
+- :func:`per_step_trials`: ``simulate.mc_cost_study`` as a per-step loop
+  over a batch of trials. Its state update sums the products left to right,
+  as the block kernel's product does on a block of two or more trials, so it
+  gives the kernel's bits for every n there. On a block of one trial numpy
+  sums the n products in the order of a contiguous dot product, which at
+  n >= 3 can round differently.
 """
 
 from __future__ import annotations
@@ -348,3 +354,53 @@ def sequential_newton_solve(problems, options) -> list:
                 dataclasses.replace(solution, method=options.method, iterations=iterations)
             )
     return results
+
+
+def per_step_trials(draws, gain, q, r, x0, limit):
+    """Closed-loop costs, divergence steps and states of a batch of trials, step by step.
+
+    ``draws[k, t]`` is trial k's vec([A_t B_t]) at step t (column-major), so
+    ``draws`` is trials x horizon x n(n+m). All trials advance together one
+    step at a time. At each step t = 0..horizon the cost adds x' W x,
+    W = Q + L' R L, itself summed as (x_i W_ij) x_j over i, then j. The next state
+    is x_{t+1} = (A_t - B_t L) x_t, each entry summed over j = 0, 1, ... in
+    order. A trial whose new state is non-finite or has a Euclidean norm
+    above ``limit`` diverges at that step: its cost is infinite and its
+    states from that step on are zero. Returns the costs, the divergence
+    steps (-1 for none) and the states, trials x (horizon + 1) x n.
+    """
+    gain = np.asarray(gain, dtype=float)
+    m, n = gain.shape
+    count, horizon, _ = draws.shape
+    a_seq = draws[:, :, : n * n].reshape(count, horizon, n, n, order="F")
+    b_seq = draws[:, :, n * n :].reshape(count, horizon, n, m, order="F")
+    closed = a_seq - np.einsum("ktij,jl->ktil", b_seq, gain)
+    weight = q + gain.T @ r @ gain
+    x = np.tile(np.asarray(x0, dtype=float).reshape(1, n), (count, 1))
+    cost = np.zeros(count)
+    diverged_at = np.full(count, -1)
+    states = np.empty((count, horizon + 1, n))
+    states[:, 0] = x
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(horizon + 1):
+            form = np.zeros(count)
+            for i in range(n):
+                for j in range(n):
+                    form = form + x[:, i] * weight[i, j] * x[:, j]
+            cost = cost + form
+            if t == horizon:
+                break
+            step = closed[:, t, :, 0] * x[:, :1]
+            for j in range(1, n):
+                step = step + closed[:, t, :, j] * x[:, j : j + 1]
+            squares = step[:, 0] * step[:, 0]
+            for i in range(1, n):
+                squares = squares + step[:, i] * step[:, i]
+            bad = ~(np.sqrt(squares) <= limit)  # NaN fails the test
+            newly = bad & (diverged_at < 0)
+            diverged_at[newly] = t + 1
+            cost[newly] = np.inf
+            step[bad] = 0.0
+            x = step
+            states[:, t + 1] = x
+    return cost, diverged_at, states

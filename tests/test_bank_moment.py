@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 import wsriccati as ws
 from wsriccati import riccati
-from wsriccati.ensemble import _closed_loop_operator
+from wsriccati.ensemble import SampleBank, _closed_loop_operator, _weighted_moments
+from wsriccati.matops import _pair_index
 from wsriccati.weights import RSL_MAX_EXPONENT, predictive_costs
 
 import reference
@@ -209,3 +210,25 @@ def test_weighted_bank_sees_the_solver_weights(bank2k, family, theta):
     wbank = ws.build_weighted_bank(bank2k, spec, theta, sol.gain, sol.value, Q2, R1)
     solver = ws.weight_vector(bank2k, spec, theta, sol.gain, sol.value, Q2, R1)
     assert np.array_equal(wbank.weights, solver)
+
+
+@pytest.mark.parametrize(
+    "n, m, size, rows", [(1, 1, 1, 1), (2, 1, 9, 4), (3, 2, 50, 3), (2, 1, 10_000, 11)]
+)
+def test_stacked_moments_equal_per_call_moments(n, m, size, rows):
+    # The lockstep reads every weighted moment off one stack. Each must be the
+    # bits of the bank's own moment(w) and of the per-call formula, w' phi / N
+    # gathered by the pair index. The weights are the rows of one C-contiguous
+    # stack, as the weight workspace hands them over.
+    rng = np.random.default_rng(1000 * n + 100 * m + rows)
+    banks = [
+        SampleBank(a=rng.standard_normal((size, n, n)), b=rng.standard_normal((size, n, m)))
+        for _ in range(rows)
+    ]
+    weights = rng.exponential(size=(rows, size))
+    stacked = _weighted_moments(banks, weights)
+    assert stacked.shape == (rows, n * (n + m), n * (n + m))
+    full = _pair_index(n * (n + m))[2]
+    for bank, w, moment in zip(banks, weights, stacked):
+        assert np.array_equal(moment, bank.moment(w))
+        assert np.array_equal(moment, (w @ bank.phi / size)[full])

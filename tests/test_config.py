@@ -7,6 +7,7 @@ from typing import get_type_hints
 import pytest
 import yaml
 
+from wsriccati import config as config_mod
 from wsriccati.cli import main
 from wsriccati.config import RunConfig, design_fingerprint, load_config, parse_config
 from wsriccati.errors import ConfigurationError
@@ -273,4 +274,48 @@ def test_negative_seed_override_exits_one_before_output(tmp_path, caplog, comman
     cfg = write_config(tmp_path, base_config(out, task=task))
     assert main([command, str(cfg), "--seed", "-1"]) == 1
     assert f"configuration error: {message}" in caplog.text
+    assert not out.exists()
+
+
+#: The two safe loaders ``load_config`` may pick; the C one needs libyaml.
+LOADERS = [
+    pytest.param(yaml.SafeLoader, id="python"),
+    pytest.param(
+        getattr(yaml, "CSafeLoader", None),
+        id="libyaml",
+        marks=pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML without libyaml"),
+    ),
+]
+
+
+def test_loader_is_chosen_from_the_install():
+    want = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+    assert config_mod._YAML_LOADER is want
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML without libyaml")
+@pytest.mark.parametrize("source", ["example", "non-default"])
+def test_both_loaders_build_the_same_data(source):
+    text = EXAMPLE.read_text() if source == "example" else yaml.safe_dump(NON_DEFAULT)
+    python = yaml.load(text, Loader=yaml.SafeLoader)
+    assert yaml.load(text, Loader=yaml.CSafeLoader) == python
+    if source == "non-default":
+        assert python == NON_DEFAULT
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+def test_each_loader_parses_configs_and_rejects_malformed_yaml(
+    tmp_path, monkeypatch, caplog, loader
+):
+    monkeypatch.setattr(config_mod, "_YAML_LOADER", loader)
+    assert design_fingerprint(load_config(EXAMPLE)) == design_fingerprint(
+        parse_config(yaml.safe_load(EXAMPLE.read_text()))
+    )
+    path = tmp_path / "bad.yaml"
+    path.write_text("system: [1, 2\ncost: {q: 1\n")
+    with pytest.raises(ConfigurationError, match="invalid YAML"):
+        load_config(path)
+    out = tmp_path / "out"
+    assert main(["design", str(path), "--output-dir", str(out)]) == 1
+    assert "invalid YAML" in caplog.text
     assert not out.exists()

@@ -28,6 +28,8 @@ from wsriccati import simulate
 from wsriccati.cli import main
 from wsriccati.ensemble import FAMILIES, ParameterDistribution
 
+from reference import per_step_trials
+
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
 EXAMPLE = Path(__file__).resolve().parent.parent / "configs" / "example.yaml"
 
@@ -343,6 +345,178 @@ def test_study_peaks_within_its_workspace(benchmark_dist):
     assert study_peak <= workspace + 2 * 2**20
     assert rollout_peak < 64 * 2**10
 
+
+def _align8(cells):
+    return -(-cells // 8) * 8
+
+
+def _workspace_bytes(n, m, horizon, block):
+    """The two buffers of the simulate module docstring, in bytes."""
+    d = n * (n + m)
+    chunk = min(block, max(1, simulate._CHUNK_BYTES // max(8 * d * horizon, 1)))
+    states = max(block * (horizon + 1) * n, _align8(chunk * d * horizon) + chunk * n * n * horizon)
+    closed = max(
+        block * horizon * n * n,
+        2 * _align8(block * (horizon + 1)),
+        _align8(block * horizon * n) + block * horizon,
+    )
+    return 8 * (states + closed)
+
+
+def _aliasing_system(n, m):
+    """A fixed system mixing point, normal and Laplace entries, mean A = 0.5 I."""
+    dim = n * (n + m)
+    families = tuple(FAMILIES[k % 3] for k in range(dim))
+    mean = np.concatenate([0.5 * np.eye(n).reshape(-1), np.linspace(0.2, 1.0, n * m)])
+    stddev = np.where(np.array(families) == "point", 0.0, 0.1)
+    return ParameterDistribution(n=n, m=m, families=families, mean=mean, stddev=stddev)
+
+
+@pytest.mark.parametrize("horizon", [0, 1, 2, 37])
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_aliased_workspace_matches_per_step_reference(n, m, horizon):
+    # Trial counts at the edges of a chunk (a whole block where a chunk would
+    # hold more) and past one block. Under the small gain no trial diverges;
+    # under the large one states overflow from x0 = 0.3 LIMIT on, so the
+    # overflow test writes its squares and norms into the closed-loop buffer.
+    # At n = 1 the two fold buffers outgrow the closed-loop array. A trial
+    # alone in its block (and a rollout) sums a state update as numpy's
+    # contiguous dot product does, the order of reference_trials; every
+    # other trial as the left fold of per_step_trials. For n <= 2 the two
+    # orders round the same.
+    dist = _aliasing_system(n, m)
+    block = simulate._BLOCK
+    edge = simulate._Workspace(dist, horizon, block).chunk
+    counts = [edge - 1, edge, edge + 1, block + edge + 1]
+    q, r = np.eye(n), np.eye(m)
+    seed = 100 * n + 10 * m + horizon
+    draws = np.stack([
+        reference_draw(dist, ws.stream_rng(seed, k), horizon) for k in range(max(counts))
+    ])
+    unit = np.ones(n) / np.sqrt(n)
+    for gain, x0 in [
+        (0.1 * np.ones((m, n)), unit),
+        (1e3 * np.ones((m, n)), 0.3 * simulate.OVERFLOW_LIMIT * unit),
+    ]:
+        wide = per_step_trials(draws, gain, q, r, x0, simulate.OVERFLOW_LIMIT)
+        assert np.any(wide[1] > 0) == (gain[0, 0] > 1.0 and horizon > 0)
+        for trials in counts:
+            cost, diverged_at, states = (arr[:trials].copy() for arr in wide)
+            if trials % block == 1:
+                lone = reference_trials(
+                    dist, gain, q, r, x0, horizon, [ws.stream_rng(seed, trials - 1)]
+                )
+                for arr, value in zip((cost, diverged_at, states), lone):
+                    arr[-1] = value[0]
+            summary = ws.mc_cost_study(
+                dist, gain, q, r, x0, horizon, trials, [100.0], seed, trajectory_count=trials
+            )
+            assert np.array_equal(summary.costs, cost)
+            assert summary.diverged == int(np.sum(diverged_at >= 0))
+            assert np.array_equal(np.stack(summary.trajectories), states)
+            for path in summary.trajectories:
+                assert path.base is None and path.flags.c_contiguous
+        cost, diverged_at, states = reference_trials(
+            dist, gain, q, r, x0, horizon, [ws.stream_rng(seed, 0)]
+        )
+        result = ws.rollout(dist, gain, q, r, x0, horizon, seed=ws.stream_rng(seed, 0))
+        assert result.cost == cost[0]
+        assert result.diverged_at == (None if diverged_at[0] < 0 else diverged_at[0])
+        assert np.array_equal(result.states, states[0, : len(result.states)])
+        assert result.states.base is None
+
+
+@pytest.mark.parametrize(
+    "n, m, horizon, block, want",
+    [(2, 1, 300, simulate._BLOCK, 7_380_992), (1, 1, 300, 512, None), (3, 2, 37, 512, None),
+     (1, 2, 2, 3, None), (2, 1, 5, 1, None), (2, 2, 0, 7, None), (3, 1, 1, 1, None)],
+)
+def test_workspace_bytes_follow_the_docstring_formula(n, m, horizon, block, want):
+    dist = _aliasing_system(n, m)
+    work = simulate._Workspace(dist, horizon, block)
+    total = work.states.nbytes + work.closed.nbytes
+    assert total == _workspace_bytes(n, m, horizon, block)
+    if want is not None:
+        assert total == want
+
+
+@pytest.mark.parametrize(
+    "n, m, horizon, trials", [(2, 1, 300, 585), (1, 2, 37, 1100), (3, 1, 2, 5)]
+)
+def test_kernel_views_are_aligned_and_contiguous_in_their_buffers(
+    monkeypatch, n, m, horizon, trials
+):
+    # Every array the kernel takes is a view of one of the workspace's two
+    # buffers that is C-contiguous and starts on a 64-byte line of it. The
+    # large gain sends the overflow test through its squares and norms.
+    buffers, views = [], []
+    workspace, prefix = simulate._Workspace, simulate._prefix
+
+    def recording_workspace(*args):
+        work = workspace(*args)
+        buffers.extend([work.states, work.closed])
+        return work
+
+    def recording_prefix(buffer, *shape):
+        view = prefix(buffer, *shape)
+        views.append(view)
+        return view
+
+    monkeypatch.setattr(simulate, "_Workspace", recording_workspace)
+    monkeypatch.setattr(simulate, "_prefix", recording_prefix)
+    dist = _aliasing_system(n, m)
+    x0 = 0.3 * simulate.OVERFLOW_LIMIT * np.ones(n) / np.sqrt(n)
+    summary = ws.mc_cost_study(
+        dist, 1e3 * np.ones((m, n)), np.eye(n), np.eye(m), x0, horizon, trials, [100.0], seed=3
+    )
+    # One block: the closed-loop array, one chunk's draws and closed-loop
+    # matrices, the states, the squares, the norms and the two fold buffers.
+    assert summary.diverged > 0
+    assert len(buffers) == 2 and len(views) >= 8
+    for view in views:
+        assert view.flags.c_contiguous
+        (owner,) = [buf for buf in buffers if np.shares_memory(view, buf)]
+        offset = view.ctypes.data - owner.ctypes.data
+        assert offset % 64 == 0
+        assert 0 <= offset and offset + view.nbytes <= owner.nbytes
+    # Arrays live at the same time are taken one after the other, and must
+    # not overlap: a chunk's draws (3-d) and closed-loop matrices (4-d), the
+    # squares (3-d) and norms (2-d), and the two fold buffers (2-d, of one
+    # shape). An overlap of the squares and norms would cost a hidden copy.
+    for first, second in zip(views, views[1:]):
+        if (first.ndim, second.ndim) in {(3, 4), (3, 2)} or (
+            first.ndim == 2 and first.shape == second.shape
+        ):
+            assert not np.shares_memory(first, second)
+
+
+@pytest.mark.parametrize(
+    "gain", [[[6.683243074124488, 7.448763532065042]], [[-6.5, -6.5]]], ids=["stable", "diverging"]
+)
+def test_study_peaks_within_its_two_buffers(benchmark_dist, gain):
+    # The two-buffer bound of the simulate module docstring, for the example
+    # system at 300 steps, plus 2 MiB for Python objects; a 300-step rollout
+    # stays under 48 KiB. Under the diverging gain every block runs the
+    # overflow test, whose norms must not overlap its squares: numpy would
+    # then copy the squares, 2.4 MB more.
+    horizon = 300
+    workspace = _workspace_bytes(2, 1, horizon, simulate._BLOCK)
+    args = (benchmark_dist, np.array(gain), 3.0 * np.eye(2), np.eye(1), [1.0, 1.0], horizon)
+    ws.mc_cost_study(*args, 3, [100.0], seed=7)
+    tracemalloc.start()
+    try:
+        summary = ws.mc_cost_study(*args, 1100, [100.0], seed=7)
+        study_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        ws.rollout(*args, seed=7)
+        rollout_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert (summary.diverged > 0) == (gain[0][0] < 0)
+    assert study_peak <= workspace + 2 * 2**20
+    assert rollout_peak < 48 * 2**10
 
 #: sha256 of the simulate outputs below, as written before the block kernel.
 PINNED = {
