@@ -28,8 +28,6 @@ from .errors import (
     WsriccatiError,
 )
 from .matops import (
-    duplication_matrix,
-    elimination_matrix,
     spectral_radius,
     symmetrize,
     unvech,
@@ -110,8 +108,6 @@ __all__ = [
     "vec",
     "vech",
     "unvech",
-    "duplication_matrix",
-    "elimination_matrix",
     "spectral_radius",
     "symmetrize",
     "WsriccatiError",

@@ -3,7 +3,8 @@
 Conventions are fixed package-wide: ``vec`` stacks columns, ``vech`` stacks
 the columns of the lower triangle, and every flattened layout is
 column-major. All operations are pure functions of their inputs. The
-Kronecker product and its vech compression are test oracles in ``tests/reference.py``.
+Kronecker product, its vech compression and the duplication and elimination
+matrices behind it are test oracles in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ __all__ = [
     "vec",
     "vech",
     "unvech",
-    "duplication_matrix",
-    "elimination_matrix",
     "spectral_radius",
 ]
 
@@ -109,36 +108,6 @@ def unvech(values, n: int) -> np.ndarray:
     if v.size != expected:
         raise ValueError(f"unvech expected length {expected} for n={n}, got {v.size}")
     return v[_pair_index(n)[2]]
-
-
-def duplication_matrix(n: int) -> np.ndarray:
-    """D_n with D_n vech(S) = vec(S) for every symmetric S."""
-    if n < 1:
-        raise ValueError("duplication_matrix requires n >= 1")
-    rows = n * n
-    cols = n * (n + 1) // 2
-    out = np.zeros((rows, cols))
-    k = 0
-    for j in range(n):
-        for i in range(j, n):
-            out[i + j * n, k] = 1.0
-            out[j + i * n, k] = 1.0
-            k += 1
-    return out
-
-
-def elimination_matrix(n: int) -> np.ndarray:
-    """L_n with L_n vec(S) = vech(S) and L_n D_n = I."""
-    if n < 1:
-        raise ValueError("elimination_matrix requires n >= 1")
-    rows = n * (n + 1) // 2
-    out = np.zeros((rows, n * n))
-    k = 0
-    for j in range(n):
-        for i in range(j, n):
-            out[k, i + j * n] = 1.0
-            k += 1
-    return out
 
 
 def spectral_radius(mat) -> float:

@@ -65,7 +65,9 @@ hands the stacked weight pass the calling thread's
 predictive costs, sigmoid arguments, raw and normalized weights and its two
 masks into those buffers with ``out=`` ufuncs, 26 bytes per draw per point
 against the 64 of ``_WORK_BYTES_PER_DRAW``, instead of allocating (rows, N)
-arrays afresh every round. The weights leave the pass only as the moments
+arrays afresh every round. Beyond them a round holds only the RRSL window's
+index array, 8 bytes per window entry, and the sigmoid's temporaries of one
+slice of 2,048 entries. The weights leave the pass only as the moments
 read off them, so the next round may overwrite the buffers; every step is
 the same operation as on fresh arrays, so the bits are the same. Solves in
 other threads have workspaces of their own.
@@ -132,7 +134,11 @@ ANDERSON_MEMORY = 5
 #: A solve whose own footprint is larger still runs, alone.
 LOCKSTEP_BYTES = 5 * 2**21
 
-#: Bytes per draw of the temporaries of one evaluation in a batch.
+#: Bytes per draw of the temporaries of one evaluation in a batch. The
+#: weight pass needs 26 (``weights._Workspace``) plus 8 per RRSL window
+#: entry. It stays 64: a smaller figure would let more solves join a
+#: lockstep under ``LOCKSTEP_BYTES``, which changes the batches of a
+#: ``robustness`` run.
 _WORK_BYTES_PER_DRAW = 64
 
 _METHODS = ("fixed-point", "newton", "newton-continuation")

@@ -3,7 +3,11 @@
 Unlike the solver, which evaluates expectations on one fixed bank,
 simulation draws fresh matrices at every step so trajectories follow the
 true i.i.d. process. Trial k draws from the stream (seed, k),
-``stream_rng(seed, k)``, so any single trial can be reproduced standalone.
+``stream_rng(seed, k)``, so a standalone run of one trial on that stream
+(``rollout``) always makes trial k's draws. Its states and costs equal
+trial k's bit for bit for n <= 2. For n >= 3 they may differ in the last
+bits, because a block of one trial sums the n products of a state update in
+another order than a block of two or more.
 
 Trials run in blocks of B = ``_BLOCK`` (the last block may be smaller), and
 a single rollout is a block of one. A block's generators are seeded in one
@@ -198,7 +202,10 @@ def _run_trials(
     """Simulate one block of trials in ``work``, one fresh draw per trial and step.
 
     Trial k takes its draws from ``rngs[k]`` as one ``draw(rngs[k], horizon)``
-    would, so results match a standalone single-trial run. Returns the
+    would, so a standalone single-trial run makes the same draws. Its states
+    and costs match bit for bit for n <= 2 and may differ in the last bits
+    for n >= 3, where a block of one sums each state update's products in
+    another order (see the module docstring). Returns the
     per-trial costs, the step at which each trial diverged (-1 if it did
     not) and the states, (horizon + 1) x n x trials: a view into
     ``work.states`` that the next block, or its chunk loop, overwrites.

@@ -27,7 +27,11 @@ window, and the weights are the same bits as with it taken everywhere. On
 the example system (alpha = 10, beta = 11) the window holds every draw at
 the first iterate from (0, 0), 5-9% of the draws over a fixed-point solve
 on the 10k-bank theta sweep (1-2% at the root) and 5.7% over the 20
-robustness designs on 2k banks.
+robustness designs on 2k banks. The window's flat indices are one array, 8
+bytes per window entry, and the sigmoid runs over them in slices of
+``_SLICE`` = 2,048 entries, so no other temporary of the pass grows with
+the stack: at (0, 0) the sweep's (10, 10k) stack holds its 800 KB index
+array and 32 KB slices instead of 4.7 MB of stack-sized temporaries.
 
 The sigmoid is :func:`_expit`, ``1 / (1 + exp(-x))`` with the C library's
 ``exp``. That is the expression and the ``exp`` of ``scipy.special.expit``,
@@ -89,6 +93,10 @@ _LOG_2_M55 = math.log(2.0**-55)
 #: Sigmoid arguments below which :func:`_expit` takes ``math.exp``, clear of
 #: glibc's scaled ``cexp`` path from -x > 709.0.
 _CEXP_FLOOR = -708.0
+#: Window entries :func:`_rrsl_raw` takes the sigmoid of at a time. Each
+#: temporary of a slice, the complex exponentials included (32 KB), stays
+#: far below glibc's 128 KB mmap threshold.
+_SLICE = 2048
 
 
 @dataclass(frozen=True)
@@ -153,7 +161,9 @@ class _Workspace:
     largest stack seen, and a pass of any shape takes its first entries as
     C-contiguous arrays (:meth:`take`), so its rows lie as a fresh stack's
     would. A pass on a new ``_Workspace()`` returns arrays that nothing
-    else holds.
+    else holds. Beyond these buffers a pass holds only the RRSL window's
+    flat indices, 8 bytes per window entry, and the temporaries of one
+    ``_SLICE`` of them (:func:`_rrsl_raw`).
     """
 
     def __init__(self):
@@ -177,7 +187,9 @@ def _thread_workspace() -> _Workspace:
 
     Solves in other threads never see its buffers. It holds 26 bytes per
     draw per point of the largest stack the thread weighed: 2.6 MB for the
-    ten weighted points of the example sweep on its 10k bank.
+    ten weighted points of the example sweep on its 10k bank. A round on it
+    adds at most the window's index array (800 KB for that stack when every
+    draw lies in the window) and the slices of the sigmoid.
     """
     work = getattr(_LOCAL, "work", None)
     if work is None:
@@ -243,6 +255,10 @@ def _rrsl_raw(theta, x: np.ndarray, raw, saturated, window) -> np.ndarray:
     full expression, so the result equals it bit for bit and a NaN still
     reaches :func:`normalize_weights`.
 
+    The window's entries are taken ``_SLICE`` at a time; entry j of the
+    flattened stack takes the theta of row j // N. Every step is
+    elementwise, so the slice length does not change a bit.
+
     ``theta`` is a float, or for a stack of rows ``x`` a (rows, 1) column
     of one theta per row. ``saturated`` and ``window`` are boolean scratch
     of the shape of ``x``.
@@ -259,13 +275,14 @@ def _rrsl_raw(theta, x: np.ndarray, raw, saturated, window) -> np.ndarray:
     window |= saturated
     np.logical_not(window, out=window)
     mid = np.flatnonzero(window)
-    if mid.size:
+    flat_x, flat_raw = x.reshape(-1), raw.reshape(-1)
+    for start in range(0, mid.size, _SLICE):
+        part = mid[start : start + _SLICE]
         scale = theta  # a float, or the (1, 1) column of a stack of one row
         if stacked and len(theta) > 1:
-            # mid runs through the rows in order: row i's entries lie in [i N, (i + 1) N).
-            bounds = np.searchsorted(mid, x.shape[-1] * np.arange(len(theta) + 1))
-            scale = theta[:, 0].repeat(bounds[1:] - bounds[:-1])
-        raw.reshape(-1)[mid] = 1.0 + scale * _expit(x.reshape(-1)[mid])
+            # Flat index j lies in row j // N.
+            scale = theta[part // x.shape[-1], 0]
+        flat_raw[part] = 1.0 + scale * _expit(flat_x[part])
     return raw
 
 

@@ -20,7 +20,8 @@ each, the package path it checks:
   1982).
 - :func:`kron` and :func:`compress`: the Kronecker product and its
   compression L_n X D_n onto vech coordinates, built from
-  ``matops.elimination_matrix`` and ``matops.duplication_matrix``.
+  :func:`elimination_matrix` and :func:`duplication_matrix`, which also
+  check ``matops.vech`` and ``matops.vec`` against each other.
 - :func:`sequential_fixed_point_solve`: ``riccati.fixed_point_solve`` from
   (0, 0) as a plain loop, one problem and one ``riccati._maps`` call at a
   time; ``riccati.solve_all`` under the fixed-point route must give the same
@@ -50,7 +51,7 @@ from wsriccati.errors import (
     NumericalError,
     SingularJacobianError,
 )
-from wsriccati.matops import as_matrix, duplication_matrix, elimination_matrix, symmetrize
+from wsriccati.matops import as_matrix, symmetrize
 from wsriccati.riccati import (
     ANDERSON_MEMORY,
     DEFAULT_MAX_HALVINGS,
@@ -145,6 +146,36 @@ def closed_loop_kron_expect(bank, gain) -> np.ndarray:
     if weights is None:
         return kron_all.mean(axis=0)
     return (kron_all * weights[:, None, None]).mean(axis=0)
+
+
+def duplication_matrix(n: int) -> np.ndarray:
+    """D_n with D_n vech(S) = vec(S) for every symmetric S."""
+    if n < 1:
+        raise ValueError("duplication_matrix requires n >= 1")
+    rows = n * n
+    cols = n * (n + 1) // 2
+    out = np.zeros((rows, cols))
+    k = 0
+    for j in range(n):
+        for i in range(j, n):
+            out[i + j * n, k] = 1.0
+            out[j + i * n, k] = 1.0
+            k += 1
+    return out
+
+
+def elimination_matrix(n: int) -> np.ndarray:
+    """L_n with L_n vec(S) = vech(S) and L_n D_n = I."""
+    if n < 1:
+        raise ValueError("elimination_matrix requires n >= 1")
+    rows = n * (n + 1) // 2
+    out = np.zeros((rows, n * n))
+    k = 0
+    for j in range(n):
+        for i in range(j, n):
+            out[k, i + j * n] = 1.0
+            k += 1
+    return out
 
 
 def kron(left, right) -> np.ndarray:

@@ -3,8 +3,6 @@ import pytest
 
 from wsriccati import (
     EigenSolverError,
-    duplication_matrix,
-    elimination_matrix,
     spectral_radius,
     symmetrize,
     unvech,
@@ -12,7 +10,7 @@ from wsriccati import (
     vech,
 )
 
-from reference import compress, kron
+from reference import compress, duplication_matrix, elimination_matrix, kron
 
 EXACT = 1e-14
 

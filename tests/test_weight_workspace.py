@@ -284,3 +284,60 @@ def test_sweep_rounds_allocate_no_stack_sized_temporaries(monkeypatch):
     # of a round whose window holds a large share of the draws, and the
     # workspace when it first grows, reach the threshold.
     assert large < len(rounds), (large, len(rounds))
+
+
+@pytest.mark.parametrize("length", [1, 3, 7])
+def test_sliced_sigmoid_window_equals_the_full_expression(monkeypatch, length):
+    # With alpha = 10 and beta = 11, x = 10 J - 11 mean(J) runs from about
+    # -55 to 45: each row has draws below the window, above it and inside
+    # it, in shuffled order, and rows of 13 draws put slice boundaries
+    # inside rows. Theta 0 leaves its row's window empty.
+    monkeypatch.setattr(weights, "_SLICE", length)
+    spec = ws.WeightSpec(family="RRSL", alpha=10.0, beta=11.0)
+    thetas = [-2.0, 0.0, 0.3, 1.0]
+    rng = np.random.default_rng(length)
+    grid = np.linspace(0.0, 10.0, 13) + rng.uniform(-0.05, 0.05, (len(thetas), 1))
+    costs = rng.permuted(grid, axis=1)
+    mean = np.add.reduce(costs, axis=1, keepdims=True) / costs.shape[1]
+    want, _ = _oracle(spec, thetas, costs)
+    x = spec.alpha * costs - spec.beta * mean
+    for k, theta in enumerate(thetas):
+        low = weights._window_floor(theta)
+        inside = (x[k] >= low) & (x[k] < weights._EXPIT_ONE)
+        assert inside.sum() > length if theta else not inside.any()
+        assert (x[k] < low).any() and (x[k] >= weights._EXPIT_ONE).any()
+    theta = np.array(thetas)[:, None]
+    assert np.array_equal(weights._raw_from_costs(spec, theta, costs, mean), want)
+    for k in range(len(thetas)):
+        # A stack of one row and a lone row with a float theta.
+        row = weights._raw_from_costs(spec, theta[k : k + 1], costs[k : k + 1], mean[k : k + 1])
+        assert np.array_equal(row, want[k : k + 1])
+        alone = weights._raw_from_costs(spec, thetas[k], costs[k], mean[k, 0])
+        assert np.array_equal(alone, want[k])
+
+
+def test_an_rrsl_pass_allocates_no_stack_sized_temporaries(benchmark_dist):
+    # At the policy (0, 0) every cost is tr(Q) = 6, so x = -6 for every draw
+    # of the (10, 10k) stack: the whole stack lies in the sigmoid window, as
+    # in the first round of every RRSL solve. Past the workspace, the pass
+    # holds the 800 KB index array of the window and slices far below LARGE.
+    bank = ws.draw_bank(benchmark_dist, 10_000, seed=5)
+    rows = 10
+    spec = ws.WeightSpec(family="RRSL", alpha=10.0, beta=11.0)
+    args = (
+        [bank] * rows, [spec] * rows, [0.25 * (k + 1) for k in range(rows)],
+        np.zeros((rows, 1, 2)), np.zeros((rows, 2, 2)),
+        np.repeat(Q2[None], rows, axis=0), np.repeat(R1[None], rows, axis=0),
+    )
+    work = weights._Workspace()
+    weights._weigh_all(*args, work=work)
+    window = work._buffers[4][: rows * bank.size]
+    assert window.all()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        weights._weigh_all(*args, work=work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= 2**20, peak - start
