@@ -62,7 +62,6 @@ from .weights import (
     WeightSpec,
     WeightedBank,
     build_weighted_bank,
-    normalize_weights,
     predictive_costs,
     weight_vector,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "WeightSpec",
     "WeightedBank",
     "predictive_costs",
-    "normalize_weights",
     "weight_vector",
     "build_weighted_bank",
     "DesignProblem",

@@ -108,6 +108,10 @@ class TaskConfig:
             raise ConfigurationError("task.horizon must be >= 0")
         if self.trials < 1:
             raise ConfigurationError("task.trials must be >= 1")
+        if not self.rho_list:
+            raise ConfigurationError("task.rho_list must not be empty")
+        if self.theta_grid is not None and not self.theta_grid:
+            raise ConfigurationError("task.theta_grid must not be empty")
         for i, rho in enumerate(self.rho_list):
             if not 0.0 < rho <= 100.0:
                 raise ConfigurationError(f"task.rho_list[{i}]: {rho} outside (0, 100]")
@@ -293,10 +297,8 @@ def _task_arrays(config: RunConfig) -> tuple[np.ndarray | None, np.ndarray | Non
 
 
 def make_problem(
-    config: RunConfig, bank: SampleBank | None = None, theta: float | None = None
+    config: RunConfig, bank: SampleBank, theta: float | None = None
 ) -> DesignProblem:
-    if bank is None:
-        bank = make_bank(config)
     q, r = _cost_matrices(config)
     spec = make_weight_spec(config, theta)
     try:

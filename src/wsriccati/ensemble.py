@@ -159,22 +159,6 @@ class ParameterDistribution:
                     for rng, trial in zip(rngs, out):
                         trial[j] = rng.laplace(loc_j, scale_j, size)
 
-    def sample_matrices(
-        self, rng: np.random.Generator, size: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Draw stacked (A, B) arrays of shapes (size, n, n) and (size, n, m)."""
-        lam = self.draw(rng, size)
-        return _split_stacked(lam, self.n, self.m)
-
-
-def _split_stacked(lam: np.ndarray, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    # Rows hold [vec(A); vec(B)]; an F-order reshape with a leading sample
-    # axis recovers the matrices because both layouts are column-major.
-    size = lam.shape[0]
-    a = lam[:, : n * n].reshape(size, n, n, order="F")
-    b = lam[:, n * n :].reshape(size, n, m, order="F")
-    return np.ascontiguousarray(a), np.ascontiguousarray(b)
-
 
 def build_distribution(
     n: int,
@@ -414,9 +398,12 @@ def draw_bank(dist: ParameterDistribution, size: int, seed: int) -> SampleBank:
     """Draw an i.i.d. bank; identical (dist, size, seed) reproduce it exactly."""
     if size < 1:
         raise ConfigurationError("bank size must be >= 1")
-    rng = np.random.default_rng(seed)
-    a, b = dist.sample_matrices(rng, size)
-    return SampleBank(a=a, b=b)
+    lam = dist.draw(np.random.default_rng(seed), size)
+    # Rows hold [vec(A); vec(B)]; an F-order reshape with a leading sample
+    # axis recovers the matrices because both layouts are column-major.
+    n, m = dist.n, dist.m
+    a = lam[:, : n * n].reshape(size, n, n, order="F")
+    return SampleBank(a=a, b=lam[:, n * n :].reshape(size, n, m, order="F"))
 
 
 def stream_rng(seed: int, index: int) -> np.random.Generator:

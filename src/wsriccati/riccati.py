@@ -64,13 +64,12 @@ hands the stacked weight pass the calling thread's
 :class:`~wsriccati.weights._Workspace`. The pass writes the round's
 predictive costs, sigmoid arguments, raw and normalized weights and its two
 masks into those buffers with ``out=`` ufuncs, 26 bytes per draw per point
-against the 64 of ``_WORK_BYTES_PER_DRAW``, instead of allocating (rows, N)
-arrays afresh every round. Beyond them a round holds only the RRSL window's
-index array, 8 bytes per window entry, and the sigmoid's temporaries of one
-slice of 2,048 entries. The weights leave the pass only as the moments
-read off them, so the next round may overwrite the buffers; every step is
-the same operation as on fresh arrays, so the bits are the same. Solves in
-other threads have workspaces of their own.
+against the 64 of ``_WORK_BYTES_PER_DRAW``. Beyond them a round holds only
+the RRSL window's index array, 8 bytes per window entry, and the sigmoid's
+temporaries of one slice of 2,048 entries. The weights leave the pass only
+as the moments read off them, so the next round may overwrite the buffers;
+every step is the same operation as on fresh arrays, so the bits are the
+same. Solves in other threads have workspaces of their own.
 """
 
 from __future__ import annotations
@@ -723,10 +722,8 @@ def unpack_solution(z: np.ndarray, n: int, m: int) -> tuple[np.ndarray, np.ndarr
     return value, gain
 
 
-def implicit_residual(z, problem: DesignProblem, theta=None) -> np.ndarray:
-    """Residual h(z) whose root is the design solution (at ``theta`` if given): one row."""
-    if theta is not None:
-        problem = problem.with_theta(theta)
+def implicit_residual(z, problem: DesignProblem) -> np.ndarray:
+    """Residual h(z) whose root is the design solution: one row."""
     return _stacked_residuals([problem], [z])[0]
 
 
@@ -842,12 +839,11 @@ def _newton_steps(problem: DesignProblem, z: np.ndarray, tol: float, max_iters: 
 
 def newton_solve(
     problem: DesignProblem,
-    theta: float | None = None,
     z0: np.ndarray | None = None,
     tol: float = DEFAULT_NEWTON_TOL,
     max_iters: int = DEFAULT_NEWTON_MAX_ITERS,
 ) -> DesignSolution:
-    """Damped Newton iteration on the stacked residual (at ``theta`` if given).
+    """Damped Newton iteration on the stacked residual.
 
     When ``z0`` is omitted this is :func:`solve` under the ``newton`` route:
     Newton starts at the zero-sensitivity solution of the fixed-point route,
@@ -856,8 +852,6 @@ def newton_solve(
     norm fails to decrease. From ``z0`` this is :func:`_newton_steps` run
     alone.
     """
-    if theta is not None:
-        problem = problem.with_theta(theta)
     if z0 is None:
         return solve(problem, SolverOptions("newton", newton_tol=tol, newton_max_iters=max_iters))
     steps = _newton_steps(problem, np.array(z0, dtype=float).reshape(-1), tol, max_iters)

@@ -34,8 +34,8 @@ __all__ = ["StabilityReport", "ms_check", "wms_check"]
 class StabilityReport:
     """Spectral radii and strict less-than-one verdicts for one gain.
 
-    The margin fields hold 1 - radius; callers wanting a guard band apply
-    their own threshold on top of the strict test.
+    A check fills the radius it computes and leaves the other ``None``;
+    callers wanting a guard band apply their own threshold to the radius.
     """
 
     gain: np.ndarray
@@ -53,18 +53,6 @@ class StabilityReport:
         if self.radius_weighted is None:
             return None
         return self.radius_weighted < 1.0
-
-    @property
-    def margin_plain(self) -> float | None:
-        if self.radius_plain is None:
-            return None
-        return 1.0 - self.radius_plain
-
-    @property
-    def margin_weighted(self) -> float | None:
-        if self.radius_weighted is None:
-            return None
-        return 1.0 - self.radius_weighted
 
 
 def ms_check(bank: SampleBank, gain) -> StabilityReport:

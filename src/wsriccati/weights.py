@@ -31,7 +31,7 @@ robustness designs on 2k banks. The window's flat indices are one array, 8
 bytes per window entry, and the sigmoid runs over them in slices of
 ``_SLICE`` = 2,048 entries, so no other temporary of the pass grows with
 the stack: at (0, 0) the sweep's (10, 10k) stack holds its 800 KB index
-array and 32 KB slices instead of 4.7 MB of stack-sized temporaries.
+array and 32 KB slices.
 
 The sigmoid is :func:`_expit`, ``1 / (1 + exp(-x))`` with the C library's
 ``exp``. That is the expression and the ``exp`` of ``scipy.special.expit``,
@@ -74,7 +74,6 @@ __all__ = [
     "WeightSpec",
     "WeightedBank",
     "predictive_costs",
-    "normalize_weights",
     "weight_vector",
     "build_weighted_bank",
 ]
@@ -197,29 +196,15 @@ def _thread_workspace() -> _Workspace:
     return work
 
 
-def _raw_from_costs(
-    spec: WeightSpec,
-    theta: float | np.ndarray,
-    costs: np.ndarray,
-    mean_predictive: float | np.ndarray | None,
-) -> np.ndarray:
-    """Raw weights of one row of predictive costs, or of a (rows, N) stack.
-
-    For a stack, ``theta`` and ``mean_predictive`` are (rows, 1) columns,
-    one entry per row, and every row shares the family, alpha and beta of
-    ``spec``. An RSL exponent beyond ``RSL_MAX_EXPONENT`` raises for the
-    first row that has one, with that row's largest exponent. The result is
-    a new array: this is :func:`_raw_into` on buffers of its own.
-    """
-    _, args, raw, saturated, window = _Workspace().take(np.shape(costs))
-    return _raw_into(spec, theta, costs, mean_predictive, args, raw, saturated, window)
-
-
 def _raw_into(spec, theta, costs, mean_predictive, args, raw, saturated, window):
-    """:func:`_raw_from_costs` written into ``raw``, with ``args`` and the masks as scratch.
+    """Raw weights of a (rows, N) stack of predictive costs, written into ``raw``.
 
-    The buffers have the shape of ``costs``. ``args`` ends up holding the RSL
-    exponents or the RRSL sigmoid arguments; ``raw`` is returned.
+    ``theta`` and ``mean_predictive`` are (rows, 1) columns, one entry per
+    row, and every row shares the family, alpha and beta of ``spec``. An RSL
+    exponent beyond ``RSL_MAX_EXPONENT`` raises for the first row that has
+    one, with that row's largest exponent. The buffers have the shape of
+    ``costs``: ``args`` ends up holding the RSL exponents or the RRSL sigmoid
+    arguments, the masks are scratch, and ``raw`` is returned.
     """
     if spec.family == FAMILY_RN:
         raw[...] = 1.0
@@ -253,36 +238,27 @@ def _rrsl_raw(theta, x: np.ndarray, raw, saturated, window) -> np.ndarray:
     is NaN, no x lies below the window, so every entry that is not
     saturated is overwritten. Every other entry, NaN included, takes the
     full expression, so the result equals it bit for bit and a NaN still
-    reaches :func:`normalize_weights`.
+    reaches :func:`_normalize_into`.
 
     The window's entries are taken ``_SLICE`` at a time; entry j of the
     flattened stack takes the theta of row j // N. Every step is
     elementwise, so the slice length does not change a bit.
 
-    ``theta`` is a float, or for a stack of rows ``x`` a (rows, 1) column
-    of one theta per row. ``saturated`` and ``window`` are boolean scratch
-    of the shape of ``x``.
+    ``theta`` is a (rows, 1) column of one theta per row of the (rows, N)
+    stack ``x``. ``saturated`` and ``window`` are boolean scratch of the
+    shape of ``x``.
     """
-    stacked = isinstance(theta, np.ndarray) and theta.ndim > 0
     np.greater_equal(x, _EXPIT_ONE, out=saturated)
     np.multiply(saturated, theta, out=raw)
     raw += 1.0
-    if stacked:
-        low = np.array([[_window_floor(t)] for t in theta[:, 0]])
-    else:
-        low = _window_floor(theta)
-    np.less(x, low, out=window)
+    np.less(x, np.array([[_window_floor(t)] for t in theta[:, 0]]), out=window)
     window |= saturated
     np.logical_not(window, out=window)
     mid = np.flatnonzero(window)
     flat_x, flat_raw = x.reshape(-1), raw.reshape(-1)
     for start in range(0, mid.size, _SLICE):
         part = mid[start : start + _SLICE]
-        scale = theta  # a float, or the (1, 1) column of a stack of one row
-        if stacked and len(theta) > 1:
-            # Flat index j lies in row j // N.
-            scale = theta[part // x.shape[-1], 0]
-        flat_raw[part] = 1.0 + scale * _expit(flat_x[part])
+        flat_raw[part] = 1.0 + theta[part // x.shape[1], 0] * _expit(flat_x[part])
     return raw
 
 
@@ -315,17 +291,13 @@ def _window_floor(theta: float) -> float:
     return math.inf if theta == 0.0 else _LOG_2_M55 - math.log(abs(theta))
 
 
-def normalize_weights(raw: np.ndarray) -> np.ndarray:
-    """Divide each row by its own mean so the normalized weights average to 1.
+def _normalize_into(raw: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Each row of ``raw`` divided by its own mean, written into ``out``.
 
-    ``raw`` is one row of weights or a (rows, N) stack. The first bad row
-    raises: a non-finite weight, then a negative one, then all zero.
+    ``raw`` is one row of weights or a (rows, N) stack; the normalized
+    weights of a row average to 1. The first bad row raises: a non-finite
+    weight, then a negative one, then all zero.
     """
-    return _normalize_into(np.asarray(raw, dtype=float), None)
-
-
-def _normalize_into(raw: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-    """:func:`normalize_weights` of a float array, written into ``out`` if given."""
     mean = np.add.reduce(raw, axis=-1, keepdims=True) / raw.shape[-1]
     # One min and one max clear the common case (NaN fails both tests); the
     # index search runs only when a check is bound to fail.

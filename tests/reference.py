@@ -10,8 +10,16 @@ each, the package path it checks:
   the unit weights of ``weights.build_weighted_bank`` at theta = 0).
 - :func:`weighted_expect`: the weights ``weights.WeightedBank`` carries.
 - :func:`predictive_cost`: ``weights.predictive_costs``, draw by draw.
-- :func:`raw_weight`: ``weights._raw_from_costs``, the weight formula the
+- :func:`raw_weight`: :func:`_raw_from_costs`, the weight formula the
   solver's ``weights.weight_vector`` applies, called on one draw's cost.
+- :func:`_raw_from_costs`: the package's stacked weight pass,
+  ``weights._raw_into``, driven on a fresh ``weights._Workspace`` for a
+  (rows, N) stack of costs, or for one row with a float theta as a stack
+  of one row. It drives the package's path rather than re-deriving it, so
+  the tests that hold the sigmoid window to the full expression test that
+  path.
+- :func:`normalize_weights`: ``weights._normalize_into`` written into a new
+  array, one row or a (rows, N) stack.
 - :func:`gain_map`: the gain half of ``riccati._maps``.
 - :func:`closed_loop_kron_expect`: the Kronecker mean
   E_w[(A - B L) kron (A - B L)]; compressed by :func:`compress`, its
@@ -63,7 +71,7 @@ from wsriccati.riccati import (
     pack_solution,
     unpack_solution,
 )
-from wsriccati.weights import WeightedBank, _raw_from_costs
+from wsriccati.weights import WeightedBank, _normalize_into, _raw_into, _Workspace
 
 
 def expect(bank: SampleBank, fn) -> np.ndarray:
@@ -118,6 +126,34 @@ def raw_weight(spec, a, b, theta, gain, value, q, r, mean_predictive=None) -> fl
     sigma = spec.resolved_sigma(np.asarray(a).shape[0])
     cost = predictive_cost(a, b, gain, value, sigma, q, r)
     return float(_raw_from_costs(spec, theta, np.asarray([cost]), mean_predictive)[0])
+
+
+def _raw_from_costs(spec, theta, costs, mean_predictive) -> np.ndarray:
+    """Raw weights of one row of predictive costs, or of a (rows, N) stack.
+
+    For a stack, ``theta`` and ``mean_predictive`` are (rows, 1) columns.
+    A float ``theta`` takes one row of costs and a float mean (``None`` for
+    RN and RSL), run as a stack of one row with (1, 1) columns. The result
+    is a new array.
+    """
+    costs = np.asarray(costs, dtype=float)
+    if np.ndim(theta) == 0:
+        theta = np.full((1, 1), theta, dtype=float)
+        if mean_predictive is not None:
+            mean_predictive = np.full((1, 1), mean_predictive, dtype=float)
+        return _raw_from_costs(spec, theta, costs[None], mean_predictive)[0]
+    _, args, raw, saturated, window = _Workspace().take(costs.shape)
+    return _raw_into(spec, theta, costs, mean_predictive, args, raw, saturated, window)
+
+
+def normalize_weights(raw) -> np.ndarray:
+    """Each row of ``raw`` divided by its own mean, in a new array.
+
+    The first bad row raises: a non-finite weight, then a negative one,
+    then all zero.
+    """
+    raw = np.asarray(raw, dtype=float)
+    return _normalize_into(raw, np.empty_like(raw))
 
 
 def gain_map(value, gain, problem) -> np.ndarray:

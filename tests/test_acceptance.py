@@ -113,7 +113,7 @@ def test_criterion_2_unweighted_stochastic_reduction(problem, bank):
     sol = ws.fixed_point_solve(problem.with_theta(0.0))
     elapsed = time.perf_counter() - start
     z = ws.pack_solution(sol.value, sol.gain)
-    residual = float(np.linalg.norm(ws.implicit_residual(z, problem, theta=0.0)))
+    residual = float(np.linalg.norm(ws.implicit_residual(z, problem.with_theta(0.0))))
     floor_eig = float(np.linalg.eigvalsh(sol.value - Q2).min())
     rho = ws.ms_check(bank, sol.gain).radius_plain
 
@@ -133,7 +133,7 @@ def test_criterion_3_cross_method_agreement(problem, fp_solutions):
     worst_value = worst_gain = 0.0
     for theta in (0.2, 0.5, 1.0):
         fp = fp_solutions(theta)
-        newton = ws.newton_solve(problem, theta=theta, z0=z0)
+        newton = ws.newton_solve(problem.with_theta(theta), z0=z0)
         worst_value = max(worst_value, float(np.linalg.norm(newton.value - fp.value)))
         worst_gain = max(worst_gain, float(np.linalg.norm(newton.gain - fp.gain)))
     elapsed = time.perf_counter() - start

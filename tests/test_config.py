@@ -225,6 +225,8 @@ def test_fingerprint_of_every_solver_key_is_pinned(method):
         ("simulate", "task", {"trials": 0}, "task.trials must be >= 1"),
         ("simulate", "task", {"rho_list": [5.0, 0.0]}, "task.rho_list[1]: 0.0 outside (0, 100]"),
         ("simulate", "task", {"rho_list": [120.0]}, "task.rho_list[0]: 120.0 outside (0, 100]"),
+        ("simulate", "task", {"rho_list": []}, "task.rho_list must not be empty"),
+        ("sweep", "task", {"theta_grid": []}, "task.theta_grid must not be empty"),
         ("robustness", "task", {"repetitions": 1}, "task.repetitions must be >= 2"),
         ("robustness", "task", {"robustness_bank_size": 0}, "task.robustness_bank_size must be >= 1"),
         ("design", "weight", {"sigma": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}, "weight: sigma has shape (3, 3)"),

@@ -276,6 +276,7 @@ def test_accelerated_fixed_point_on_hard_banks(
     monkeypatch.setattr(riccati, "_maps", counted_maps)
     sol = ws.fixed_point_solve(problem)
     evaluations = len(calls)
+    assert evaluations > 0
     assert sol.deltas[-1] < DEFAULT_FP_TOL
     assert np.linalg.eigvalsh(sol.value - Q2).min() >= -1e-8
     newton = ws.newton_solve(problem)

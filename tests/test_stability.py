@@ -37,7 +37,6 @@ def test_ms_check_scalar_examples():
     report = ws.ms_check(scalar_bank(0.5), np.zeros((1, 1)))
     assert report.radius_plain == pytest.approx(0.25, abs=1e-12)
     assert report.ms_stable is True
-    assert report.margin_plain == pytest.approx(0.75, abs=1e-12)
 
     report = ws.ms_check(scalar_bank(1.2), np.zeros((1, 1)))
     assert report.radius_plain == pytest.approx(1.44, abs=1e-12)

@@ -22,7 +22,9 @@ from scipy.special import expit
 import wsriccati as ws
 from wsriccati import NonFiniteError
 from wsriccati.ensemble import SampleBank
-from wsriccati.weights import _expit, _raw_from_costs
+from wsriccati.weights import _expit
+
+from reference import _raw_from_costs
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 

@@ -25,6 +25,7 @@ from wsriccati.errors import NumericalError
 from wsriccati.weights import _expit
 
 from conftest import MEAN_A, MEAN_B, Q2, R1
+from reference import _raw_from_costs
 
 EXAMPLE = Path(__file__).resolve().parent.parent / "configs" / "example.yaml"
 
@@ -307,12 +308,12 @@ def test_sliced_sigmoid_window_equals_the_full_expression(monkeypatch, length):
         assert inside.sum() > length if theta else not inside.any()
         assert (x[k] < low).any() and (x[k] >= weights._EXPIT_ONE).any()
     theta = np.array(thetas)[:, None]
-    assert np.array_equal(weights._raw_from_costs(spec, theta, costs, mean), want)
+    assert np.array_equal(_raw_from_costs(spec, theta, costs, mean), want)
     for k in range(len(thetas)):
         # A stack of one row and a lone row with a float theta.
-        row = weights._raw_from_costs(spec, theta[k : k + 1], costs[k : k + 1], mean[k : k + 1])
+        row = _raw_from_costs(spec, theta[k : k + 1], costs[k : k + 1], mean[k : k + 1])
         assert np.array_equal(row, want[k : k + 1])
-        alone = weights._raw_from_costs(spec, thetas[k], costs[k], mean[k, 0])
+        alone = _raw_from_costs(spec, thetas[k], costs[k], mean[k, 0])
         assert np.array_equal(alone, want[k])
 
 
