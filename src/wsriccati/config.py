@@ -309,20 +309,7 @@ def make_problem(
 
 def design_fingerprint(config: RunConfig) -> str:
     """Hash of the blocks that determine a design (system, cost, weight, solver)."""
-    payload = {
-        "system": _plain(config.system),
-        "cost": _plain(config.cost),
-        "weight": _plain(config.weight),
-        "solver": _plain(config.solver),
-    }
+    sections = ("system", "cost", "weight", "solver")
+    payload = {name: vars(getattr(config, name)) for name in sections}
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def _plain(obj) -> dict:
-    out = {}
-    for key, value in vars(obj).items():
-        if isinstance(value, tuple):
-            value = list(value)
-        out[key] = value
-    return out

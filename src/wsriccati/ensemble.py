@@ -14,7 +14,8 @@ The per-draw forms the tests check these against are in ``tests/reference.py``.
 
 Monte-Carlo trial k draws from the stream ``stream_rng(seed, k)``.
 :func:`_stream_rngs` builds the generators of a block of indices, any below
-2**64, in one vectorized seeding pass that gives each the same state.
+2**64, in one vectorized seeding pass that gives each the same state: it
+continues numpy's own SeedSequence pool of the seed with each index.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .errors import ConfigurationError, NonFiniteError
-from .matops import _pair_index, unvech
+from .matops import _pair_index
 
 __all__ = [
     "FAMILIES",
@@ -365,32 +366,30 @@ def _weighted_moments(banks, weights: np.ndarray) -> np.ndarray:
 
 
 def quadratic_expect(moment: np.ndarray, value: np.ndarray) -> np.ndarray:
-    """E_w[Z' P Z], (n+m) by (n+m), from the moment E_w[z z'] of z = vec(Z).
+    """E_w[Z' P Z] of each stacked moment E_w[z z'], z = vec(Z), and value P.
 
-    Given a stack of moments and one of values, it returns the stack of
-    their E_w[Z' P Z], each the same bits as from its own call.
+    The result is (rows, n+m, n+m); each item is the same bits as from a
+    stack of one.
     """
     n = value.shape[-1]
     k = moment.shape[-1] // n
-    if moment.ndim == 3:
-        return np.einsum("parbs,prs->pab", moment.reshape(-1, k, n, k, n), value)
-    return np.einsum("arbs,rs->ab", moment.reshape(k, n, k, n), value)
+    return np.einsum("parbs,prs->pab", moment.reshape(-1, k, n, k, n), value)
 
 
 def _closed_loop_operator(moment: np.ndarray, gain: np.ndarray):
     """The operator S -> E_w[C' S C], C = A - B L, on symmetric S in vech coordinates.
 
     With K = [I; -L], C = Z K. Column k is vech(K' E_w[Z' S_k Z] K) for
-    S_k = unvech(e_k), k < n(n+1)/2, each E_w[Z' S_k Z] read off the moment
-    by :func:`quadratic_expect`. Also returns the stack of E_w[Z' S_k C],
-    n(n+1)/2 by (n+m) by n, whose last m rows are the E_w[B' S_k C] of the
-    gain residual's derivative.
+    S_k = unvech(e_k), k < n(n+1)/2, all E_w[Z' S_k Z] read off the moment
+    by one :func:`quadratic_expect` on the stack of S_k. Also returns the
+    stack of E_w[Z' S_k C], n(n+1)/2 by (n+m) by n, whose last m rows are
+    the E_w[B' S_k C] of the gain residual's derivative.
     """
     n = gain.shape[1]
+    rows, cols, full = _pair_index(n)
     k_mat = np.vstack([np.eye(n), -gain])
-    zsz = [quadratic_expect(moment, unvech(e, n)) for e in np.eye(n * (n + 1) // 2)]
-    zsc = np.stack(zsz) @ k_mat
-    rows, cols = np.triu_indices(n)  # vech order: the lower triangle by columns
+    basis = np.eye(rows.size)[:, full]  # basis[k] = unvech(e_k)
+    zsc = quadratic_expect(np.broadcast_to(moment, (rows.size,) + moment.shape), basis) @ k_mat
     return (k_mat.T @ zsc)[:, cols, rows].T, zsc
 
 
@@ -422,7 +421,7 @@ def derive_seed(seed: int, index: int) -> int:
 
 
 # The constants of numpy's SeedSequence, whose algorithm NEP 19 fixes for
-# stream compatibility.
+# stream compatibility; the seed words continue the mixing of its pool.
 _MASK32 = 0xFFFFFFFF
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -436,11 +435,11 @@ def _stream_seed_words(seed: int, start: int, stop: int) -> np.ndarray:
 
     Row k - start equals ``SeedSequence(entropy=seed, spawn_key=(k,))
     .generate_state(4, np.uint64)``, computed for all k at once in uint32
-    arithmetic. The entropy is the seed's 32-bit words, zero-padded to the
-    pool size, followed by the words of k: one below 2**32, two from there
-    to the largest accepted index, 2**64 - 1. The seed's words mix the same
-    for every k, so they stay one-element arrays that broadcast against the
-    per-index words.
+    arithmetic. numpy mixes the seed's 32-bit words into its pool first, the
+    same for every k, so ``SeedSequence(seed).pool`` is that state; the words
+    of k (one below 2**32, two from there to the largest accepted index,
+    2**64 - 1) continue the mixing. The pool words stay one-element arrays
+    that broadcast against the per-index words.
     """
     seed = operator.index(seed)
     if seed < 0:
@@ -450,11 +449,11 @@ def _stream_seed_words(seed: int, start: int, stop: int) -> np.ndarray:
     index = start + np.arange(stop - start, dtype=np.uint64)
     low = (index & _MASK32).astype(np.uint32)
     high = (index >> 32).astype(np.uint32)
-    entropy = [
-        np.array([(seed >> (32 * i)) & _MASK32], dtype=np.uint32)
-        for i in range(max(_POOL_SIZE, -(-seed.bit_length() // 32)))
-    ]
-    hash_const = _INIT_A
+    # The pool took one hash per word of the first four (the seed zero-padded
+    # to four words), twelve for their all-to-all mixing and four per further
+    # seed word, each hash one step of the hash constant.
+    extra = max(0, -(-seed.bit_length() // 32) - _POOL_SIZE)
+    hash_const = _INIT_A * pow(_MULT_A, 16 + 4 * extra, 2**32) & _MASK32
 
     def hashmix(value):
         nonlocal hash_const
@@ -467,14 +466,7 @@ def _stream_seed_words(seed: int, start: int, stop: int) -> np.ndarray:
         result = _MIX_MULT_L * x - _MIX_MULT_R * y
         return result ^ (result >> _XSHIFT)
 
-    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL_SIZE:] + [low]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(word))
+    pool = [mix(word, hashmix(low)) for word in np.random.SeedSequence(seed).pool[:, None]]
     # Indices from 2**32 on have a second spawn-key word.
     wide = [mix(word, hashmix(high)) for word in pool]
     pool = [np.where(high > 0, w, p) for w, p in zip(wide, pool)]

@@ -43,23 +43,21 @@ def as_matrix(value, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def symmetrize(value, name: str = "matrix", tol: float = None) -> np.ndarray:
+def symmetrize(value, name: str = "matrix") -> np.ndarray:
     """Return (S + S^T)/2 after checking S is square and nearly symmetric.
 
-    Asymmetry up to ``tol`` (relative to the largest entry, default
-    ``SYMMETRY_TOL``) is absorbed silently; anything larger is rejected.
+    Asymmetry up to ``SYMMETRY_TOL`` relative to the largest entry is
+    absorbed silently; anything larger is rejected.
     """
     arr = as_matrix(value, name)
     if arr.shape[0] != arr.shape[1]:
         raise ValueError(f"{name} must be square, got shape {arr.shape}")
-    if tol is None:
-        tol = SYMMETRY_TOL
     scale = max(1.0, float(np.abs(arr).max()))
     asym = float(np.abs(arr - arr.T).max())
-    if asym > tol * scale:
+    if asym > SYMMETRY_TOL * scale:
         raise ValueError(
             f"{name} is not symmetric (max asymmetry {asym:.3e} exceeds "
-            f"{tol:.1e} relative tolerance)"
+            f"{SYMMETRY_TOL:.1e} relative tolerance)"
         )
     return (arr + arr.T) / 2.0
 
@@ -84,11 +82,6 @@ def _pair_index(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for arr in (rows, cols, full):
         arr.setflags(write=False)
     return rows, cols, full
-
-
-def _stack(arrays: list) -> np.ndarray:
-    """Arrays of one shape stacked on a new first axis (one: a view, not a copy)."""
-    return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
 
 
 def vech(mat) -> np.ndarray:

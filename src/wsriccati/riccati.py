@@ -89,7 +89,7 @@ from .errors import (
     NumericalError,
     SingularJacobianError,
 )
-from .matops import _pair_index, _stack, symmetrize, unvech, vech
+from .matops import _pair_index, symmetrize, unvech, vech
 from .weights import WeightSpec, _thread_workspace, _unit_weights, _weigh_all
 
 __all__ = [
@@ -261,10 +261,10 @@ def _zpz_all(problems, values, gains):
     the calling thread's workspace and used only here, for the moments,
     which are read off one stack (:func:`~wsriccati.ensemble._weighted_moments`).
     """
-    values = _stack([np.asarray(v, dtype=float) for v in values])
-    gains = _stack([np.asarray(g, dtype=float) for g in gains])
-    qs = _stack([p.q for p in problems])
-    rs = _stack([p.r for p in problems])
+    values = np.array(values, dtype=float)
+    gains = np.array(gains, dtype=float)
+    qs = np.array([p.q for p in problems])
+    rs = np.array([p.r for p in problems])
     moments = np.array([p.bank.moment() for p in problems])
     weighted = [i for i, p in enumerate(problems) if not _unit_weights(p.weights, p.theta)]
     if weighted:
@@ -343,9 +343,10 @@ def _evaluate(requests) -> list:
     """Each request's list of results, one stacked pass per group of points.
 
     A request is (kind, problem, points). Each result is the same bits as its
-    point gives alone (:func:`_maps`, :func:`implicit_residual`), or the
-    :class:`NumericalError` it raises alone: when a group's pass raises,
-    each of its points is evaluated again alone.
+    point gives alone, as a stack of one (:func:`_stacked_maps`,
+    :func:`_stacked_residuals`), or the :class:`NumericalError` it raises
+    alone: when a group's pass raises, each of its points is evaluated again
+    alone.
     """
     flat = [(kind, p, x) for kind, p, points in requests for x in points]
     groups: dict[tuple, list[int]] = {}
@@ -358,8 +359,6 @@ def _evaluate(requests) -> list:
         try:
             if kind == "residual":
                 results = list(_stacked_residuals(problems, points))
-            elif len(idx) == 1:
-                results = [_maps(problems[0], *points[0])]
             else:
                 results = list(zip(*_stacked_maps(problems, *zip(*points))))
         except NumericalError as exc:
@@ -399,17 +398,10 @@ def _symmetrize_all(arr: np.ndarray) -> np.ndarray:
     return (arr + trans) / 2.0
 
 
-def _maps(problem: DesignProblem, value, gain):
-    """(F, G) at (P, L): :func:`_stacked_maps` on a batch of one."""
-    new_value, new_gain = _stacked_maps([problem], [value], [gain])
-    return new_value[0], new_gain[0]
-
-
 def value_map(value, gain, problem: DesignProblem) -> np.ndarray:
     """One application of the value map F at the given policy."""
     value = symmetrize(value, "value matrix")
-    gain = np.asarray(gain, dtype=float)
-    return _maps(problem, value, gain)[0]
+    return _stacked_maps([problem], [value], [gain])[0][0]
 
 
 def _check_stabilizing(value: np.ndarray, q: np.ndarray, label: str) -> None:

@@ -64,7 +64,7 @@ import numpy as np
 
 from .ensemble import SampleBank
 from .errors import NonFiniteError, NumericalError, WeightOverflowError
-from .matops import _stack, symmetrize
+from .matops import symmetrize
 
 __all__ = [
     "FAMILY_RN",
@@ -357,7 +357,7 @@ def _weigh_all(banks, specs, thetas, gains, values, qs, rs, work: _Workspace | N
     on the same operands.
     """
     count, n = values.shape[:2]
-    sigma = _stack([spec.resolved_sigma(n) for spec in specs])
+    sigma = np.array([spec.resolved_sigma(n) for spec in specs])
     k_mat = np.empty((count, n + gains.shape[1], n))
     k_mat[:, :n] = np.eye(n)
     np.negative(gains, out=k_mat[:, n:])

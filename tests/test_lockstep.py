@@ -30,6 +30,7 @@ from wsriccati.errors import (
     WeightOverflowError,
 )
 
+import reference
 from conftest import MEAN_A, MEAN_B, Q2, R1
 from reference import sequential_fixed_point_solve, sequential_newton_solve
 from test_cli import base_config, write_config
@@ -157,7 +158,7 @@ def test_stacked_evaluation_matches_maps_of_each_problem(problems):
     got = _evaluate_maps(problems, values, gains)
     for problem, value, gain, result in zip(problems, values, gains, got):
         try:
-            want = riccati._maps(problem, value, gain)
+            want = reference._maps(problem, value, gain)
         except NumericalError as exc:
             assert type(result) is type(exc) and str(result) == str(exc)
             continue
@@ -250,7 +251,7 @@ def test_every_failure_kind_inside_one_stacked_batch():
     for (label, problem, value, kind), result in zip(cases, got):
         try:
             with np.errstate(invalid="ignore"):
-                want = riccati._maps(problem, value, gain)
+                want = reference._maps(problem, value, gain)
         except NumericalError as exc:
             assert kind is not None and type(exc) is kind, label
             assert type(result) is kind and str(result) == str(exc), label
@@ -718,7 +719,7 @@ def test_each_failure_kind_next_to_a_healthy_problem_of_its_group(
     gain = np.array([[0.5, 1.0]])
     with np.errstate(invalid="ignore", over="ignore"):
         with pytest.raises(NumericalError) as alone:
-            riccati._maps(failing, value, gain)
+            reference._maps(failing, value, gain)
         assert type(alone.value) is kind
         # The stacked pass raises the flagged problem's own error, here in
         # the middle row ...
@@ -729,7 +730,7 @@ def test_each_failure_kind_next_to_a_healthy_problem_of_its_group(
         assert str(stacked.value) == str(alone.value)
         # ... and each problem then gets its own result or error.
         got = _evaluate_maps([partner, failing], [healthy, value], [gain, gain])
-    want = riccati._maps(partner, healthy, gain)
+    want = reference._maps(partner, healthy, gain)
     assert np.array_equal(got[0][0], want[0]) and np.array_equal(got[0][1], want[1])
     assert type(got[1]) is kind and str(got[1]) == str(alone.value)
 
@@ -749,7 +750,7 @@ def test_problems_of_other_weight_parameters_are_evaluated_apart():
     got = _evaluate_maps(problems, [value] * len(problems), [gain] * len(problems))
     images = set()
     for problem, result in zip(problems, got):
-        want = riccati._maps(problem, value, gain)
+        want = reference._maps(problem, value, gain)
         assert np.array_equal(result[0], want[0]) and np.array_equal(result[1], want[1])
         images.add(want[1].tobytes())
     assert len(images) == len(problems)
@@ -769,7 +770,7 @@ def test_non_finite_value_map_is_a_typed_error_of_its_problem_alone():
         got = _evaluate_maps(problems, values, gains)
     assert isinstance(got[0], NonFiniteError)
     assert str(got[0]) == "value map is not finite"
-    want = riccati._maps(problems[1], values[1], gains[1])
+    want = reference._maps(problems[1], values[1], gains[1])
     assert np.array_equal(got[1][0], want[0]) and np.array_equal(got[1][1], want[1])
 
 

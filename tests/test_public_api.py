@@ -1,8 +1,9 @@
 """The package's public surface.
 
 Every name a module lists in ``__all__`` must resolve. The per-draw forms of
-the bank expectations are test oracles (``tests/reference.py``), so no
-package module may define or export them.
+the bank expectations are test oracles (``tests/reference.py``), and the
+drivers that only the tests call live there too, so no package module may
+define or export either.
 """
 
 import importlib
@@ -22,6 +23,7 @@ REFERENCE_ONLY = (
     "predictive_cost",
     "raw_weight",
     "gain_map",
+    "_maps",
     "closed_loop_kron_expect",
     "kron",
     "compress",

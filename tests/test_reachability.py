@@ -42,9 +42,8 @@ _PERFBENCH = "perfbench binds it by name, and a missing name breaks its --trace 
 _ERROR = "raised only by a solve that fails this way, which no example configuration does"
 
 #: Functions no command reaches, with the reason each stays in the package.
-#: Branches are not listed: ``riccati._evaluate`` keeps its one-point
-#: ``_maps`` branch, through which test_accelerated_fixed_point_on_hard_banks
-#: counts map evaluations, and ``residual_jacobian`` its modes.
+#: Branches are not listed; the only one kept is ``residual_jacobian``'s
+#: modes, with ``_analytic_jacobian_theta0`` behind them.
 ALLOWED = {
     "ensemble.ParameterDistribution.mean_a": "public specification of E[A]",
     "ensemble.ParameterDistribution.mean_b": "public specification of E[B]",

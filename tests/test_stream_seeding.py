@@ -2,9 +2,11 @@
 
 ``stream_rng(seed, k)`` is the specification of trial k's stream. The
 Monte-Carlo study builds a block's generators with ``_stream_rngs``, whose
-seed words come from ``_stream_seed_words`` in vectorized uint32 arithmetic;
-both must reproduce numpy bit for bit, and so must the block fill that the
-study and ``draw`` share.
+seed words come from ``_stream_seed_words``: it continues numpy's own pool of
+the seed with each index's spawn-key words in vectorized uint32 arithmetic,
+after as many hash steps as the seed's word count implies, so seeds at the
+edges of each word count are its edges. Both must reproduce numpy bit for
+bit, and so must the block fill that the study and ``draw`` share.
 """
 
 import numpy as np
@@ -18,8 +20,9 @@ from wsriccati.ensemble import _stream_rngs, _stream_seed_words
 
 from test_simulate_kernel import PROPERTY, distributions, reference_draw
 
-#: Seeds of one to five 32-bit words, at the edges of each word count.
-EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 1, 2**96, 2**128 - 1, 2**128 + 5]
+#: Seeds of one to seven 32-bit words, at the edges of each word count.
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 1, 2**96, 2**128 - 1, 2**128 + 5,
+              2**160 - 1, 2**160, 2**192]
 
 #: Index ranges at the block edges (511/512/513), at the switch to a two-word
 #: spawn key (2**32), and at the largest accepted index (2**64 - 1).

@@ -24,6 +24,7 @@ from wsriccati import riccati, weights
 from wsriccati.errors import NumericalError
 from wsriccati.weights import _expit
 
+import reference
 from conftest import MEAN_A, MEAN_B, Q2, R1
 from reference import _raw_from_costs
 
@@ -157,7 +158,7 @@ def test_a_second_weighted_bank_leaves_the_first_unchanged(bank2k, family, theta
     second = ws.build_weighted_bank(bank2k, spec, theta, other_gain, other_value, Q2, R1)
     # A sweep between the two calls runs the lockstep's workspace too.
     problem = ws.DesignProblem(bank=bank2k, q=Q2, r=R1, weights=spec)
-    riccati._maps(problem, value, gain)
+    reference._maps(problem, value, gain)
     assert not np.array_equal(second.predictive, kept["predictive"])
     for name, array in kept.items():
         assert np.array_equal(getattr(first, name), array), name
