@@ -141,7 +141,7 @@ def _coerce(value, kind, path: str):
     ``X | None`` coerces as X (an explicit null is rejected; leaving the key
     out gives the default). ``Any`` and unions of several types pass through
     for the consumer to validate. ``tuple[float, ...]`` takes a list of
-    finite floats.
+    finite floats. Neither ``int`` nor ``float`` takes a boolean.
     """
     if get_origin(kind) is UnionType:
         options = [a for a in get_args(kind) if a is not type(None)]
@@ -157,7 +157,7 @@ def _coerce(value, kind, path: str):
     try:
         if kind is int and not isinstance(value, bool) and int(value) == value:
             return int(value)
-        if kind is float and np.isfinite(float(value)):
+        if kind is float and not isinstance(value, bool) and np.isfinite(float(value)):
             return float(value)
         if kind in (bool, str, list) and isinstance(value, kind):
             return value

@@ -93,11 +93,6 @@ from .matops import _pair_index, symmetrize, unvech, vech
 from .weights import WeightSpec, _thread_workspace, _unit_weights, _weigh_all
 
 __all__ = [
-    "DEFAULT_FP_TOL",
-    "DEFAULT_FP_MAX_ITERS",
-    "DEFAULT_RESIDUAL_TOL",
-    "DEFAULT_NEWTON_TOL",
-    "DEFAULT_NEWTON_MAX_ITERS",
     "SolverOptions",
     "DesignProblem",
     "DesignSolution",
@@ -112,11 +107,6 @@ __all__ = [
     "solve_all",
 ]
 
-DEFAULT_FP_TOL = 1e-10
-DEFAULT_FP_MAX_ITERS = 10_000
-DEFAULT_RESIDUAL_TOL = 1e-8
-DEFAULT_NEWTON_TOL = 1e-9
-DEFAULT_NEWTON_MAX_ITERS = 100
 DEFAULT_MAX_HALVINGS = 30
 
 #: Relative eigenvalue floor below which the weighted input-cost matrix is
@@ -147,20 +137,22 @@ _METHODS = ("fixed-point", "newton", "newton-continuation")
 class SolverOptions:
     """The solution route and its stopping rules, checked when built.
 
-    ``fp_tol``, ``fp_max_iters`` and ``residual_tol`` govern the fixed-point
-    route and the theta = 0 start of the Newton routes (see
+    The only place a solver setting is declared: every front-end takes the
+    options whole. ``fp_tol``, ``fp_max_iters`` and ``residual_tol`` govern
+    the fixed-point route and the theta = 0 start of the Newton routes (see
     :func:`fixed_point_solve`), ``newton_tol`` and ``newton_max_iters`` each
-    Newton run (see :func:`newton_solve`). ``continuation`` is the theta grid
-    of ``newton-continuation``; it must end at the problem's theta, and
-    without it the grid is half the target, then the target.
+    Newton run (see :func:`newton_solve`); each must be finite and > 0.
+    ``continuation`` is the theta grid of ``newton-continuation``, finite
+    entries ending at the problem's theta; without it the grid is half the
+    target, then the target.
     """
 
     method: str = "fixed-point"
-    fp_tol: float = DEFAULT_FP_TOL
-    fp_max_iters: int = DEFAULT_FP_MAX_ITERS
-    residual_tol: float = DEFAULT_RESIDUAL_TOL
-    newton_tol: float = DEFAULT_NEWTON_TOL
-    newton_max_iters: int = DEFAULT_NEWTON_MAX_ITERS
+    fp_tol: float = 1e-10
+    fp_max_iters: int = 10_000
+    residual_tol: float = 1e-8
+    newton_tol: float = 1e-9
+    newton_max_iters: int = 100
     continuation: tuple[float, ...] | None = None
 
     def __post_init__(self):
@@ -169,10 +161,15 @@ class SolverOptions:
                 f"solver.method: unknown method {self.method!r}, expected one of {_METHODS}"
             )
         for name in ("fp_tol", "fp_max_iters", "residual_tol", "newton_tol", "newton_max_iters"):
-            if getattr(self, name) <= 0:
+            value = getattr(self, name)
+            if abs(value) == math.inf:
+                raise ConfigurationError(f"solver.{name} must be finite")
+            if not value > 0:
                 raise ConfigurationError(f"solver.{name} must be > 0")
         if self.continuation is not None and len(self.continuation) == 0:
             raise ConfigurationError("solver.continuation must not be empty")
+        if not all(math.isfinite(theta) for theta in self.continuation or ()):
+            raise ConfigurationError("solver.continuation entries must be finite")
 
 
 @dataclass(frozen=True)
@@ -478,26 +475,16 @@ def _debug_logger():
 
 
 def _fixed_point_steps(
-    problem: DesignProblem,
-    value0,
-    gain0,
-    options: SolverOptions,
-    record_trace: bool,
-    label: int,
+    problem: DesignProblem, options: SolverOptions, record_trace: bool, label: int
 ):
-    """The iteration of :func:`fixed_point_solve` as a generator for the lockstep.
+    """The iteration of :func:`fixed_point_solve` from (0, 0) as a generator for the lockstep.
 
     It yields each (P, L) at which it needs the maps, is sent their image or
     thrown the error evaluating them raised, and returns the
     :class:`DesignSolution`. ``label`` names the problem in the DEBUG lines.
     """
     n, m = problem.n, problem.m
-    value = np.zeros((n, n)) if value0 is None else symmetrize(value0, "value0")
-    gain = np.zeros((m, n)) if gain0 is None else np.asarray(gain0, dtype=float)
-    if gain.shape != (m, n):
-        raise ConfigurationError(f"gain0 has shape {gain.shape}, expected {(m, n)}")
-    if np.linalg.eigvalsh(value).min() < -1e-10:
-        raise ConfigurationError("value0 must be positive semidefinite")
+    value, gain = np.zeros((n, n)), np.zeros((m, n))
     log = _debug_logger()
 
     trace: list[tuple] | None = [] if record_trace else None
@@ -660,11 +647,7 @@ def _drive(problem: DesignProblem, steps):
 
 def fixed_point_solve(
     problem: DesignProblem,
-    value0=None,
-    gain0=None,
-    tol: float = DEFAULT_FP_TOL,
-    max_iters: int = DEFAULT_FP_MAX_ITERS,
-    residual_tol: float = DEFAULT_RESIDUAL_TOL,
+    options: SolverOptions = SolverOptions(),
     record_trace: bool = False,
 ) -> DesignSolution:
     """Safeguarded Anderson-accelerated iteration of (P, L) <- (F(P, L), G(P, L)).
@@ -684,16 +667,17 @@ def fixed_point_solve(
     iterates and satisfies P - Q >= 0, so acceleration only ever shortens
     the path of the plain iteration towards the stabilizing root.
 
-    Stops when the residual falls below ``tol`` and returns the map image of
-    that iterate, then checks the stacked residual norm against
-    ``residual_tol`` and the stabilizing-root postcondition P > 0, P - Q >= 0.
-    The start must be positive semidefinite; the default is (0, 0). With
-    ``record_trace`` the trace holds the start, one row per accepted iterate
-    and the returned pair, each with the residual of the iterate before it.
-    This is the lockstep of :func:`solve_all` on one problem.
+    Starts at (0, 0), stops when the residual falls below ``options.fp_tol``
+    (or raises after ``options.fp_max_iters`` iterates) and returns the map
+    image of that iterate, then checks the stacked residual norm against
+    ``options.residual_tol`` and the stabilizing-root postcondition P > 0,
+    P - Q >= 0; ``options.method`` is not read. With ``record_trace`` the
+    trace holds the start, one row per accepted iterate and the returned
+    pair, each with the residual of the iterate before it. This is
+    :func:`solve` under the fixed-point route, the lockstep of
+    :func:`solve_all` on one problem.
     """
-    options = SolverOptions(fp_tol=tol, fp_max_iters=max_iters, residual_tol=residual_tol)
-    return _drive(problem, _fixed_point_steps(problem, value0, gain0, options, record_trace, 0))
+    return _drive(problem, _fixed_point_steps(problem, options, record_trace, 0))
 
 
 def pack_solution(value, gain) -> np.ndarray:
@@ -774,20 +758,21 @@ def residual_jacobian(z, problem: DesignProblem, mode: str = "finite-diff") -> n
     raise ConfigurationError(f"unknown Jacobian mode {mode!r}")
 
 
-def _newton_steps(problem: DesignProblem, z: np.ndarray, tol: float, max_iters: int):
+def _newton_steps(problem: DesignProblem, z: np.ndarray, options: SolverOptions):
     """The damped Newton iteration of :func:`newton_solve` from ``z``, as a generator.
 
-    The start, the Jacobian (:func:`_fd_jacobian`) and each line-search trial
-    are residual requests.
+    It stops below ``options.newton_tol`` or raises after
+    ``options.newton_max_iters`` steps. The start, the Jacobian
+    (:func:`_fd_jacobian`) and each line-search trial are residual requests.
     """
     (residual,) = yield "residual", problem, [z]
     norm = float(np.linalg.norm(residual))
     history = [norm]
-    while norm >= tol:
+    while norm >= options.newton_tol:
         iterations = len(history) - 1
-        if iterations >= max_iters:
+        if iterations >= options.newton_max_iters:
             raise ConvergenceError(
-                f"Newton did not reach tolerance in {max_iters} iterations "
+                f"Newton did not reach tolerance in {options.newton_max_iters} iterations "
                 f"(residual {norm:.3e})",
                 history=tuple(history),
             )
@@ -832,22 +817,21 @@ def _newton_steps(problem: DesignProblem, z: np.ndarray, tol: float, max_iters: 
 def newton_solve(
     problem: DesignProblem,
     z0: np.ndarray | None = None,
-    tol: float = DEFAULT_NEWTON_TOL,
-    max_iters: int = DEFAULT_NEWTON_MAX_ITERS,
+    options: SolverOptions = SolverOptions(),
 ) -> DesignSolution:
-    """Damped Newton iteration on the stacked residual.
+    """Damped Newton iteration on the stacked residual, under ``options``' Newton settings.
 
     When ``z0`` is omitted this is :func:`solve` under the ``newton`` route:
-    Newton starts at the zero-sensitivity solution of the fixed-point route,
-    the initialization with a convergence guarantee near theta = 0. Steps
-    are halved (at most ``DEFAULT_MAX_HALVINGS`` times) whenever the residual
-    norm fails to decrease. From ``z0`` this is :func:`_newton_steps` run
-    alone.
+    Newton starts at the zero-sensitivity solution of the fixed-point route
+    (run with ``options``' fixed-point settings), the initialization with a
+    convergence guarantee near theta = 0. Steps are halved (at most
+    ``DEFAULT_MAX_HALVINGS`` times) whenever the residual norm fails to
+    decrease. From ``z0`` this is :func:`_newton_steps` run alone.
+    ``options.method`` and ``options.continuation`` are not read.
     """
     if z0 is None:
-        return solve(problem, SolverOptions("newton", newton_tol=tol, newton_max_iters=max_iters))
-    steps = _newton_steps(problem, np.array(z0, dtype=float).reshape(-1), tol, max_iters)
-    return _drive(problem, steps)
+        return solve(problem, dataclasses.replace(options, method="newton"))
+    return _drive(problem, _newton_steps(problem, np.array(z0, dtype=float).reshape(-1), options))
 
 
 def _theta_steps(problem: DesignProblem, options: SolverOptions) -> tuple[float, ...]:
@@ -873,18 +857,19 @@ def solve(
     options: SolverOptions = SolverOptions(),
     record_trace: bool = False,
 ) -> DesignSolution:
-    """Solve ``problem`` by the route ``options.method``.
+    """Solve ``problem`` by the route ``options.method``, under ``options``' stopping rules.
 
-    Both Newton routes solve at theta = 0 with the fixed-point route first
-    and then run Newton through a grid of theta values, warm-starting each
-    run at the previous solution. ``newton`` uses the one-point grid (theta,);
-    ``newton-continuation`` uses ``options.continuation`` (default: half the
-    target, then the target). Only the fixed-point route records a trace. A
-    Newton route is :func:`solve_all` on one problem.
+    The options pass through whole: the fixed-point route is
+    :func:`fixed_point_solve` on them. Both Newton routes solve at theta = 0
+    with the fixed-point route first and then run Newton through a grid of
+    theta values, warm-starting each run at the previous solution.
+    ``newton`` uses the one-point grid (theta,); ``newton-continuation``
+    uses ``options.continuation`` (default: half the target, then the
+    target). Only the fixed-point route records a trace. A Newton route is
+    :func:`solve_all` on one problem.
     """
     if options.method == "fixed-point":
-        return fixed_point_solve(problem, None, None, options.fp_tol, options.fp_max_iters,
-                                 options.residual_tol, record_trace)
+        return fixed_point_solve(problem, options, record_trace)
     (result,) = solve_all([problem], options)
     if isinstance(result, NumericalError):
         raise result
@@ -922,9 +907,7 @@ def _newton_run(run, options: SolverOptions, label: int):
     start that fails is the error of every problem of the run.
     """
     try:
-        start = yield from _fixed_point_steps(
-            run[0][0].with_theta(0.0), None, None, options, False, label
-        )
+        start = yield from _fixed_point_steps(run[0][0].with_theta(0.0), options, False, label)
     except NumericalError as exc:
         return [exc] * len(run)
     results = []
@@ -933,9 +916,7 @@ def _newton_run(run, options: SolverOptions, label: int):
         iterations = 0
         try:
             for theta in grid:
-                solution = yield from _newton_steps(
-                    problem.with_theta(theta), z, options.newton_tol, options.newton_max_iters
-                )
+                solution = yield from _newton_steps(problem.with_theta(theta), z, options)
                 z = pack_solution(solution.value, solution.gain)
                 iterations += solution.iterations
         except NumericalError as exc:
@@ -957,8 +938,6 @@ def solve_all(problems, options: SolverOptions = SolverOptions()) -> list:
     join.
     """
     if options.method == "fixed-point":
-        return _lockstep(
-            (problem, 1, _fixed_point_steps(problem, None, None, options, False, k))
-            for k, problem in enumerate(problems)
-        )
+        steps = ((p, 1, _fixed_point_steps(p, options, False, k)) for k, p in enumerate(problems))
+        return _lockstep(steps)
     return [result for run in _lockstep(_newton_solves(problems, options)) for result in run]

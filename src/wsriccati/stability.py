@@ -38,7 +38,6 @@ class StabilityReport:
     callers wanting a guard band apply their own threshold to the radius.
     """
 
-    gain: np.ndarray
     radius_plain: float | None = None
     radius_weighted: float | None = None
 
@@ -59,11 +58,11 @@ def ms_check(bank: SampleBank, gain) -> StabilityReport:
     """Mean-square stability verdict under the plain empirical distribution."""
     gain = np.asarray(gain, dtype=float)
     radius = spectral_radius(_closed_loop_operator(bank.moment(), gain)[0])
-    return StabilityReport(gain=gain, radius_plain=radius)
+    return StabilityReport(radius_plain=radius)
 
 
 def wms_check(wbank: WeightedBank, gain) -> StabilityReport:
     """Weighted mean-square verdict under the policy the weights encode."""
     gain = np.asarray(gain, dtype=float)
     operator = _closed_loop_operator(wbank.bank.moment(wbank.weights), gain)[0]
-    return StabilityReport(gain=gain, radius_weighted=spectral_radius(operator))
+    return StabilityReport(radius_weighted=spectral_radius(operator))

@@ -410,10 +410,6 @@ class WeightedBank:
     weights: np.ndarray
     raw_weights: np.ndarray
     predictive: np.ndarray
-    spec: WeightSpec
-    theta: float
-    gain: np.ndarray
-    value: np.ndarray
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -442,16 +438,6 @@ def build_weighted_bank(
     The weights come from the same computation as :func:`weight_vector`, so
     at a symmetric value matrix they equal the solver's weights bit for bit.
     """
-    gain = np.asarray(gain, dtype=float)
     value = symmetrize(value, "value matrix")
     predictive, raw, weights = _weigh(bank, spec, theta, gain, value, q, r)
-    return WeightedBank(
-        bank=bank,
-        weights=weights,
-        raw_weights=raw,
-        predictive=predictive,
-        spec=spec,
-        theta=theta,
-        gain=gain,
-        value=value,
-    )
+    return WeightedBank(bank=bank, weights=weights, raw_weights=raw, predictive=predictive)

@@ -34,10 +34,11 @@ each, the package path it checks:
   compression L_n X D_n onto vech coordinates, built from
   :func:`elimination_matrix` and :func:`duplication_matrix`, which also
   check ``matops.vech`` and ``matops.vec`` against each other.
-- :func:`sequential_fixed_point_solve`: ``riccati.fixed_point_solve`` from
-  (0, 0) as a plain loop, one problem and one :func:`_maps` call at a
-  time; ``riccati.solve_all`` under the fixed-point route must give the same
-  bits for each problem it solves in lockstep.
+- :func:`sequential_fixed_point_solve`: ``riccati.fixed_point_solve`` under
+  a ``SolverOptions``' fixed-point settings, from (0, 0) as a plain loop,
+  one problem and one :func:`_maps` call at a time; ``riccati.solve_all``
+  under the fixed-point route must give the same bits for each problem it
+  solves in lockstep.
 - :func:`sequential_newton_solve`: the Newton routes of ``riccati.solve_all``
   as plain loops, one problem and one ``riccati.implicit_residual`` call at
   a time; ``riccati.solve_all`` must give the same bits for each problem it
@@ -264,8 +265,12 @@ def _anderson_step(problem, points, images, best):
     return value, gain, new_value, new_gain, delta
 
 
-def sequential_fixed_point_solve(problem, tol, max_iters, residual_tol) -> DesignSolution:
-    """The safeguarded Anderson iteration from (0, 0), one map evaluation at a time."""
+def sequential_fixed_point_solve(problem, options) -> DesignSolution:
+    """The safeguarded Anderson iteration from (0, 0), one map evaluation at a time.
+
+    ``options`` gives the stopping rules ``fp_tol``, ``fp_max_iters`` and
+    ``residual_tol``.
+    """
     n, m = problem.n, problem.m
     value, gain = np.zeros((n, n)), np.zeros((m, n))
     new_value, new_gain, delta = _map_step(problem, value, gain)
@@ -273,10 +278,10 @@ def sequential_fixed_point_solve(problem, tol, max_iters, residual_tol) -> Desig
     best = delta
     points: list[np.ndarray] = []
     images: list[np.ndarray] = []
-    while not delta < tol:
-        if len(deltas) >= max_iters:
+    while not delta < options.fp_tol:
+        if len(deltas) >= options.fp_max_iters:
             raise ConvergenceError(
-                f"fixed-point iteration did not converge in {max_iters} iterations "
+                f"fixed-point iteration did not converge in {options.fp_max_iters} iterations "
                 f"(last delta {delta:.3e})",
                 history=tuple(deltas),
             )
@@ -297,9 +302,9 @@ def sequential_fixed_point_solve(problem, tol, max_iters, residual_tol) -> Desig
 
     value, gain = new_value, new_gain
     residual = float(np.linalg.norm(implicit_residual(pack_solution(value, gain), problem)))
-    if residual > residual_tol:
+    if residual > options.residual_tol:
         raise ConvergenceError(
-            f"fixed point stalled: residual {residual:.3e} exceeds {residual_tol:.1e}",
+            f"fixed point stalled: residual {residual:.3e} exceeds {options.residual_tol:.1e}",
             history=tuple(deltas),
         )
     _check_stabilizing(value, problem.q, "fixed-point solve")
@@ -406,10 +411,7 @@ def sequential_newton_solve(problems, options) -> list:
             ):
                 owner = problem
                 try:
-                    start = sequential_fixed_point_solve(
-                        problem.with_theta(0.0), options.fp_tol, options.fp_max_iters,
-                        options.residual_tol,
-                    )
+                    start = sequential_fixed_point_solve(problem.with_theta(0.0), options)
                 except NumericalError as exc:
                     start = exc
             if isinstance(start, NumericalError):

@@ -251,7 +251,7 @@ def test_criterion_8_property_suite(problem, bank, fp_solutions):
         failures.append("theta=0 weights are not exactly one")
 
     # (c) every iterate after the first dominates the state cost
-    traced = ws.fixed_point_solve(problem, record_trace=True, tol=1e-8)
+    traced = ws.fixed_point_solve(problem, ws.SolverOptions(fp_tol=1e-8), record_trace=True)
     for s, value, _gain, _delta, _res in traced.trace:
         if s >= 1 and np.linalg.eigvalsh(value - Q2).min() < -1e-8:
             failures.append(f"iterate {s} lost the value floor")

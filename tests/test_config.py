@@ -121,6 +121,8 @@ def test_non_finite_sweep_grid_fails_before_output(tmp_path):
         ("solver", "trace", "yes", "solver.trace: cannot interpret 'yes' as bool"),
         ("weight", "family", 3, "weight.family: cannot interpret 3 as str"),
         ("task", "x0", None, "task.x0: cannot interpret None as list"),
+        ("weight", "theta", True, "weight.theta: cannot interpret True as float"),
+        ("task", "theta_grid", [True, 1.0], "task.theta_grid[0]: cannot interpret True as float"),
     ],
 )
 def test_coercion_error_names_the_kind(section, key, value, message):

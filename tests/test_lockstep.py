@@ -99,9 +99,7 @@ def _problems(max_size):
 
 def _solo(problem, max_iters=MAX_ITERS):
     try:
-        return sequential_fixed_point_solve(
-            problem, ws.riccati.DEFAULT_FP_TOL, max_iters, ws.riccati.DEFAULT_RESIDUAL_TOL
-        )
+        return sequential_fixed_point_solve(problem, ws.SolverOptions(fp_max_iters=max_iters))
     except NumericalError as exc:
         return exc
 
@@ -211,7 +209,7 @@ def test_one_failing_problem_never_aborts_the_others():
     assert sum(isinstance(result, NumericalError) for result in got) == 2
     for problem, result in zip(problems, got):
         try:
-            solo = ws.fixed_point_solve(problem, max_iters=100)
+            solo = ws.fixed_point_solve(problem, ws.SolverOptions(fp_max_iters=100))
         except NumericalError as exc:
             solo = exc
         _assert_same(result, solo)

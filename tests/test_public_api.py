@@ -3,15 +3,20 @@
 Every name a module lists in ``__all__`` must resolve. The per-draw forms of
 the bank expectations are test oracles (``tests/reference.py``), and the
 drivers that only the tests call live there too, so no package module may
-define or export either.
+define or export either. The solver's stopping rules are declared once, as
+fields of ``riccati.SolverOptions``: no public solver function restates one
+as a parameter, and no ``DEFAULT_*`` constant is exported.
 """
 
+import dataclasses
 import importlib
+import inspect
 import pkgutil
 
 import pytest
 
 import wsriccati
+from wsriccati import riccati
 
 MODULES = ["wsriccati"] + [
     f"wsriccati.{info.name}" for info in pkgutil.iter_modules(wsriccati.__path__)
@@ -41,3 +46,22 @@ def test_exported_names_resolve(module):
 def test_reference_forms_are_not_in_the_package(module):
     mod = importlib.import_module(module)
     assert [name for name in REFERENCE_ONLY if hasattr(mod, name)] == []
+
+
+#: Parameter names that would restate a solver setting, or a fixed-point start.
+RESTATED = {f.name for f in dataclasses.fields(riccati.SolverOptions)} | {
+    "tol",
+    "max_iters",
+    "value0",
+    "gain0",
+}
+
+
+def test_solver_settings_are_declared_once():
+    restated = {
+        name: sorted(RESTATED & set(inspect.signature(getattr(riccati, name)).parameters))
+        for name in riccati.__all__
+        if inspect.isfunction(getattr(riccati, name))
+    }
+    assert {name: params for name, params in restated.items() if params} == {}
+    assert [name for name in riccati.__all__ if name.startswith("DEFAULT_")] == []

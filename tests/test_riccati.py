@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,7 +12,6 @@ from wsriccati import (
     NumericalError,
     riccati,
 )
-from wsriccati.riccati import DEFAULT_FP_TOL, DEFAULT_NEWTON_TOL
 
 import reference
 from conftest import MEAN_A, MEAN_B, Q2, R1, scalar_closed_form
@@ -192,7 +194,7 @@ def test_weighted_fixed_point_converges(rrsl_solution_2k, rrsl_problem_2k):
 
 
 def test_iterates_dominate_state_cost(rrsl_problem_2k):
-    sol = ws.fixed_point_solve(rrsl_problem_2k, record_trace=True, tol=1e-8)
+    sol = ws.fixed_point_solve(rrsl_problem_2k, ws.SolverOptions(fp_tol=1e-8), record_trace=True)
     assert sol.trace is not None
     for s, value, _gain, _delta, _res in sol.trace:
         if s == 0:
@@ -208,7 +210,7 @@ def test_monotone_deltas_reach_tolerance(rrsl_solution_2k):
 
 def test_fixed_point_divergence_reports_history(rrsl_problem_2k):
     with pytest.raises(ConvergenceError) as info:
-        ws.fixed_point_solve(rrsl_problem_2k, max_iters=5)
+        ws.fixed_point_solve(rrsl_problem_2k, ws.SolverOptions(fp_max_iters=5))
     assert info.value.history is not None
     assert len(info.value.history) == 5
 
@@ -221,13 +223,6 @@ def test_domain_violation_reported_with_eigenvalue(bank2k):
         reference.gain_map(-1e9 * np.eye(2), np.zeros((1, 2)), problem)
     assert info.value.smallest_eigenvalue is not None
     assert info.value.smallest_eigenvalue < 0
-
-
-def test_initial_value_validation(rrsl_problem_2k):
-    with pytest.raises(ConfigurationError):
-        ws.fixed_point_solve(rrsl_problem_2k, value0=-np.eye(2))
-    with pytest.raises(ConfigurationError):
-        ws.fixed_point_solve(rrsl_problem_2k, gain0=np.zeros((2, 2)))
 
 
 def test_problem_validation(bank2k):
@@ -277,7 +272,7 @@ def test_accelerated_fixed_point_on_hard_banks(
     sol = ws.fixed_point_solve(problem)
     evaluations = len(calls)
     assert evaluations > 0
-    assert sol.deltas[-1] < DEFAULT_FP_TOL
+    assert sol.deltas[-1] < ws.SolverOptions().fp_tol
     assert np.linalg.eigvalsh(sol.value - Q2).min() >= -1e-8
     newton = ws.newton_solve(problem)
     assert np.linalg.norm(sol.value - newton.value) <= 1e-6
@@ -291,7 +286,7 @@ def test_accelerated_fixed_point_on_hard_banks(
         new_value, new_gain = reference._maps(problem, value, gain)
         delta = np.linalg.norm(new_value - value) + np.linalg.norm(new_gain - gain)
         value, gain = new_value, new_gain
-        assert delta >= DEFAULT_FP_TOL, f"plain iteration converged in {len(calls)}"
+        assert delta >= ws.SolverOptions().fp_tol, f"plain iteration converged in {len(calls)}"
 
 
 def test_postcondition_rejects_value_below_state_cost():
@@ -367,12 +362,12 @@ def test_newton_agrees_with_fixed_point(rrsl_problem_2k, rn_solution_2k, rrsl_so
     sol = ws.newton_solve(rrsl_problem_2k, z0=z0)
     assert np.linalg.norm(sol.value - rrsl_solution_2k.value) <= 1e-6
     assert np.linalg.norm(sol.gain - rrsl_solution_2k.gain) <= 1e-6
-    assert sol.residual < DEFAULT_NEWTON_TOL
+    assert sol.residual < ws.SolverOptions().newton_tol
 
 
 def test_newton_q_quadratic_tail(rrsl_problem_2k, rn_solution_2k):
     z0 = ws.pack_solution(rn_solution_2k.value, rn_solution_2k.gain)
-    sol = ws.newton_solve(rrsl_problem_2k, z0=z0, tol=1e-11)
+    sol = ws.newton_solve(rrsl_problem_2k, z0=z0, options=ws.SolverOptions(newton_tol=1e-11))
     history = np.asarray(sol.deltas)
     below = np.nonzero(history < 1e-4)[0]
     assert below.size >= 1
@@ -387,7 +382,7 @@ def test_newton_q_quadratic_tail(rrsl_problem_2k, rn_solution_2k):
 def test_newton_iteration_budget_error(rrsl_problem_2k, rn_solution_2k):
     z0 = ws.pack_solution(rn_solution_2k.value, rn_solution_2k.gain)
     with pytest.raises(ConvergenceError):
-        ws.newton_solve(rrsl_problem_2k, z0=z0, max_iters=1)
+        ws.newton_solve(rrsl_problem_2k, z0=z0, options=ws.SolverOptions(newton_max_iters=1))
 
 
 def test_newton_default_start_is_zero_solution(rrsl_problem_2k, rrsl_solution_2k):
@@ -439,6 +434,54 @@ def test_solve_continuation_grid_validation(rrsl_problem_2k):
 def test_solve_unknown_method(rrsl_problem_2k):
     with pytest.raises(ConfigurationError):
         ws.solve(rrsl_problem_2k, ws.SolverOptions("gradient-descent"))
+
+
+STOPPING_RULES = ["fp_tol", "fp_max_iters", "residual_tol", "newton_tol", "newton_max_iters"]
+
+
+@pytest.mark.parametrize("name", STOPPING_RULES)
+@pytest.mark.parametrize(
+    "value, message",
+    [(math.nan, "must be > 0"), (math.inf, "must be finite"), (-math.inf, "must be finite")],
+)
+def test_options_reject_non_finite_stopping_rules(name, value, message):
+    with pytest.raises(ConfigurationError, match=f"solver.{name} {message}"):
+        ws.SolverOptions(**{name: value})
+
+
+def test_options_reject_non_finite_continuation():
+    with pytest.raises(ConfigurationError, match="solver.continuation"):
+        ws.SolverOptions("newton-continuation", continuation=(math.nan, 1.0))
+
+
+#: Settings that change the path of both routes from the defaults.
+PATH_OPTIONS = ws.SolverOptions(fp_tol=1e-8, fp_max_iters=400, newton_tol=1e-11)
+
+
+def _same_solution(got, want):
+    assert np.array_equal(got.value, want.value)
+    assert np.array_equal(got.gain, want.gain)
+    assert (got.method, got.iterations, got.deltas) == (want.method, want.iterations, want.deltas)
+
+
+@pytest.mark.parametrize("family, theta", [("RRSL", 1.0), ("RSL", 0.00125)])
+def test_front_ends_pass_options_through(rrsl_problem_2k, family, theta):
+    weights = replace(rrsl_problem_2k.weights, family=family, theta=theta)
+    problem = replace(rrsl_problem_2k, weights=weights)
+    newton = replace(PATH_OPTIONS, method="newton")
+    _same_solution(ws.fixed_point_solve(problem, PATH_OPTIONS), ws.solve(problem, PATH_OPTIONS))
+    _same_solution(ws.newton_solve(problem, options=PATH_OPTIONS), ws.solve(problem, newton))
+
+    short = replace(PATH_OPTIONS, fp_max_iters=5)
+    for front_end, options in [
+        (lambda: ws.fixed_point_solve(problem, short), short),
+        (lambda: ws.newton_solve(problem, options=short), replace(short, method="newton")),
+    ]:
+        with pytest.raises(ConvergenceError) as got:
+            front_end()
+        with pytest.raises(ConvergenceError) as want:
+            ws.solve(problem, options)
+        assert (str(got.value), got.value.history) == (str(want.value), want.value.history)
 
 
 # ---------------------------------------------------------------------------

@@ -99,8 +99,7 @@ def test_concentrated_weights_reduce_to_single_sample():
     weights = np.array([0.0, 0.0, 0.0, 4.0])
     wbank = ws.WeightedBank(
         bank=bank, weights=weights, raw_weights=weights,
-        predictive=np.zeros(4), spec=ws.WeightSpec(family="RN"),
-        theta=0.0, gain=gain, value=np.eye(2),
+        predictive=np.zeros(4),
     )
     got = ws.wms_check(wbank, gain).radius_weighted
     single = ws.spectral_radius(reference.compress(np.kron(a[3], a[3])))

@@ -198,16 +198,11 @@ def test_weighted_expect_concentrated_weights():
     a = np.stack([np.eye(2), 2.0 * np.eye(2), 3.0 * np.eye(2)])
     b = np.zeros((3, 2, 1))
     bank = ws.SampleBank(a=a, b=b)
-    spec = ws.WeightSpec(family="RN")
     wbank = ws.WeightedBank(
         bank=bank,
         weights=np.array([0.0, 0.0, 3.0]),
         raw_weights=np.array([0.0, 0.0, 3.0]),
         predictive=np.zeros(3),
-        spec=spec,
-        theta=0.0,
-        gain=np.zeros((1, 2)),
-        value=np.eye(2),
     )
     got = reference.weighted_expect(wbank, lambda ai, bi: ai)
     assert np.allclose(got, 3.0 * np.eye(2), atol=1e-15)
@@ -223,10 +218,6 @@ def test_weighted_expect_three_sample_hand_case():
         weights=weights,
         raw_weights=weights,
         predictive=np.zeros(3),
-        spec=ws.WeightSpec(family="RN"),
-        theta=0.0,
-        gain=np.zeros((1, 2)),
-        value=np.eye(2),
     )
     got = reference.weighted_expect(wbank, lambda ai, bi: ai)
     expected = (0.5 * a[0] + 1.0 * a[1] + 1.5 * a[2]) / 3.0
@@ -242,10 +233,6 @@ def test_weighted_bank_invariant_enforced(bank2k):
             weights=bad,
             raw_weights=bad,
             predictive=np.zeros(bank2k.size),
-            spec=ws.WeightSpec(family="RN"),
-            theta=0.0,
-            gain=np.zeros((1, 2)),
-            value=np.eye(2),
         )
 
 
