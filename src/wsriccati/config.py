@@ -301,10 +301,7 @@ def make_problem(
 ) -> DesignProblem:
     q, r = _cost_matrices(config)
     spec = make_weight_spec(config, theta)
-    try:
-        return DesignProblem(bank=bank, q=q, r=r, weights=spec)
-    except (ConfigurationError, ValueError) as exc:
-        raise ConfigurationError(str(exc)) from exc
+    return DesignProblem(bank=bank, q=q, r=r, weights=spec)
 
 
 def design_fingerprint(config: RunConfig) -> str:

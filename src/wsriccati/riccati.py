@@ -80,7 +80,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import SampleBank, _closed_loop_operator, _weighted_moments, quadratic_expect
+from .ensemble import SampleBank, _weighted_moments, quadratic_expect
 from .errors import (
     ConfigurationError,
     ConvergenceError,
@@ -717,45 +717,14 @@ def _fd_jacobian(z: np.ndarray, problem: DesignProblem):
     return (residuals[0::2] - residuals[1::2]).T / (2.0 * steps)
 
 
-def _analytic_jacobian_theta0(z: np.ndarray, problem: DesignProblem) -> np.ndarray:
-    # Valid only at theta = 0, where the weights are identically one and
-    # contribute no derivative terms. In the direction S_k = unvech(e_k),
-    # dF = vech(E[C^T S_k C]) - e_k and dG = -vec(E[B^T S_k C]), C = A - B L.
-    n, m = problem.n, problem.m
-    value, gain = unpack_solution(z, n, m)
-    bank = problem.bank
-    head = n * (n + 1) // 2
-    operator, zsc = _closed_loop_operator(bank.moment(), gain)
-    zpz = _zpz_all([problem], [value], [gain])[-1][0]
-    eapb, ebpb = zpz[:n, n:], zpz[n:, n:]
-    ebpb_r = ebpb + problem.r
-    s_mat = ebpb_r @ gain - eapb.T
-    t_mat = gain.T @ ebpb_r - eapb
-
-    df_dvalue = operator - np.eye(head)
-    # The unit gain directions in vec order: column j * m + i is E_ij.
-    units = np.eye(m * n).reshape(m * n, n, m).transpose(0, 2, 1)
-    df_dgain = np.stack([vech(u.T @ s_mat + t_mat @ u) for u in units], axis=1)
-    dg_dvalue = -zsc[:, n:, :].transpose(0, 2, 1).reshape(head, m * n).T
-    dg_dgain = np.kron(np.eye(n), ebpb_r)
-    return np.block([[df_dvalue, df_dgain], [dg_dvalue, dg_dgain]])
-
-
-def residual_jacobian(z, problem: DesignProblem, mode: str = "finite-diff") -> np.ndarray:
+def residual_jacobian(z, problem: DesignProblem) -> np.ndarray:
     """Jacobian of the residual with respect to the solution vector.
 
-    ``finite-diff`` uses central differences with per-coordinate steps
-    eps^(1/3) * max(1, |z_j|). ``analytic-theta0`` assembles the closed-form
-    blocks that hold at zero sensitivity and rejects any other theta.
+    Central differences with per-coordinate steps eps^(1/3) * max(1, |z_j|),
+    the Jacobian of every Newton step (:func:`_fd_jacobian`).
     """
     z = np.asarray(z, dtype=float).reshape(-1)
-    if mode == "finite-diff":
-        return _drive(problem, _fd_jacobian(z, problem))
-    if mode == "analytic-theta0":
-        if problem.theta != 0.0:
-            raise ConfigurationError("analytic-theta0 Jacobian is only valid at theta = 0")
-        return _analytic_jacobian_theta0(z, problem)
-    raise ConfigurationError(f"unknown Jacobian mode {mode!r}")
+    return _drive(problem, _fd_jacobian(z, problem))
 
 
 def _newton_steps(problem: DesignProblem, z: np.ndarray, options: SolverOptions):

@@ -5,9 +5,17 @@ matrix (see :class:`wsriccati.ensemble.SampleBank`). The functions here take
 the same quantities one draw at a time and serve the tests as oracles. For
 each, the package path it checks:
 
-- :func:`expect`: the plain moment behind ``riccati.residual_jacobian``'s
-  closed-form blocks at zero sensitivity (and, with :func:`weighted_expect`,
-  the unit weights of ``weights.build_weighted_bank`` at theta = 0).
+- :func:`expect`: the plain per-draw mean behind
+  :func:`analytic_jacobian_theta0` (and, with :func:`weighted_expect`, the
+  unit weights of ``weights.build_weighted_bank`` at theta = 0).
+- :func:`analytic_jacobian_theta0`: the closed-form Jacobian of the
+  residual at zero sensitivity, built from :func:`expect` alone, against
+  which ``riccati.residual_jacobian`` (central differences on the lockstep
+  engine) is checked at theta = 0.
+- :func:`richardson_jacobian`: central differences of
+  ``riccati.implicit_residual`` at two step sizes, one residual call at a
+  time, extrapolated to cancel the leading error term; the reference for
+  ``riccati.residual_jacobian`` at theta != 0.
 - :func:`weighted_expect`: the weights ``weights.WeightedBank`` carries.
 - :func:`predictive_cost`: ``weights.predictive_costs``, draw by draw.
 - :func:`raw_weight`: :func:`_raw_from_costs`, the weight formula the
@@ -111,6 +119,68 @@ def _evaluate(bank: SampleBank, fn) -> np.ndarray:
             )
         values[idx] = out
     return values
+
+
+def analytic_jacobian_theta0(z, problem) -> np.ndarray:
+    """Closed-form Jacobian of the residual h at theta = 0, draw by draw.
+
+    At zero sensitivity every weight is one and contributes no derivative.
+    With C = A - B L, the value directions S_k = unvech(e_k) give
+    dF = vech(E[C' S_k C]) - e_k and dG = -vec(E[B' S_k C]); the gain
+    directions E_ij give dF = vech(E_ij' S + S' E_ij), with
+    S = (E[B' P B] + R) L - E[B' P A], and dG = vec((E[B' P B] + R) E_ij).
+    Every mean is an :func:`expect`; vech, vec and S_k come from
+    :func:`elimination_matrix` and :func:`duplication_matrix`.
+    """
+    if problem.theta != 0.0:
+        raise ValueError(f"the closed form holds only at theta = 0, got {problem.theta}")
+    n, m = problem.n, problem.m
+    value, gain = unpack_solution(z, n, m)
+    head = n * (n + 1) // 2
+    elim = elimination_matrix(n)
+    basis = duplication_matrix(n).T.reshape(head, n, n)  # basis[k] = unvech(e_k)
+
+    def forms(a, b):
+        closed = a - b @ gain
+        return np.stack([np.hstack([closed, b]).T @ s @ closed for s in basis])
+
+    zsc = expect(problem.bank, forms)  # E[C' S_k C] over E[B' S_k C], per k
+    ebpb_r = expect(problem.bank, lambda a, b: b.T @ value @ b) + problem.r
+    ebpa = expect(problem.bank, lambda a, b: b.T @ value @ a)
+    s_mat = ebpb_r @ gain - ebpa
+
+    def vec(x):
+        return x.reshape(-1, order="F")
+
+    units = np.eye(m * n).reshape(m * n, n, m).transpose(0, 2, 1)  # vec(units[j]) = e_j
+    df_dvalue = np.stack([elim @ vec(x) for x in zsc[:, :n]], axis=1) - np.eye(head)
+    df_dgain = np.stack([elim @ vec(u.T @ s_mat + s_mat.T @ u) for u in units], axis=1)
+    dg_dvalue = -np.stack([vec(x) for x in zsc[:, n:]], axis=1)
+    dg_dgain = np.stack([vec(ebpb_r @ u) for u in units], axis=1)
+    return np.block([[df_dvalue, df_dgain], [dg_dvalue, dg_dgain]])
+
+
+def richardson_jacobian(z, problem, h0) -> np.ndarray:
+    """Jacobian of ``riccati.implicit_residual`` by extrapolated central differences.
+
+    Column j is (4 D(h / 2) - D(h)) / 3 with h = h0 * max(1, |z_j|) and
+    D(h) = (h(z + h e_j) - h(z - h e_j)) / (2 h), which cancels the h^2 term
+    of the central difference. Each residual is its own call.
+    """
+    z = np.asarray(z, dtype=float).reshape(-1)
+
+    def central(j, h):
+        step = np.zeros_like(z)
+        step[j] = h
+        return (implicit_residual(z + step, problem) - implicit_residual(z - step, problem)) / (
+            2.0 * h
+        )
+
+    columns = []
+    for j in range(z.size):
+        h = h0 * max(1.0, abs(float(z[j])))
+        columns.append((4.0 * central(j, 0.5 * h) - central(j, h)) / 3.0)
+    return np.stack(columns, axis=1)
 
 
 def predictive_cost(a, b, gain, value, sigma, q, r) -> float:

@@ -15,7 +15,7 @@ import yaml
 import wsriccati as ws
 from wsriccati.cli import main as cli_main
 
-from reference import duplication_matrix, elimination_matrix
+from reference import analytic_jacobian_theta0, duplication_matrix, elimination_matrix
 
 MEAN_A = [[0.97, -0.03], [0.1, 1.03]]
 MEAN_B = [[0.005], [0.01]]
@@ -275,8 +275,8 @@ def test_criterion_8_property_suite(problem, bank, fp_solutions):
     base = fp_solutions(0.0)
     z = ws.pack_solution(base.value, base.gain)
     zero_problem = problem.with_theta(0.0)
-    j_fd = ws.residual_jacobian(z, zero_problem, mode="finite-diff")
-    j_an = ws.residual_jacobian(z, zero_problem, mode="analytic-theta0")
+    j_fd = ws.residual_jacobian(z, zero_problem)
+    j_an = analytic_jacobian_theta0(z, zero_problem)
     jac_err = float(np.abs(j_fd - j_an).max())
     if jac_err > 1e-5:
         failures.append(f"Jacobian mismatch {jac_err:.2e}")

@@ -5,7 +5,8 @@ the bank expectations are test oracles (``tests/reference.py``), and the
 drivers that only the tests call live there too, so no package module may
 define or export either. The solver's stopping rules are declared once, as
 fields of ``riccati.SolverOptions``: no public solver function restates one
-as a parameter, and no ``DEFAULT_*`` constant is exported.
+as a parameter, and no ``DEFAULT_*`` constant is exported. The Jacobian
+takes the call form the benchmark's kernel timings use, with no mode.
 """
 
 import dataclasses
@@ -32,6 +33,8 @@ REFERENCE_ONLY = (
     "closed_loop_kron_expect",
     "kron",
     "compress",
+    "analytic_jacobian_theta0",
+    "richardson_jacobian",
 )
 
 
@@ -65,3 +68,7 @@ def test_solver_settings_are_declared_once():
     }
     assert {name: params for name, params in restated.items() if params} == {}
     assert [name for name in riccati.__all__ if name.startswith("DEFAULT_")] == []
+
+
+def test_residual_jacobian_takes_only_the_point_and_problem():
+    assert list(inspect.signature(riccati.residual_jacobian).parameters) == ["z", "problem"]

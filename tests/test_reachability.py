@@ -42,8 +42,7 @@ _PERFBENCH = "perfbench binds it by name, and a missing name breaks its --trace 
 _ERROR = "raised only by a solve that fails this way, which no example configuration does"
 
 #: Functions no command reaches, with the reason each stays in the package.
-#: Branches are not listed; the only one kept is ``residual_jacobian``'s
-#: modes, with ``_analytic_jacobian_theta0`` behind them.
+#: No branch of a reached function is kept for a test.
 ALLOWED = {
     "ensemble.ParameterDistribution.mean_a": "public specification of E[A]",
     "ensemble.ParameterDistribution.mean_b": "public specification of E[B]",
@@ -52,10 +51,6 @@ ALLOWED = {
     "errors.ConvergenceError.__init__": _ERROR,
     "errors.DomainViolationError.__init__": _ERROR,
     "errors.SingularJacobianError.__init__": _ERROR,
-    "riccati._analytic_jacobian_theta0": (
-        "closed-form Jacobian blocks at theta = 0 behind residual_jacobian's modes, "
-        "kept until the exact Jacobian for every theta replaces them"
-    ),
     "riccati.newton_solve": _PERFBENCH,
     "riccati.residual_jacobian": _PERFBENCH,
     "riccati.value_map": _PERFBENCH,

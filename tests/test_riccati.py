@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wsriccati as ws
 from wsriccati import (
@@ -304,8 +306,8 @@ def test_postcondition_rejects_value_below_state_cost():
 def test_jacobian_analytic_matches_finite_difference(rn_solution_2k, rrsl_problem_2k):
     problem = rrsl_problem_2k.with_theta(0.0)
     z = ws.pack_solution(rn_solution_2k.value, rn_solution_2k.gain)
-    j_fd = ws.residual_jacobian(z, problem, mode="finite-diff")
-    j_an = ws.residual_jacobian(z, problem, mode="analytic-theta0")
+    j_fd = ws.residual_jacobian(z, problem)
+    j_an = reference.analytic_jacobian_theta0(z, problem)
     assert np.abs(j_fd - j_an).max() <= 1e-5
 
 
@@ -316,15 +318,15 @@ def test_jacobian_analytic_matches_fd_off_root(rrsl_problem_2k):
     p = p @ p.T + 5.0 * np.eye(2)
     gain = rng.standard_normal((1, 2))
     z = ws.pack_solution(p, gain)
-    j_fd = ws.residual_jacobian(z, problem, mode="finite-diff")
-    j_an = ws.residual_jacobian(z, problem, mode="analytic-theta0")
+    j_fd = ws.residual_jacobian(z, problem)
+    j_an = reference.analytic_jacobian_theta0(z, problem)
     assert np.abs(j_fd - j_an).max() <= 1e-5
 
 
 def test_jacobian_gain_block_vanishes_at_root(rn_solution_2k, rrsl_problem_2k):
     problem = rrsl_problem_2k.with_theta(0.0)
     z = ws.pack_solution(rn_solution_2k.value, rn_solution_2k.gain)
-    jac = ws.residual_jacobian(z, problem, mode="analytic-theta0")
+    jac = reference.analytic_jacobian_theta0(z, problem)
     head = 3  # vech dimension for n=2
     assert np.abs(jac[:head, head:]).max() <= 1e-6
 
@@ -332,18 +334,89 @@ def test_jacobian_gain_block_vanishes_at_root(rn_solution_2k, rrsl_problem_2k):
 def test_jacobian_input_block_structure(rn_solution_2k, rrsl_problem_2k, bank2k):
     problem = rrsl_problem_2k.with_theta(0.0)
     z = ws.pack_solution(rn_solution_2k.value, rn_solution_2k.gain)
-    jac = ws.residual_jacobian(z, problem, mode="analytic-theta0")
+    jac = reference.analytic_jacobian_theta0(z, problem)
     ebpb = reference.expect(bank2k, lambda a, b: b.T @ rn_solution_2k.value @ b)
     block = np.kron(np.eye(2), ebpb + R1)
     assert np.abs(jac[3:, 3:] - block).max() <= 1e-10
 
 
-def test_jacobian_rejects_analytic_mode_off_zero(rrsl_problem_2k, rn_solution_2k):
-    z = ws.pack_solution(rn_solution_2k.value, rn_solution_2k.gain)
-    with pytest.raises(ConfigurationError):
-        ws.residual_jacobian(z, rrsl_problem_2k, mode="analytic-theta0")
-    with pytest.raises(ConfigurationError):
-        ws.residual_jacobian(z, rrsl_problem_2k, mode="secant")
+@st.composite
+def theta0_jacobian_cases(draw):
+    """A random system of point, normal and Laplace entries at theta = 0.
+
+    Returns the problem on a bank of 300 to 600 draws, a random positive
+    semidefinite value P and a small gain L.
+    """
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    entries = st.sampled_from(["point", "normal", "laplace"])
+    family_a = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    family_b = draw(st.lists(st.lists(entries, min_size=m, max_size=m), min_size=n, max_size=n))
+    size = draw(st.integers(300, 600))
+    family = draw(st.sampled_from(["RN", "RSL", "RRSL"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mean_a, mean_b = 0.6 * rng.standard_normal((n, n)), 0.6 * rng.standard_normal((n, m))
+    scale = rng.uniform(0.0, 0.2)
+
+    def stddev(families, mean):  # scale * |mean|, zero on point entries
+        return np.where(np.array(families) == "point", 0.0, scale * np.abs(mean))
+
+    dist = ws.build_distribution(
+        n,
+        m,
+        mean_a,
+        mean_b,
+        family_a=family_a,
+        family_b=family_b,
+        stddev_a=stddev(family_a, mean_a),
+        stddev_b=stddev(family_b, mean_b),
+    )
+    alpha, beta = float(rng.uniform(0.1, 10.0)), float(rng.uniform(0.0, 11.0))
+    spec = ws.WeightSpec(family=family, theta=0.0, alpha=alpha, beta=beta)
+    bank = ws.draw_bank(dist, size, seed=int(rng.integers(2**32)))
+    problem = ws.DesignProblem(bank=bank, q=_spd(rng, n, 0.5), r=_spd(rng, m, 0.5), weights=spec)
+    return problem, _spd(rng, n, 0.0), 0.2 * rng.standard_normal((m, n))
+
+
+def _spd(rng, size, shift):
+    x = rng.standard_normal((size, size))
+    return x @ x.T + shift * np.eye(size)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(theta0_jacobian_cases())
+def test_jacobian_matches_closed_form_on_random_systems(case):
+    problem, value, gain = case
+    z = ws.pack_solution(value, gain)
+    jac = ws.residual_jacobian(z, problem)
+    oracle = reference.analytic_jacobian_theta0(z, problem)
+    assert np.abs(jac - oracle).max() <= 1e-8 * max(1.0, np.abs(oracle).max())
+    # The value block plus the identity is the closed-loop operator
+    # S -> E[C' S C] of the mean-square stability check.
+    head = problem.n * (problem.n + 1) // 2
+    radius = np.abs(np.linalg.eigvals(np.eye(head) + oracle[:head, :head])).max()
+    expected = ws.ms_check(problem.bank, gain).radius_plain
+    assert abs(radius - expected) <= 1e-10 * expected
+
+
+#: Weight settings away from theta = 0 on the example system's 2k bank. The
+#: saturated RRSL sigmoid (alpha = 10) is left out: no finite difference is a
+#: trustworthy reference where the weights jump.
+OFF_ZERO_CASES = [
+    ("RSL", 0.00125, 10.0, 11.0),
+    ("RRSL", 1.0, 1.0, 1.0),
+    ("RRSL", 1.0, 0.01, 0.011),
+]
+
+
+@pytest.mark.parametrize("h0", [1e-3, 1e-4])
+@pytest.mark.parametrize("family, theta, alpha, beta", OFF_ZERO_CASES)
+def test_jacobian_matches_richardson_off_zero(bank2k, family, theta, alpha, beta, h0):
+    spec = ws.WeightSpec(family=family, theta=theta, alpha=alpha, beta=beta)
+    problem = ws.DesignProblem(bank=bank2k, q=Q2, r=R1, weights=spec)
+    sol = ws.solve(problem, ws.SolverOptions("newton-continuation"))
+    z = ws.pack_solution(sol.value, sol.gain)
+    ref = reference.richardson_jacobian(z, problem, h0)
+    assert np.abs(ws.residual_jacobian(z, problem) - ref).max() <= 1e-6 * np.abs(ref).max()
 
 
 # ---------------------------------------------------------------------------
@@ -536,8 +609,8 @@ def test_three_state_jacobian_analytic_matches_fd():
     problem = _three_state_problem()
     sol = ws.fixed_point_solve(problem)
     z = ws.pack_solution(sol.value, sol.gain)
-    j_fd = ws.residual_jacobian(z, problem, mode="finite-diff")
-    j_an = ws.residual_jacobian(z, problem, mode="analytic-theta0")
+    j_fd = ws.residual_jacobian(z, problem)
+    j_an = reference.analytic_jacobian_theta0(z, problem)
     assert j_fd.shape == (12, 12)
     assert np.abs(j_fd - j_an).max() <= 1e-5
     # and again away from the root, where the gain block is nonzero
@@ -546,8 +619,8 @@ def test_three_state_jacobian_analytic_matches_fd():
     p = p @ p.T + 2.0 * np.eye(3)
     gain = rng.standard_normal((2, 3)) * 0.2
     z_off = ws.pack_solution(p, gain)
-    j_fd = ws.residual_jacobian(z_off, problem, mode="finite-diff")
-    j_an = ws.residual_jacobian(z_off, problem, mode="analytic-theta0")
+    j_fd = ws.residual_jacobian(z_off, problem)
+    j_an = reference.analytic_jacobian_theta0(z_off, problem)
     assert np.abs(j_fd - j_an).max() <= 1e-5
 
 
