@@ -34,22 +34,12 @@ from .weights import build_weighted_bank
 log = logging.getLogger("wsriccati")
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if value is None:
-        return ""
-    return str(value)
-
-
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    """Write ``header`` and ``rows`` of Python scalars: floats by ``repr``, None as an empty field."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
 
 
 def _write_tables(out_dir: Path, tables: dict) -> None:
@@ -159,17 +149,20 @@ def _require_task_inputs(command: str, config: RunConfig) -> None:
 def _stability_columns(bank, gain, problem=None, value=None) -> list:
     """[rho_plain, rho_weighted, ms_stable, wms_stable] of ``gain`` on ``bank``.
 
-    The weighted pair needs the design ``problem`` and its ``value`` matrix;
-    without them it is None.
+    The verdicts are "true" or "false". The weighted pair needs the design
+    ``problem`` and its ``value`` matrix; without them it is None.
     """
     plain = ms_check(bank, gain)
     if value is None:
-        return [plain.radius_plain, None, plain.ms_stable, None]
+        return [plain.radius_plain, None, str(plain.ms_stable).lower(), None]
     wbank = build_weighted_bank(
         bank, problem.weights, problem.theta, gain, value, problem.q, problem.r
     )
     weighted = wms_check(wbank, gain)
-    return [plain.radius_plain, weighted.radius_weighted, plain.ms_stable, weighted.wms_stable]
+    return [
+        plain.radius_plain, weighted.radius_weighted,
+        str(plain.ms_stable).lower(), str(weighted.wms_stable).lower(),
+    ]
 
 
 def cmd_design(config: RunConfig) -> dict:
@@ -207,7 +200,10 @@ def cmd_design(config: RunConfig) -> dict:
         )
         tables["weights.csv"] = (
             ["sample", "predictive_cost", "raw_weight", "weight"],
-            zip(range(wbank.size), wbank.predictive, wbank.raw_weights, wbank.weights),
+            zip(
+                range(wbank.size), wbank.predictive.tolist(),
+                wbank.raw_weights.tolist(), wbank.weights.tolist(),
+            ),
         )
     return tables
 
@@ -298,7 +294,7 @@ def cmd_robustness(config: RunConfig) -> dict:
     )
     n, m = config.system.n, config.system.m
     rows = [
-        [i + 1, j + 1, summary.gain_mean[i, j], summary.gain_stddev[i, j]]
+        [i + 1, j + 1, float(summary.gain_mean[i, j]), float(summary.gain_stddev[i, j])]
         for j in range(n)
         for i in range(m)
     ]
@@ -368,12 +364,9 @@ def _apply_overrides(config: RunConfig, args) -> RunConfig:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    level = logging.WARNING
-    if args.verbose == 1:
-        level = logging.INFO
-    elif args.verbose >= 2:
-        level = logging.DEBUG
-    logging.basicConfig(level=level, format="%(levelname)s %(message)s", stream=sys.stderr)
+    # basicConfig installs the handler once; the level is set on every call.
+    logging.basicConfig(format="%(levelname)s %(message)s", stream=sys.stderr)
+    log.setLevel((logging.WARNING, logging.INFO, logging.DEBUG)[min(args.verbose, 2)])
     try:
         config = load_config(args.config)
         config = _apply_overrides(config, args)

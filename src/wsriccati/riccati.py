@@ -57,11 +57,11 @@ bits. So does the Frobenius norm taken over a stack (``np.linalg.norm`` with
 ``axis=(1, 2)``, or an einsum), so each solve takes its own fixed-point
 residual.
 
-A round's weights are computed in one reused workspace. :func:`_zpz_all`,
-which both the maps (:func:`_stacked_maps`) and the residuals
-(:func:`_stacked_residuals`, so Newton's Jacobian requests too) go through,
-hands the stacked weight pass the calling thread's
-:class:`~wsriccati.weights._Workspace`. The pass writes the round's
+Each :func:`_lockstep` creates one :class:`~wsriccati.weights._Workspace`
+and every round of its solves writes its weights there: :func:`_evaluate`
+passes it through the maps (:func:`_stacked_maps`) and the residuals
+(:func:`_stacked_residuals`, so Newton's Jacobian requests too) to
+:func:`_zpz_all` and the stacked weight pass. The pass writes the round's
 predictive costs, sigmoid arguments, raw and normalized weights and its two
 masks into those buffers with ``out=`` ufuncs, 26 bytes per draw per point
 against the 64 of ``_WORK_BYTES_PER_DRAW``. Beyond them a round holds only
@@ -69,7 +69,10 @@ the RRSL window's index array, 8 bytes per window entry, and the sigmoid's
 temporaries of one slice of 2,048 entries. The weights leave the pass only
 as the moments read off them, so the next round may overwrite the buffers;
 every step is the same operation as on fresh arrays, so the bits are the
-same. Solves in other threads have workspaces of their own.
+same. The workspace is freed when the lockstep returns, and a lockstep in
+another thread has its own. Without one (``work=None``, as in
+:func:`value_map` and :func:`implicit_residual`) a pass writes into fresh
+arrays.
 """
 
 from __future__ import annotations
@@ -90,7 +93,7 @@ from .errors import (
     SingularJacobianError,
 )
 from .matops import _pair_index, symmetrize, unvech, vech
-from .weights import WeightSpec, _thread_workspace, _unit_weights, _weigh_all
+from .weights import WeightSpec, _Workspace, _unit_weights, _weigh_all
 
 __all__ = [
     "SolverOptions",
@@ -246,7 +249,7 @@ class DesignSolution:
     trace: tuple | None = None
 
 
-def _zpz_all(problems, values, gains):
+def _zpz_all(problems, values, gains, work=None):
     """The stacked P, L, Q, R and E_w[Z^T P Z], Z = [A B], of every problem at its policy.
 
     Problems share n, m and the bank size; ``values`` and ``gains`` list
@@ -255,8 +258,9 @@ def _zpz_all(problems, values, gains):
     weights are exactly one); the weighted problems share weight family,
     alpha and beta. A weight check that fails raises (see
     :func:`~wsriccati.weights._weigh_all`). The weights are written into
-    the calling thread's workspace and used only here, for the moments,
-    which are read off one stack (:func:`~wsriccati.ensemble._weighted_moments`).
+    ``work``, the lockstep's workspace (fresh arrays when ``None``), and
+    used only here, for the moments, which are read off one stack
+    (:func:`~wsriccati.ensemble._weighted_moments`).
     """
     values = np.array(values, dtype=float)
     gains = np.array(gains, dtype=float)
@@ -272,7 +276,7 @@ def _zpz_all(problems, values, gains):
         banks = [p.bank for p in sub]
         weights = _weigh_all(
             banks, [p.weights for p in sub], [p.theta for p in sub], *stacks,
-            work=_thread_workspace(),
+            work=work,
         )[2]
         moments[weighted] = _weighted_moments(banks, weights)
     zpz = quadratic_expect(moments, values)
@@ -295,7 +299,7 @@ def _check_input_cost(ebpb_r: np.ndarray, floors: np.ndarray) -> None:
         )
 
 
-def _stacked_maps(problems, values, gains):
+def _stacked_maps(problems, values, gains, work=None):
     """The stacked maps (F, G) of problems that share n, m, bank size and weights.
 
     The problems share weight family, alpha and beta. One straight-line pass
@@ -304,7 +308,7 @@ def _stacked_maps(problems, values, gains):
     flagged problem's own :class:`NumericalError`, so on a batch of one the
     error is the problem's own.
     """
-    values, gains, qs, rs, zpz = _zpz_all(problems, values, gains)
+    values, gains, qs, rs, zpz = _zpz_all(problems, values, gains, work)
     n = values.shape[1]
     eapa, eapb, ebpb = zpz[:, :n, :n], zpz[:, :n, n:], zpz[:, n:, n:]
     ebpb_r = ebpb + rs
@@ -313,7 +317,7 @@ def _stacked_maps(problems, values, gains):
     return _symmetrize_all(eapa + qs - eapb @ new_gain), new_gain
 
 
-def _stacked_residuals(problems, zs) -> np.ndarray:
+def _stacked_residuals(problems, zs, work=None) -> np.ndarray:
     """The stacked residuals h(z) of problems that share n, m, bank size and weights.
 
     Row i is h at ``zs[i]`` for ``problems[i]``, with the checks of
@@ -321,7 +325,7 @@ def _stacked_residuals(problems, zs) -> np.ndarray:
     """
     n, m = problems[0].n, problems[0].m
     values, gains = zip(*(unpack_solution(z, n, m) for z in zs))
-    values, gains, qs, rs, zpz = _zpz_all(problems, values, gains)
+    values, gains, qs, rs, zpz = _zpz_all(problems, values, gains, work)
     k_mat = np.concatenate([np.broadcast_to(np.eye(n), (len(zs), n, n)), -gains], axis=1)
     empm = k_mat.transpose(0, 2, 1) @ zpz @ k_mat  # E_w[(A-BL)^T P (A-BL)]
     empm = 0.5 * (empm + empm.transpose(0, 2, 1))
@@ -336,14 +340,14 @@ def _stacked_residuals(problems, zs) -> np.ndarray:
     return out
 
 
-def _evaluate(requests) -> list:
+def _evaluate(requests, work=None) -> list:
     """Each request's list of results, one stacked pass per group of points.
 
     A request is (kind, problem, points). Each result is the same bits as its
     point gives alone, as a stack of one (:func:`_stacked_maps`,
     :func:`_stacked_residuals`), or the :class:`NumericalError` it raises
     alone: when a group's pass raises, each of its points is evaluated again
-    alone.
+    alone. Every pass writes its weights into ``work`` (see :func:`_zpz_all`).
     """
     flat = [(kind, p, x) for kind, p, points in requests for x in points]
     groups: dict[tuple, list[int]] = {}
@@ -355,12 +359,12 @@ def _evaluate(requests) -> list:
         problems, points = [flat[i][1] for i in idx], [flat[i][2] for i in idx]
         try:
             if kind == "residual":
-                results = list(_stacked_residuals(problems, points))
+                results = list(_stacked_residuals(problems, points, work))
             else:
-                results = list(zip(*_stacked_maps(problems, *zip(*points))))
+                results = list(zip(*_stacked_maps(problems, *zip(*points), work)))
         except NumericalError as exc:
             results = [exc] if len(idx) == 1 else [
-                _evaluate([(kind, p, [x])])[0][0] for p, x in zip(problems, points)
+                _evaluate([(kind, p, [x])], work)[0][0] for p, x in zip(problems, points)
             ]
         for i, result in zip(idx, results):
             out[i] = result
@@ -594,12 +598,15 @@ def _lockstep(solves) -> list:
     the solve joins. Each round sends every solve in flight the list of its
     results, or throws in the first error among them in point order. A solve
     joins while the bytes in flight stay within ``LOCKSTEP_BYTES`` (see
-    :func:`_footprint`). Returns what each solve returned, or the
-    :class:`NumericalError` it raised, in input order; others propagate.
+    :func:`_footprint`). Every round writes its weights into one
+    :class:`~wsriccati.weights._Workspace` that lives as long as this call.
+    Returns what each solve returned, or the :class:`NumericalError` it
+    raised, in input order; others propagate.
     """
     results: list = []
     flight: list[list] = []  # [index, problem, steps, request, footprint]
     held = 0
+    work = _Workspace()
     pending = next(solves, None)
     # Every non-finite value hidden here is turned into a typed error by the
     # checks of the evaluation.
@@ -619,7 +626,7 @@ def _lockstep(solves) -> list:
                 pending = next(solves, None)
             if not flight:
                 continue
-            outcomes = _evaluate([item[3] for item in flight])
+            outcomes = _evaluate([item[3] for item in flight], work)
             still = []
             for item, outcome in zip(flight, outcomes):
                 steps = item[2]

@@ -57,7 +57,6 @@ so the weights have its bits and the package needs no scipy.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,24 +175,6 @@ class _Workspace:
                 np.empty(cells, dtype=bool) for _ in range(2)
             )
         return tuple(buf[:cells].reshape(shape) for buf in self._buffers)
-
-
-_LOCAL = threading.local()
-
-
-def _thread_workspace() -> _Workspace:
-    """The calling thread's own :class:`_Workspace`, kept from call to call.
-
-    Solves in other threads never see its buffers. It holds 26 bytes per
-    draw per point of the largest stack the thread weighed: 2.6 MB for the
-    ten weighted points of the example sweep on its 10k bank. A round on it
-    adds at most the window's index array (800 KB for that stack when every
-    draw lies in the window) and the slices of the sigmoid.
-    """
-    work = getattr(_LOCAL, "work", None)
-    if work is None:
-        work = _LOCAL.work = _Workspace()
-    return work
 
 
 def _raw_into(spec, theta, costs, mean_predictive, args, raw, saturated, window):
@@ -353,7 +334,9 @@ def _weigh_all(banks, specs, thetas, gains, values, qs, rs, work: _Workspace | N
 
     The (rows, N) arrays are written with ``out=`` into the buffers of
     ``work``, which the next pass on it overwrites; without it, into new
-    ones. Either way the bits are the same: each step is the same operation
+    ones. The solver's lockstep passes the workspace it created for its
+    rounds (``riccati._lockstep``); no other caller in the package passes
+    one. Either way the bits are the same: each step is the same operation
     on the same operands.
     """
     count, n = values.shape[:2]

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import logging
 import os
 import subprocess
 import sys
@@ -68,6 +69,24 @@ def test_design_writes_solution(tmp_path):
     sol = ws.fixed_point_solve(ws.DesignProblem(bank=bank, q=Q2, r=R1, weights=spec))
     assert float(record["pi_1_1"]) == sol.value[0, 0]
     assert float(record["l_1_2"]) == sol.gain[0, 1]
+
+
+def test_verbosity_applies_on_every_call(tmp_path, caplog):
+    # Under pytest the root logger already has handlers, so logging.basicConfig
+    # sets no level: each call has to set the package logger's own.
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, base_config(out))
+    wrote = ("wsriccati", logging.INFO, f"wrote {out / 'solution.csv'}")
+    for flags, lowest in [
+        ([], logging.WARNING),
+        (["-v"], logging.INFO),
+        (["-vv"], logging.DEBUG),
+        ([], logging.WARNING),
+    ]:
+        caplog.clear()
+        assert main(["design", str(cfg), *flags]) == 0
+        assert min((r.levelno for r in caplog.records), default=logging.WARNING) == lowest
+        assert (wrote in caplog.record_tuples) == (lowest < logging.WARNING)
 
 
 def test_design_zero_sensitivity_matches_unweighted_solution(tmp_path):

@@ -302,9 +302,9 @@ def _spy_on_evaluate(monkeypatch) -> list:
     sizes = []
     evaluate = riccati._evaluate
 
-    def spy(requests):
+    def spy(requests, work):
         sizes.append(len(requests))
-        return evaluate(requests)
+        return evaluate(requests, work)
 
     monkeypatch.setattr(riccati, "_evaluate", spy)
     return sizes
@@ -364,7 +364,7 @@ def _spy_on_bytes_in_flight(monkeypatch) -> list:
     rounds = []
     evaluate = riccati._evaluate
 
-    def spy(requests):
+    def spy(requests, workspace):
         work = sum(
             riccati._WORK_BYTES_PER_DRAW * p.bank.size * len(points)
             for _, p, points in requests
@@ -372,7 +372,7 @@ def _spy_on_bytes_in_flight(monkeypatch) -> list:
         banks = {id(p.bank): p.bank for _, p, _ in requests}.values()
         sizes = sorted(b.a.nbytes + b.b.nbytes + b.phi.nbytes for b in banks)
         rounds.append((len(requests), work + sum(sizes[:-1])))
-        return evaluate(requests)
+        return evaluate(requests, workspace)
 
     monkeypatch.setattr(riccati, "_evaluate", spy)
     return rounds

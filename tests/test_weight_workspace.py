@@ -1,13 +1,16 @@
 """The stacked weight pass in a reused workspace.
 
-The lockstep writes each round's predictive costs, raw and normalized
-weights into the calling thread's ``weights._Workspace``; single-bank calls
-run the same pass on buffers of their own. Either way every result must be
-the same bits, or the same error, as on fresh arrays, whatever the shapes
-the workspace served before, and no result may share the buffers.
+Each lockstep call creates one ``weights._Workspace`` and writes each
+round's predictive costs, raw and normalized weights into it; single-bank
+calls run the same pass on buffers of their own. Either way every result
+must be the same bits, or the same error, as on fresh arrays, whatever the
+shapes the workspace served before, and no result may share the buffers.
+Once a solve returns, its workspace is gone.
 """
 
+import dataclasses
 import functools
+import gc
 import sys
 import threading
 import tracemalloc
@@ -156,7 +159,7 @@ def test_a_second_weighted_bank_leaves_the_first_unchanged(bank2k, family, theta
     kept = {name: getattr(first, name).copy() for name in ("weights", "raw_weights", "predictive")}
     other_gain, other_value = _policy(4)
     second = ws.build_weighted_bank(bank2k, spec, theta, other_gain, other_value, Q2, R1)
-    # A sweep between the two calls runs the lockstep's workspace too.
+    # An evaluation of the maps between the two calls runs the weight pass too.
     problem = ws.DesignProblem(bank=bank2k, q=Q2, r=R1, weights=spec)
     reference._maps(problem, value, gain)
     assert not np.array_equal(second.predictive, kept["predictive"])
@@ -276,9 +279,9 @@ def test_sweep_rounds_allocate_no_stack_sized_temporaries(monkeypatch):
     rounds = []
     evaluate = riccati._evaluate
 
-    def spy(requests):
+    def spy(requests, work):
         rounds.append(len(requests))
-        return evaluate(requests)
+        return evaluate(requests, work)
 
     monkeypatch.setattr(riccati, "_evaluate", spy)
     large = _count_large_allocations(lambda: ws.solve_all(problems, config.solver))
@@ -286,6 +289,43 @@ def test_sweep_rounds_allocate_no_stack_sized_temporaries(monkeypatch):
     # of a round whose window holds a large share of the draws, and the
     # workspace when it first grows, reach the threshold.
     assert large < len(rounds), (large, len(rounds))
+
+
+#: Traced bytes a solve may leave allocated once it has returned.
+HELD = 64 * 2**10
+
+
+def _left_behind(fn) -> tuple[int, int]:
+    """Live ``weights._Workspace`` objects and traced bytes once ``fn`` has returned."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fn()
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    alive = sum(isinstance(obj, weights._Workspace) for obj in gc.get_objects())
+    return alive, held
+
+
+def test_solves_release_their_scratch():
+    # The example sweep (ten weighted points on the 10k bank, 2.6 MB of
+    # workspace at its widest) and a Newton design on the same bank, whose
+    # Jacobian requests weigh ten points a round. The theta = 0 warm-up
+    # weighs nothing but makes the lazy imports and caches the solves reach.
+    config = config_mod.load_config(EXAMPLE)
+    bank = config_mod.make_bank(config)
+    problems = [config_mod.make_problem(config, bank, theta=t) for t in config.task.theta_grid]
+    newton = dataclasses.replace(config.solver, method="newton")
+    ws.solve(problems[0], newton)
+    for fn in (
+        lambda: ws.solve_all(problems, config.solver),
+        lambda: ws.solve(problems[-1], newton),
+    ):
+        alive, held = _left_behind(fn)
+        assert alive == 0
+        assert held < HELD, held
 
 
 @pytest.mark.parametrize("length", [1, 3, 7])
