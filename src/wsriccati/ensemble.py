@@ -20,7 +20,6 @@ continues numpy's own SeedSequence pool of the seed with each index.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -239,20 +238,6 @@ def _stddev_entries(stddev, mean, scale, name) -> np.ndarray:
     return scale * np.abs(mean)
 
 
-@functools.lru_cache(maxsize=None)
-def _form_index(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flat positions of H[p, q] and H[q, p] for the moment columns' pairs (p, q), p <= q.
-
-    Also the mask of the pairs with p = q, whose coefficient in z' H z is
-    H[p, p] alone.
-    """
-    rows, cols, _ = _pair_index(dim)
-    out = (rows * dim + cols, cols * dim + rows, rows == cols)
-    for arr in out:
-        arr.setflags(write=False)
-    return out
-
-
 def _moment_features(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # Row i holds z_p z_q, p <= q, of z = vec([A_i B_i]) = [vec A_i; vec B_i],
     # written one block of columns at a time into the output.
@@ -278,10 +263,10 @@ class SampleBank:
     moment matrix ``phi`` (N by d(d+1)/2, row i the products z_p z_q, p <= q)
     and the unweighted moment E[z z'] computed from it. Every bank expectation
     is read off these: the weighted moment (1/N) sum_i w_i z_i z_i' is one
-    product w' phi (:meth:`moment`), the per-draw quadratic forms z_i' H z_i
-    are one product phi c (:meth:`quadratic_forms`), and E_w[Z' P Z] is a
-    contraction of the moment with P (:func:`quadratic_expect`). None of them
-    loops over draws.
+    product w' phi (:meth:`moment`, :func:`_weighted_moments`), the per-draw
+    quadratic forms z_i' H z_i are one product phi c
+    (:func:`_quadratic_forms`), and E_w[Z' P Z] is a contraction of the
+    moment with P (:func:`quadratic_expect`). None of them loops over draws.
 
     Limits: ``phi`` takes 8 N d(d+1)/2 bytes (1.7 MB at N = 10k for n = 2,
     m = 1; 119 MB for n = 6, m = 3), and each product with it costs
@@ -342,13 +327,6 @@ class SampleBank:
         out.setflags(write=False)
         return out
 
-    def quadratic_forms(self, h: np.ndarray) -> np.ndarray:
-        """z_i' H z_i for every draw, as phi c with c the pair coefficients of H."""
-        upper_at, lower_at, diagonal = _form_index(self.n * (self.n + self.m))
-        flat = np.asarray(h, dtype=float).reshape(-1)
-        upper = flat[upper_at]
-        return self.phi @ np.where(diagonal, upper, upper + flat[lower_at])
-
 
 def _weighted_moments(banks, weights: np.ndarray) -> np.ndarray:
     """E_w[z z'] of each bank at its row of the (rows, N) ``weights``: (rows, d, d).
@@ -363,6 +341,20 @@ def _weighted_moments(banks, weights: np.ndarray) -> np.ndarray:
         np.matmul(w, bank.phi, out=flat)
     flats /= banks[0].size
     return flats[:, _pair_index(banks[0].n * (banks[0].n + banks[0].m))[2]]
+
+
+def _quadratic_forms(banks, matrices: np.ndarray, out: np.ndarray) -> None:
+    """z_i' H z_i of every draw of each bank at its H of the (rows, d, d) ``matrices``.
+
+    The twin of :func:`_weighted_moments`: one gather takes the pair
+    coefficients c of every H (H[p, p], and H[p, q] + H[q, p] for p < q),
+    and one gemv phi c per bank writes its row of ``out``, (rows, N).
+    """
+    rows, cols, _ = _pair_index(matrices.shape[1])
+    upper = matrices[:, rows, cols]
+    coeffs = np.where(rows == cols, upper, upper + matrices[:, cols, rows])
+    for row, bank, c in zip(out, banks, coeffs):
+        np.matmul(bank.phi, c, out=row)
 
 
 def quadratic_expect(moment: np.ndarray, value: np.ndarray) -> np.ndarray:
@@ -381,16 +373,14 @@ def _closed_loop_operator(moment: np.ndarray, gain: np.ndarray):
 
     With K = [I; -L], C = Z K. Column k is vech(K' E_w[Z' S_k Z] K) for
     S_k = unvech(e_k), k < n(n+1)/2, all E_w[Z' S_k Z] read off the moment
-    by one :func:`quadratic_expect` on the stack of S_k. Also returns the
-    stack of E_w[Z' S_k C], n(n+1)/2 by (n+m) by n, whose last m rows are
-    the E_w[B' S_k C] of the gain residual's derivative.
+    by one :func:`quadratic_expect` on the stack of S_k.
     """
     n = gain.shape[1]
     rows, cols, full = _pair_index(n)
     k_mat = np.vstack([np.eye(n), -gain])
     basis = np.eye(rows.size)[:, full]  # basis[k] = unvech(e_k)
     zsc = quadratic_expect(np.broadcast_to(moment, (rows.size,) + moment.shape), basis) @ k_mat
-    return (k_mat.T @ zsc)[:, cols, rows].T, zsc
+    return (k_mat.T @ zsc)[:, cols, rows].T
 
 
 def draw_bank(dist: ParameterDistribution, size: int, seed: int) -> SampleBank:

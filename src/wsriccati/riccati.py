@@ -238,6 +238,10 @@ class DesignSolution:
     ||G(x) - L||_F at each accepted iterate x = (P, L), which on a plain step
     equals the iterate change; ``iterations`` is its length. For the Newton
     route it holds the stacked residual norms, starting at the initial point.
+    A Newton route's ``iterations`` sums the Newton steps over every theta
+    of its grid, without the theta = 0 fixed-point start, while ``deltas``
+    and ``residual`` are those of the last theta alone; so under
+    ``newton-continuation`` ``iterations`` may exceed ``len(deltas) - 1``.
     """
 
     value: np.ndarray
@@ -269,14 +273,11 @@ def _zpz_all(problems, values, gains, work=None):
     moments = np.array([p.bank.moment() for p in problems])
     weighted = [i for i, p in enumerate(problems) if not _unit_weights(p.weights, p.theta)]
     if weighted:
-        sub, stacks = problems, (gains, values, qs, rs)
-        if len(weighted) < len(problems):
-            sub = [problems[i] for i in weighted]
-            stacks = tuple(x[weighted] for x in stacks)
+        sub = [problems[i] for i in weighted]
         banks = [p.bank for p in sub]
         weights = _weigh_all(
-            banks, [p.weights for p in sub], [p.theta for p in sub], *stacks,
-            work=work,
+            banks, [p.weights for p in sub], [p.theta for p in sub],
+            *(x[weighted] for x in (gains, values, qs, rs)), work=work,
         )[2]
         moments[weighted] = _weighted_moments(banks, weights)
     zpz = quadratic_expect(moments, values)

@@ -311,7 +311,7 @@ def rollout(
 
 
 def worst_percent_averages(costs, rho_list) -> list[tuple[float, float]]:
-    """Mean of the ceil(rho * N / 100) largest costs for each rho."""
+    """Mean of the ceil(rho * N / 100) largest costs for each decimal rho."""
     costs = np.asarray(costs, dtype=float)
     trials = costs.size
     if trials < 1:
@@ -323,7 +323,10 @@ def worst_percent_averages(costs, rho_list) -> list[tuple[float, float]]:
         rho = float(rho)
         if not 0.0 < rho <= 100.0:
             raise ConfigurationError(f"tail fraction {rho} outside (0, 100]")
-        k = int(np.ceil(rho * trials / 100.0))
+        share = rho * trials / 100.0
+        # rho's decimal, the product and the quotient each round, so share is within
+        # 3 ulps of the exact rho N / 100: a share that close above k means k, not k + 1.
+        k = max(1, math.ceil(share - 4 * math.ulp(share)))
         out.append((rho, float(prefix[k - 1] / k)))
     return out
 

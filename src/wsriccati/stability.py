@@ -57,12 +57,12 @@ class StabilityReport:
 def ms_check(bank: SampleBank, gain) -> StabilityReport:
     """Mean-square stability verdict under the plain empirical distribution."""
     gain = np.asarray(gain, dtype=float)
-    radius = spectral_radius(_closed_loop_operator(bank.moment(), gain)[0])
+    radius = spectral_radius(_closed_loop_operator(bank.moment(), gain))
     return StabilityReport(radius_plain=radius)
 
 
 def wms_check(wbank: WeightedBank, gain) -> StabilityReport:
     """Weighted mean-square verdict under the policy the weights encode."""
     gain = np.asarray(gain, dtype=float)
-    operator = _closed_loop_operator(wbank.bank.moment(wbank.weights), gain)[0]
+    operator = _closed_loop_operator(wbank.bank.moment(wbank.weights), gain)
     return StabilityReport(radius_weighted=spectral_radius(operator))

@@ -61,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import SampleBank
+from .ensemble import SampleBank, _quadratic_forms
 from .errors import NonFiniteError, NumericalError, WeightOverflowError
 from .matops import symmetrize
 
@@ -323,7 +323,8 @@ def _weigh_all(banks, specs, thetas, gains, values, qs, rs, work: _Workspace | N
     The specs share family, alpha and beta; their sigmas may differ. With
     K = [I; -L] the cost of a draw is z' kron(K S K', P) z + tr((Q +
     L' R L) S), z = vec([A B]), so all N costs of a bank are one product with
-    its moment matrix (:meth:`SampleBank.quadratic_forms`).
+    its moment matrix: one :func:`~wsriccati.ensemble._quadratic_forms` call
+    takes every row's, and one add puts each row's offset on.
 
     Each row is what the row alone gives, bit for bit: every step is an
     elementwise operation, a reduction along a row, or a small product per
@@ -354,8 +355,8 @@ def _weigh_all(banks, specs, thetas, gains, values, qs, rs, work: _Workspace | N
     costs, args, raw, saturated, window = (work if work is not None else _Workspace()).take(
         (count, size)
     )
-    for row, bank, h, offset in zip(costs, banks, kron, base):
-        np.add(bank.quadratic_forms(h), offset, out=row)
+    _quadratic_forms(banks, kron, costs)
+    costs += base[:, None]
     sums = np.add.reduce(costs, axis=1)
     _check_costs(costs, sums)
     theta = np.array(thetas, dtype=float)[:, None]

@@ -17,6 +17,7 @@ import wsriccati as ws
 from wsriccati.ensemble import (
     SampleBank,
     _closed_loop_operator,
+    _quadratic_forms,
     _weighted_moments,
     quadratic_expect,
 )
@@ -198,7 +199,7 @@ def test_closed_loop_operator_matches_compressed_kron(case):
         # An entry sums terms K' E_w[Z' S_k Z] K that may cancel, as in a - b l
         # close to 0; its error is measured against the size of those terms.
         scale = np.abs(moment).max() * max(1.0, np.abs(gain).max()) ** 2
-        assert_close(_closed_loop_operator(moment, gain)[0], ref, scale)
+        assert_close(_closed_loop_operator(moment, gain), ref, scale)
         assert_close(radius, ws.spectral_radius(ref), scale)
 
 
@@ -223,8 +224,7 @@ def test_closed_loop_operator_is_the_per_basis_loop_bit_for_bit(n, m, size, seed
     ])
     zsc = zsz @ k_mat
     rows, cols, _ = _pair_index(n)
-    operator, got_zsc = _closed_loop_operator(moment, gain)
-    assert np.array_equal(got_zsc, zsc)
+    operator = _closed_loop_operator(moment, gain)
     assert np.array_equal(operator, (k_mat.T @ zsc)[:, cols, rows].T)
 
 
@@ -262,3 +262,31 @@ def test_stacked_moments_equal_per_call_moments(n, m, size, rows):
     for bank, w, moment in zip(banks, weights, stacked):
         assert np.array_equal(moment, bank.moment(w))
         assert np.array_equal(moment, (w @ bank.phi / size)[full])
+
+
+@pytest.mark.parametrize(
+    "n, m, size, rows", [(1, 1, 1, 1), (2, 1, 9, 4), (3, 2, 50, 3), (2, 1, 10_000, 11)]
+)
+def test_stacked_quadratic_forms_equal_per_bank_products(n, m, size, rows):
+    # The weight pass takes every row's costs off one stack of matrices. Each
+    # row must be the bits of phi c, c the pair coefficients of its H (H[p, p]
+    # on the diagonal, H[p, q] + H[q, p] for p < q), and z_i' H z_i draw by
+    # draw up to rounding, for H that are not symmetric.
+    rng = np.random.default_rng(1000 * n + 100 * m + rows)
+    banks = [
+        SampleBank(a=rng.standard_normal((size, n, n)), b=rng.standard_normal((size, n, m)))
+        for _ in range(rows)
+    ]
+    d = n * (n + m)
+    matrices = rng.standard_normal((rows, d, d))
+    out = np.empty((rows, size))
+    _quadratic_forms(banks, matrices, out)
+    for bank, h, forms in zip(banks, matrices, out):
+        c = np.array([
+            h[p, q] if p == q else h[p, q] + h[q, p] for p, q in zip(*np.triu_indices(d))
+        ])
+        assert np.array_equal(forms, bank.phi @ c)
+        z = np.concatenate([bank.a, bank.b], axis=2).transpose(0, 2, 1).reshape(size, d)
+        ref = np.einsum("ip,pq,iq->i", z, h, z)
+        scale = np.einsum("ip,pq,iq->i", np.abs(z), np.abs(h), np.abs(z))
+        assert np.all(np.abs(forms - ref) <= REL * scale)

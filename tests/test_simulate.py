@@ -60,6 +60,15 @@ def test_worst_percent_averages_small_example():
         ws.worst_percent_averages([1.0], [120.0])
 
 
+def test_worst_percent_averages_take_the_decimal_ceiling():
+    # rho * N / 100 rounds in binary to just above 161, 322 and 644 for these
+    # rho at N = 1,000; the tail is still that many costs, not one more.
+    costs = np.arange(1000.0)
+    got = ws.worst_percent_averages(costs, [16.1, 32.2, 64.4, 5, 100])
+    for (rho, mean), k in zip(got, (161, 322, 644, 50, 1000)):
+        assert mean == costs[-k:].mean(), rho
+
+
 def test_tail_averages_monotone(benchmark_dist):
     gain = np.array([[4.0, 3.5]])
     summary = ws.mc_cost_study(

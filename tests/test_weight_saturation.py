@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 import wsriccati as ws
-from wsriccati import NonFiniteError
+from wsriccati import NonFiniteError, weights
 from wsriccati.ensemble import SampleBank
 from wsriccati.weights import _expit
 
@@ -132,17 +132,17 @@ def test_weigh_cost_matrix_is_np_kron(n, m, seed):
     value = rng.standard_normal((n, n))
     value = value + value.T
     seen = []
-    original = SampleBank.quadratic_forms
+    original = weights._quadratic_forms
 
-    def record(self, h):
-        seen.append(h)
-        return original(self, h)
+    def record(banks, matrices, out):
+        seen.append(matrices[0])
+        return original(banks, matrices, out)
 
-    SampleBank.quadratic_forms = record
+    weights._quadratic_forms = record
     try:
         ws.weight_vector(bank, spec, 1.0, gain, value, np.eye(n), np.eye(m))
     finally:
-        SampleBank.quadratic_forms = original
+        weights._quadratic_forms = original
     k_mat = np.vstack([np.eye(n), -gain])
     (got,) = seen
     assert np.array_equal(got, np.kron(k_mat @ spec.sigma @ k_mat.T, value))
