@@ -63,10 +63,11 @@ passes it through the maps (:func:`_stacked_maps`) and the residuals
 (:func:`_stacked_residuals`, so Newton's Jacobian requests too) to
 :func:`_zpz_all` and the stacked weight pass. The pass writes the round's
 predictive costs, sigmoid arguments, raw and normalized weights and its two
-masks into those buffers with ``out=`` ufuncs, 26 bytes per draw per point
-against the 64 of ``_WORK_BYTES_PER_DRAW``. Beyond them a round holds only
-the RRSL window's index array, 8 bytes per window entry, and the sigmoid's
-temporaries of one slice of 2,048 entries. The weights leave the pass only
+masks into those buffers with ``out=`` ufuncs. With the RRSL window's index
+array that is the 34 bytes per draw per point the workspace declares
+(``_Workspace.BYTES_PER_DRAW``), by which :func:`_footprint` sizes the
+batches; beyond them a round holds only the sigmoid's temporaries of one
+slice of 2,048 entries. The weights leave the pass only
 as the moments read off them, so the next round may overwrite the buffers;
 every step is the same operation as on fresh arrays, so the bits are the
 same. The workspace is freed when the lockstep returns, and a lockstep in
@@ -77,6 +78,7 @@ arrays.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import math
 from dataclasses import dataclass
@@ -121,17 +123,11 @@ ANDERSON_MEMORY = 5
 
 #: Bytes that solves in lockstep may hold beyond one solve's (see
 #: :func:`_footprint`). On the example system that is all 11 fixed-point
-#: sweep points on one 10k bank (640 KB each), and 19 fixed-point or 6 Newton
-#: redesigns on their own 2k banks (560 KB or 1.7 MB each, bank included).
-#: A solve whose own footprint is larger still runs, alone.
+#: sweep points on one 10k bank (340 KB each), and 21 fixed-point or 9 Newton
+#: redesigns on their own 2k banks (500 KB or 1.1 MB each, bank included),
+#: so all 20 of the example's ``robustness`` redesigns under the fixed-point
+#: route. A solve whose own footprint is larger still runs, alone.
 LOCKSTEP_BYTES = 5 * 2**21
-
-#: Bytes per draw of the temporaries of one evaluation in a batch. The
-#: weight pass needs 26 (``weights._Workspace``) plus 8 per RRSL window
-#: entry. It stays 64: a smaller figure would let more solves join a
-#: lockstep under ``LOCKSTEP_BYTES``, which changes the batches of a
-#: ``robustness`` run.
-_WORK_BYTES_PER_DRAW = 64
 
 _METHODS = ("fixed-point", "newton", "newton-continuation")
 
@@ -439,11 +435,11 @@ def _frobenius(x: np.ndarray) -> float:
     return math.sqrt(flat.dot(flat))
 
 
-def _anderson_step(problem: DesignProblem, points, images, best: float):
+def _anderson_step(problem: DesignProblem, history, best: float):
     """Safeguarded type-II Anderson candidate, or None when it is rejected.
 
-    ``points`` holds the packed recent accepted iterates z_j as columns,
-    oldest first, and ``images`` their map images g_j. The candidate g_k - dG
+    ``history`` holds the packed recent accepted iterates z_j with their map
+    images g_j, as (z_j, g_j) pairs, oldest first. The candidate g_k - dG
     gamma, with gamma minimizing ||f_k - dF gamma|| over the differences of
     the residuals f_j = g_j - z_j (Walker & Ni 2011), is rejected when P - Q
     has a negative eigenvalue, when evaluating the maps at it fails (for
@@ -451,6 +447,7 @@ def _anderson_step(problem: DesignProblem, points, images, best: float):
     when its fixed-point residual is not below the smallest residual of any
     accepted iterate.
     """
+    points, images = (np.column_stack(x) for x in zip(*history))
     d_g = images[:, 1:] - images[:, :-1]
     residuals = images - points
     d_f = residuals[:, 1:] - residuals[:, :-1]
@@ -506,13 +503,15 @@ def _fixed_point_steps(
     deltas = [delta]
     best = delta
     accelerated = False
-    # The last ANDERSON_MEMORY + 1 accepted iterates and their images, packed
-    # as columns [vech(P); vec(L)], oldest first; ``kept`` columns are filled.
-    head = n * (n + 1) // 2
+    # The last ANDERSON_MEMORY + 1 accepted iterates and their images, each
+    # packed as [vech(P); vec(L)] without pack_solution's checks, so that a
+    # non-finite iterate ends as the evaluation's NumericalError.
+    history = collections.deque(maxlen=ANDERSON_MEMORY + 1)
     rows, cols, _ = _pair_index(n)
-    points = np.empty((head + m * n, ANDERSON_MEMORY + 1))
-    images = np.empty_like(points)
-    kept = 0
+
+    def pack(value, gain):
+        return np.concatenate([value[cols, rows], gain.reshape(-1, order="F")])
+
     while True:
         if log is not None:
             log.debug(
@@ -528,22 +527,12 @@ def _fixed_point_steps(
                 f"(last delta {delta:.3e})",
                 history=tuple(deltas),
             )
-        if kept == ANDERSON_MEMORY + 1:
-            points[:, :-1] = points[:, 1:]
-            images[:, :-1] = images[:, 1:]
-            kept -= 1
-        points[:head, kept] = value[cols, rows]
-        points[head:, kept] = gain.reshape(-1, order="F")
-        images[:head, kept] = new_value[cols, rows]
-        images[head:, kept] = new_gain.reshape(-1, order="F")
-        kept += 1
+        history.append((pack(value, gain), pack(new_value, new_gain)))
         step = None
-        if kept > 1:
-            step = yield from _anderson_step(
-                problem, points[:, :kept], images[:, :kept], best
-            )
+        if len(history) > 1:
+            step = yield from _anderson_step(problem, history, best)
             if step is None:
-                kept = 0
+                history.clear()
         accelerated = step is not None
         if step is None:
             step = (new_value, new_gain) + (yield from _map_step(problem, new_value, new_gain))
@@ -579,13 +568,13 @@ def _fixed_point_steps(
 def _footprint(problem: DesignProblem, flight, width: int = 1) -> int:
     """Bytes that solving ``problem`` next to the solves in ``flight`` adds.
 
-    Each of the ``width`` points it can request at once needs
-    ``_WORK_BYTES_PER_DRAW`` per draw of its bank; a bank that no solve in
-    flight shares adds its draws and moment features, unless nothing is in
-    flight (one solve at a time holds one bank anyway).
+    Each of the ``width`` points it can request at once needs the weight
+    pass's scratch, ``_Workspace.BYTES_PER_DRAW`` per draw of its bank; a
+    bank that no solve in flight shares adds its draws and moment features,
+    unless nothing is in flight (one solve at a time holds one bank anyway).
     """
     bank = problem.bank
-    cost = _WORK_BYTES_PER_DRAW * bank.size * width
+    cost = _Workspace.BYTES_PER_DRAW * bank.size * width
     if flight and all(item[1].bank is not bank for item in flight):
         cost += bank.a.nbytes + bank.b.nbytes + bank.phi.nbytes
     return cost
@@ -856,27 +845,32 @@ def solve(
 def _newton_solves(problems, options: SolverOptions):
     """The lockstep's (problem, width, steps) for each run of the Newton routes.
 
-    A run lists (problem, theta grid) for consecutive problems on the same
-    bank and cost matrices; the lockstep reads the next solve once one joins,
-    so the list is complete before the run's start ends. Banks are compared
-    with ``is`` to a problem the run holds: a freed bank's ``id`` is reused.
+    A run is the (problem, theta grid) of each of the consecutive problems
+    on one bank and cost matrices. Each run is read whole, which reads the
+    problem after it too, before its solve is created, so no run grows once
+    its solve exists. Banks are compared with ``is`` to the run's first
+    problem: a freed bank's ``id`` is reused.
     """
+
+    def solve_of(run: list, label: int):
+        head = run[0][0]
+        width = 2 * (head.n * (head.n + 1) // 2 + head.m * head.n)
+        return head, width, _newton_run(tuple(run), options, label)
+
     run: list = []
-    label = -1  # the run's index, which names its start in the DEBUG lines
+    label = 0  # the run's index, which names its start in the DEBUG lines
     for problem in problems:
-        grid = _theta_steps(problem, options)
-        owner = run[0][0] if run else problem
-        same = problem.bank is owner.bank and np.array_equal(problem.q, owner.q)
-        if run and same and np.array_equal(problem.r, owner.r):
-            run.append((problem, grid))
-            continue
-        run = [(problem, grid)]
-        label += 1
-        width = 2 * (problem.n * (problem.n + 1) // 2 + problem.m * problem.n)
-        yield problem, width, _newton_run(run, options, label)
+        head = run[0][0] if run else problem
+        same = problem.bank is head.bank and np.array_equal(problem.q, head.q)
+        if not (same and np.array_equal(problem.r, head.r)):
+            yield solve_of(run, label)
+            run, label = [], label + 1
+        run.append((problem, _theta_steps(problem, options)))
+    if run:
+        yield solve_of(run, label)
 
 
-def _newton_run(run, options: SolverOptions, label: int):
+def _newton_run(run: tuple, options: SolverOptions, label: int):
     """A Newton route on each problem of ``run`` from one theta = 0 start, as a generator.
 
     Each problem runs Newton through its theta grid, each step from the

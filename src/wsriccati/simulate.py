@@ -398,8 +398,10 @@ def robustness_study(
     bits as alone; under a Newton route each bank has its own theta = 0
     start. Bank k is drawn only when design k joins, and the lockstep's
     byte budget (``riccati.LOCKSTEP_BYTES``) bounds the banks held at once:
-    19 of the example system's 2k banks under the fixed-point route and 6
-    under a Newton route, however many ``repetitions`` there are.
+    21 of the example system's 2k banks under the fixed-point route and 9
+    under a Newton route, however many ``repetitions`` there are. A Newton
+    route reads each bank's run together with the next problem, so it
+    draws one bank more.
     """
     if repetitions < 2:
         raise ConfigurationError("repetitions must be >= 2")

@@ -153,16 +153,20 @@ class _Workspace:
     """Reused buffers of the stacked weight pass: 3 float64 and 2 bool arrays.
 
     They hold the predictive costs, the sigmoid arguments or RSL exponents
-    (later the normalized weights), the raw weights and the two RRSL masks:
-    3 x 8 + 2 = 26 bytes per draw per point, within the lockstep's
-    ``_WORK_BYTES_PER_DRAW`` of 64. Each is one flat buffer, grown to the
-    largest stack seen, and a pass of any shape takes its first entries as
-    C-contiguous arrays (:meth:`take`), so its rows lie as a fresh stack's
-    would. A pass on a new ``_Workspace()`` returns arrays that nothing
-    else holds. Beyond these buffers a pass holds only the RRSL window's
-    flat indices, 8 bytes per window entry, and the temporaries of one
-    ``_SLICE`` of them (:func:`_rrsl_raw`).
+    (later the normalized weights), the raw weights and the two RRSL masks.
+    Each is one flat buffer, grown to the largest stack seen, and a pass of
+    any shape takes its first entries as C-contiguous arrays (:meth:`take`),
+    so its rows lie as a fresh stack's would. A pass on a new
+    ``_Workspace()`` returns arrays that nothing else holds. Beyond these
+    buffers a pass holds only the RRSL window's flat indices and the
+    temporaries of one ``_SLICE`` of them (:func:`_rrsl_raw`).
     """
+
+    _DTYPES = (np.float64,) * 3 + (np.bool_,) * 2
+    #: Scratch of a pass per draw per point, one slice's temporaries aside:
+    #: the buffers (3 x 8 + 2 = 26 bytes) and the draw's window index (8),
+    #: 34 bytes. The solver's lockstep sizes its batches by it.
+    BYTES_PER_DRAW = sum(np.dtype(t).itemsize for t in _DTYPES) + np.dtype(np.intp).itemsize
 
     def __init__(self):
         self._buffers = ()
@@ -171,9 +175,7 @@ class _Workspace:
         """Costs, arguments, raw weights and the two masks of one pass, each of ``shape``."""
         cells = math.prod(shape)
         if not self._buffers or cells > self._buffers[0].size:
-            self._buffers = tuple(np.empty(cells) for _ in range(3)) + tuple(
-                np.empty(cells, dtype=bool) for _ in range(2)
-            )
+            self._buffers = tuple(np.empty(cells, dtype=t) for t in self._DTYPES)
         return tuple(buf[:cells].reshape(shape) for buf in self._buffers)
 
 

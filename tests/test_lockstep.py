@@ -357,16 +357,17 @@ NEWTON_ROBUSTNESS_PINNED = {
 def _spy_on_bytes_in_flight(monkeypatch) -> list:
     """Patch riccati._evaluate to record (requests, bytes in flight) of each round.
 
-    The bytes are each point's work (``_WORK_BYTES_PER_DRAW`` per draw) and
-    every bank but one, which the budget leaves out: a lower bound of what
-    the lockstep counts against ``LOCKSTEP_BYTES``.
+    The bytes are each point's work, the weight pass's declared scratch per
+    draw (``weights._Workspace.BYTES_PER_DRAW``, which ``riccati._footprint``
+    reads), and every bank but one, which the budget leaves out: a lower
+    bound of what the lockstep counts against ``LOCKSTEP_BYTES``.
     """
     rounds = []
     evaluate = riccati._evaluate
 
     def spy(requests, workspace):
         work = sum(
-            riccati._WORK_BYTES_PER_DRAW * p.bank.size * len(points)
+            ws.weights._Workspace.BYTES_PER_DRAW * p.bank.size * len(points)
             for _, p, points in requests
         )
         banks = {id(p.bank): p.bank for _, p, _ in requests}.values()
@@ -491,6 +492,30 @@ def test_newton_start_is_shared_only_by_the_same_bank_and_costs(benchmark_dist):
         assert np.array_equal(result.value, want.value)
         assert np.array_equal(result.gain, want.gain)
         assert result.deltas == want.deltas
+
+
+def test_a_newton_run_is_read_whole_before_its_solve_exists(rrsl_problem_2k):
+    # The first solve is driven to its end before the next one is asked
+    # for, so a run that grew only while the lockstep read on would end
+    # with its first point alone.
+    problems = [rrsl_problem_2k.with_theta(theta) for theta in (0.0, 0.5, 1.0)]
+    options = ws.SolverOptions("newton")
+    solves = riccati._newton_solves(iter(problems), options)
+    _, _, steps = next(solves)
+    with np.errstate(over="ignore", invalid="ignore"):
+        request = next(steps)
+        while True:
+            (outcome,) = riccati._evaluate([request])
+            error = next((x for x in outcome if isinstance(x, NumericalError)), None)
+            try:
+                request = steps.send(outcome) if error is None else steps.throw(error)
+            except StopIteration as stop:
+                results = stop.value
+                break
+    assert len(results) == 3
+    assert next(solves, None) is None
+    for result, want in zip(results, ws.solve_all(problems, options)):
+        _assert_same(result, want)
 
 
 @functools.lru_cache(maxsize=None)

@@ -383,3 +383,55 @@ def test_an_rrsl_pass_allocates_no_stack_sized_temporaries(benchmark_dist):
     finally:
         tracemalloc.stop()
     assert peak - start <= 2**20, peak - start
+
+
+#: Bytes per window entry of every temporary ``weights._rrsl_raw`` makes for
+#: one slice, counted as if all were alive at once: the entries' row index
+#: (intp), their theta and their x; in ``_expit`` the negation, its cast to
+#: complex, the complex exponential, the mask below the cexp floor (bool)
+#: and the quotient; then the product with theta and the sum with 1.
+SLICE_BYTES_PER_ENTRY = 8 + 8 + 8 + 8 + 16 + 16 + 1 + 8 + 8 + 8
+
+
+def _assert_round_within_declared_scratch(requests, draws):
+    """One ``riccati._evaluate`` round on a new workspace, its ``draws`` all in the window.
+
+    It may allocate the declared scratch of each draw of each point, which
+    the lockstep sizes its batches by, and one slice's temporaries.
+    """
+    riccati._evaluate(requests)  # fills the lazy caches the round reaches
+    work = weights._Workspace()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        outcomes = riccati._evaluate(requests, work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not any(isinstance(x, NumericalError) for outcome in outcomes for x in outcome)
+    assert work._buffers[4][:draws].all()
+    bound = draws * weights._Workspace.BYTES_PER_DRAW + SLICE_BYTES_PER_ENTRY * weights._SLICE
+    assert peak - start <= bound, (peak - start, bound)
+
+
+@pytest.mark.parametrize("count", [1, 19])
+def test_a_maps_round_allocates_within_the_declared_scratch(benchmark_dist, count):
+    # At (0, 0) every cost is tr(Q) = 6, so x = -6 puts every draw of each
+    # 2k bank in the sigmoid window, as in the first round of every RRSL
+    # solve; 19 points on their own banks come near the 20 redesigns a
+    # round of the example's robustness study holds.
+    spec = ws.WeightSpec(family="RRSL", theta=1.0, alpha=10.0, beta=11.0)
+    banks = [ws.draw_bank(benchmark_dist, 2000, seed=k) for k in range(count)]
+    requests = [
+        ("maps", ws.DesignProblem(bank=bank, q=Q2, r=R1, weights=spec),
+         [(np.zeros((2, 2)), np.zeros((1, 2)))])
+        for bank in banks
+    ]
+    _assert_round_within_declared_scratch(requests, count * 2000)
+
+
+def test_a_jacobian_request_allocates_within_the_declared_scratch(rrsl_problem_2k):
+    # Newton's central differences at z = 0: ten points next to (0, 0).
+    request = next(riccati._fd_jacobian(np.zeros(5), rrsl_problem_2k))
+    assert len(request[2]) == 10
+    _assert_round_within_declared_scratch([request], 10 * rrsl_problem_2k.bank.size)
