@@ -111,8 +111,13 @@ def _resolve_gain(config: RunConfig):
     task = config.task
     if task.solution is not None:
         record = _load_solution(Path(task.solution))
-        expected = design_fingerprint(config)
-        if record["fingerprint"] != expected:
+        # trace and dump_weights choose output files, not the design.
+        solvers = (
+            dataclasses.replace(config.solver, trace=trace, dump_weights=dump)
+            for trace in (False, True) for dump in (False, True)
+        )
+        accepted = {design_fingerprint(dataclasses.replace(config, solver=s)) for s in solvers}
+        if record["fingerprint"] not in accepted:
             raise ConfigurationError(
                 f"{task.solution}: solution was produced by a different design "
                 f"configuration (fingerprint mismatch)"

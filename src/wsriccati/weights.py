@@ -13,25 +13,22 @@ the un-normalized weights are
     RRSL  1 + theta / (1 + exp(-alpha * J + beta * mean(J)))
 
 where mean(J) is the unweighted bank average. Weights are then normalized
-by their empirical mean so the weighted expectation of 1 is exactly 1. The
-costs of a whole bank are one product with its moment matrix (see
-:class:`~wsriccati.ensemble.SampleBank`); the single-draw cost and weight
-the tests check them against are in ``tests/reference.py``.
+by their empirical mean so the weighted expectation of 1 is exactly 1. One
+stacked pass (:func:`_weigh_all`) takes the costs of a bank, one product
+with its moment matrix (see :class:`~wsriccati.ensemble.SampleBank`), and
+weighs them; :func:`predictive_costs` (the pass at unit weights),
+:func:`weight_vector` and :func:`build_weighted_bank` are its views. The
+per-draw cost and weight the tests check them against are in
+``tests/reference.py``.
 
-The RRSL sigmoid saturates in double precision. With x = alpha J - beta
-mean(J), the raw weight is exactly 1 + theta for x >= 40 and exactly 1 for
-x < log(2**-55 / |theta|): above the window expit(x) is exactly 1.0, and
-below it |theta| expit(x) stays under 2**-54, less than half an ulp of 1
-(:func:`_rrsl_raw` gives the bounds). The sigmoid is taken only inside the
-window, and the weights are the same bits as with it taken everywhere. On
-the example system (alpha = 10, beta = 11) the window holds every draw at
-the first iterate from (0, 0), 5-9% of the draws over a fixed-point solve
-on the 10k-bank theta sweep (1-2% at the root) and 5.7% over the 20
-robustness designs on 2k banks. The window's flat indices are one array, 8
-bytes per window entry, and the sigmoid runs over them in slices of
-``_SLICE`` = 2,048 entries, so no other temporary of the pass grows with
-the stack: at (0, 0) the sweep's (10, 10k) stack holds its 800 KB index
-array and 32 KB slices.
+The RRSL sigmoid saturates in double precision: outside a window of
+x = alpha J - beta mean(J) the raw weight is exactly 1 + theta or exactly 1
+(:func:`_rrsl_raw` gives the bounds). The sigmoid is taken only inside it,
+in slices of ``_SLICE`` = 2,048 entries, and the weights are the same bits
+as with it taken everywhere. On the example system (alpha = 10, beta = 11)
+the window holds every draw at the first iterate from (0, 0), 5-9% of the
+draws over a fixed-point solve on the 10k-bank theta sweep (1-2% at the
+root) and 5.7% over the 20 robustness designs on 2k banks.
 
 The sigmoid is :func:`_expit`, ``1 / (1 + exp(-x))`` with the C library's
 ``exp``. That is the expression and the ``exp`` of ``scipy.special.expit``,
@@ -132,21 +129,6 @@ class WeightSpec:
                 f"sigma has shape {self.sigma.shape}, expected {(n, n)}"
             )
         return self.sigma
-
-
-def predictive_costs(
-    a: np.ndarray, b: np.ndarray, gain, value, sigma, q, r
-) -> np.ndarray:
-    """One-step cost-plus-value J of each draw in stacked sample arrays.
-
-    Banks take their costs from the moment matrix instead (see
-    :func:`weight_vector`); ``perfbench`` traces this per-draw form by name.
-    """
-    closed = a - np.matmul(b, gain)
-    pm = np.matmul(value, closed)
-    quad = np.matmul(closed.transpose(0, 2, 1), pm)
-    base = float(np.trace((q + gain.T @ r @ gain) @ sigma))
-    return np.einsum("sij,ji->s", quad, sigma) + base
 
 
 class _Workspace:
@@ -373,6 +355,17 @@ def _weigh(bank: SampleBank, spec: WeightSpec, theta: float, gain, value, q, r):
         [bank], [spec], [theta], gain[None], value[None], q[None], r[None]
     )
     return costs[0], raw[0], weights[0]
+
+
+def predictive_costs(a, b, gain, value, sigma, q, r) -> np.ndarray:
+    """Predictive cost J of each draw of the stacked arrays ``a`` and ``b``.
+
+    The weight pass at unit weights, on a bank of these draws: the
+    ``predictive`` of :func:`build_weighted_bank` at a symmetric ``value``,
+    bit for bit.
+    """
+    spec = WeightSpec(FAMILY_RN, sigma=sigma)
+    return _weigh(SampleBank(a=a, b=b), spec, 0.0, gain, value, q, r)[0]
 
 
 def weight_vector(

@@ -387,6 +387,44 @@ def test_solution_fingerprint_mismatch_rejected(tmp_path):
     assert main(["stability", str(cfg)]) == 1
 
 
+def _analyse_solution(tmp_path, design_solver, analysis_solver):
+    """Exit codes of ``stability`` and ``simulate`` on the solution of a design.
+
+    Each ``*_solver`` is merged into the base config's solver block, of the
+    design and of the analysis config respectively.
+    """
+    solver = {"method": "fixed-point", "bank_size": 600, "seed": 11}
+    out_design = tmp_path / "design"
+    cfg = base_config(out_design, solver={**solver, **design_solver})
+    assert main(["design", str(write_config(tmp_path, cfg, name="design.yaml"))]) == 0
+    task = {
+        "solution": str(out_design / "solution.csv"), "x0": [1.0, 1.0], "trials": 5,
+        "horizon": 3,
+    }
+    codes = []
+    for command in ("stability", "simulate"):
+        cfg = base_config(tmp_path / command, solver={**solver, **analysis_solver}, task=task)
+        codes.append(main([command, str(write_config(tmp_path, cfg, name=f"{command}.yaml"))]))
+    return codes
+
+
+@pytest.mark.parametrize("design_on", [True, False])
+def test_solution_fingerprint_ignores_trace_and_dump_weights(tmp_path, design_on):
+    # The two switches choose output files, not the design.
+    switches = {"trace": True, "dump_weights": True}
+    off = {"trace": False, "dump_weights": False}
+    design, analysis = (switches, off) if design_on else (off, switches)
+    assert _analyse_solution(tmp_path, design, analysis) == [0, 0]
+
+
+@pytest.mark.parametrize(
+    "analysis_solver", [{"seed": 12}, {"method": "newton"}], ids=["seed", "method"]
+)
+def test_solution_of_another_design_is_still_rejected(tmp_path, caplog, analysis_solver):
+    assert _analyse_solution(tmp_path, {"trace": True}, analysis_solver) == [1, 1]
+    assert caplog.text.count("fingerprint mismatch") == 2
+
+
 @pytest.mark.parametrize("command", ["stability", "simulate"])
 def test_non_finite_solution_rejected(tmp_path, caplog, command):
     out_design = tmp_path / "design"

@@ -193,6 +193,47 @@ def _assert_same_residual(result, problem, z):
     assert np.array_equal(result, want)
 
 
+@pytest.mark.parametrize("family,theta", [("RN", 0.0), ("RSL", 0.00125), ("RRSL", 1.0)])
+def test_every_public_view_is_its_row_of_the_stacked_pass(family, theta):
+    """Each public function of one point returns that point's row of a stacked pass.
+
+    Three problems on their own banks, each at its own theta, sigma and
+    point, go through one stacked pass: ``riccati._evaluate`` for the maps
+    and the residuals, ``weights._weigh_all`` for the costs and weights. A
+    second implementation behind any public function breaks its bits here.
+    """
+    rng = np.random.default_rng(29)
+    problems, values, gains = [], [], []
+    for seed in range(3):
+        base = _problem("2x1", 200, seed, family, theta * (1.0 + 0.5 * seed))
+        root = rng.standard_normal((2, 2))
+        spec = dataclasses.replace(base.weights, sigma=root @ root.T + np.eye(2))
+        problems.append(dataclasses.replace(base, weights=spec))
+        root = rng.standard_normal((2, 2))
+        value = 50.0 * root @ root.T + Q2
+        values.append(0.5 * (value + value.T))
+        gains.append(rng.standard_normal((1, 2)))
+    zs = [ws.pack_solution(value, gain) for value, gain in zip(values, gains)]
+    maps = _evaluate_maps(problems, values, gains)
+    residuals = riccati._evaluate([("residual", p, [z]) for p, z in zip(problems, zs)])
+    costs, raw, weights = ws.weights._weigh_all(
+        [p.bank for p in problems], [p.weights for p in problems],
+        [p.theta for p in problems], np.array(gains), np.array(values),
+        np.array([p.q for p in problems]), np.array([p.r for p in problems]),
+    )
+    for i, (p, value, gain, z) in enumerate(zip(problems, values, gains, zs)):
+        args = (p.bank, p.weights, p.theta, gain, value, p.q, p.r)
+        wbank = ws.build_weighted_bank(*args)
+        assert np.array_equal(ws.value_map(value, gain, p), maps[i][0])
+        assert np.array_equal(ws.implicit_residual(z, p), residuals[i][0])
+        assert np.array_equal(ws.weight_vector(*args), weights[i])
+        assert np.array_equal(wbank.weights, weights[i])
+        assert np.array_equal(wbank.raw_weights, raw[i])
+        assert np.array_equal(wbank.predictive, costs[i])
+        got = ws.predictive_costs(p.bank.a, p.bank.b, gain, value, p.weights.sigma, p.q, p.r)
+        assert np.array_equal(got, costs[i])
+
+
 def test_one_failing_problem_never_aborts_the_others():
     # On this bank RN needs 90 iterations and RRSL theta = 1 needs 120, so a
     # budget of 100 fails the latter only; RSL theta = 50 overflows.

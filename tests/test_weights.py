@@ -50,6 +50,17 @@ def test_predictive_costs_batch_matches_scalar():
         assert batch[idx] == pytest.approx(single, rel=1e-13)
 
 
+@pytest.mark.parametrize("family", ["RN", "RSL", "RRSL"])
+def test_predictive_costs_are_the_costs_the_weights_read(bank2k, rn_solution_2k, family):
+    sigma = np.array([[1.0, 0.3], [0.3, 2.0]])
+    params = {"RSL": {"theta": 0.00125}, "RRSL": {"theta": 1.0, "alpha": 10.0, "beta": 11.0}}
+    spec = ws.WeightSpec(family=family, sigma=sigma, **params.get(family, {}))
+    gain, value = rn_solution_2k.gain, rn_solution_2k.value
+    wbank = ws.build_weighted_bank(bank2k, spec, spec.theta, gain, value, Q2, R1)
+    costs = predictive_costs(bank2k.a, bank2k.b, gain, value, sigma, Q2, R1)
+    assert np.array_equal(costs, wbank.predictive)
+
+
 def test_predictive_cost_affine_in_value_and_state_cost():
     rng = np.random.default_rng(3)
     a = rng.standard_normal((2, 2))
