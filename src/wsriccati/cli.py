@@ -6,7 +6,7 @@ from the configuration and returns them, file name to (header, rows);
 :func:`main` then writes them all as CSV files with a fixed header row and
 full-precision floats, and moves them into place only once every one is
 written, so a run that fails writes nothing. Exit codes: 0 success, 1
-configuration error, 2 numerical/solver error, 3 I/O error.
+configuration or command-line error, 2 numerical/solver error, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -356,19 +356,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _apply_overrides(config: RunConfig, args) -> RunConfig:
     if args.seed is not None:
-        if args.command in _TASK_SEED_COMMANDS:
-            task = dataclasses.replace(config.task, seed=args.seed)
-            config = dataclasses.replace(config, task=task)
-        else:
-            solver = dataclasses.replace(config.solver, seed=args.seed)
-            config = dataclasses.replace(config, solver=solver)
+        section = "task" if args.command in _TASK_SEED_COMMANDS else "solver"
+        seeded = dataclasses.replace(getattr(config, section), seed=args.seed)
+        config = dataclasses.replace(config, **{section: seeded})
     if args.output_dir is not None:
         config = dataclasses.replace(config, output_dir=args.output_dir)
     return config
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse's exit: 0 after -h, 2 on a bad command line
+        return 1 if exc.code else 0
     # basicConfig installs the handler once; the level is set on every call.
     logging.basicConfig(format="%(levelname)s %(message)s", stream=sys.stderr)
     log.setLevel((logging.WARNING, logging.INFO, logging.DEBUG)[min(args.verbose, 2)])

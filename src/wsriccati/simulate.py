@@ -16,8 +16,8 @@ indices at once, in the uint32 arithmetic of numpy's SeedSequence, so each
 is in the state ``stream_rng(seed, k)`` would give it. Within a block of
 horizon H, with d = n(n+m) parameter components:
 
-- the trials draw in chunks of C = max(1, 2**20 // (8 d H)) trials, whose
-  raw draws take about 1 MiB (C = 72 for n = 2, m = 1 and H = 300). Each
+- the trials draw in chunks of C = max(1, 2**19 // (8 d H)) trials, whose
+  raw draws take about 0.5 MiB (C = 36 for n = 2, m = 1 and H = 300). Each
   trial of a chunk takes its H parameter vectors from its own stream, the
   same numbers in the same order as ``ParameterDistribution.draw``, into its
   slice of a trial-major C x d x H buffer; the scale and shift of the normal
@@ -49,11 +49,11 @@ With align8(k) = 8 ceil(k / 8), the two buffers take
     8 (max(B (H+1) n, align8(C d H) + C n^2 H)
        + max(B H n^2, 2 align8(B (H+1)), align8(B H n) + B H)) bytes,
 
-7.4 MB (7.0 MiB) for the example system at H = 300 and B = 512. Every
-array is a C-contiguous view that starts on a 64-byte line of its buffer.
-A block of k < B trials views the first entries at each offset as its own
-arrays, so every product runs on, and rounds as on, the layout a block of
-k trials alone would have.
+3,690,496 bytes (3.7 MB) for the example system at H = 300 and B = 256.
+Every array is a C-contiguous view that starts on a 64-byte line of its
+buffer. A block of k < B trials views the first entries at each offset as
+its own arrays, so every product runs on, and rounds as on, the layout a
+block of k trials alone would have.
 
 A trial diverges at the first step t >= 1 whose state is non-finite or has
 a Euclidean norm above ``OVERFLOW_LIMIT``. Its cost is infinite, and its
@@ -87,9 +87,9 @@ __all__ = [
 #: State norms beyond this mark the trial as diverged (infinite cost).
 OVERFLOW_LIMIT = 1e12
 
-_BLOCK = 512
+_BLOCK = 256
 #: Raw-draw bytes of one chunk of trials (see the module docstring).
-_CHUNK_BYTES = 2**20
+_CHUNK_BYTES = 2**19
 
 
 @dataclass(frozen=True)

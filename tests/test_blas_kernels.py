@@ -7,10 +7,12 @@ sha256 pins of ``test_solver_golden.py`` hold on one kernel only. This test
 bounds how far the values move.
 
 The configuration is that of ``test_solver_golden.py``: ``design`` and
-``sweep`` under ``fixed-point`` and ``newton``, and ``robustness``. One
+``sweep`` under ``fixed-point`` and ``newton``, ``robustness``, and a
+1,500-trial ``simulate`` of the frozen example gain (:data:`GAIN`). One
 subprocess runs them all on the default kernel, and one on each kernel of
-:data:`KERNELS` that the CPU can run. Tolerances, fixed before the first
-run:
+:data:`KERNELS` that the CPU can run. The simulation's tables must be
+byte-identical, as README states. For the solver's tables, tolerances fixed
+before the first run:
 
 - every numeric column other than ``iterations`` and ``residual`` within
   1e-12 relative of the default-kernel run;
@@ -46,13 +48,17 @@ RUNS = [
     ("sweep", "fixed-point"),
     ("sweep", "newton"),
     ("robustness", "fixed-point"),
+    ("simulate", "fixed-point"),
 ]
 #: The result tables each command writes.
 TABLES = {
     "design": ("solution.csv",),
     "sweep": ("sweep.csv",),
     "robustness": ("gains.csv", "robustness.csv"),
+    "simulate": ("costs.csv", "tail.csv", "trajectories.csv", "summary.csv"),
 }
+#: The example's frozen RRSL theta = 1 gain of its 10k-bank design.
+GAIN = [[6.683243074124488, 7.448763532065042]]
 REL_TOL = 1e-12
 
 #: OPENBLAS_CORETYPE value -> the CPU flags its code needs.
@@ -98,6 +104,8 @@ def _run_all(root: Path, coretype: str | None) -> Path:
         config["task"].update(
             theta_grid=[0.0, 0.5, 1.0], repetitions=3, robustness_bank_size=500
         )
+        if command == "simulate":
+            config["task"].update(gain=GAIN, trials=1500)
         config["output_dir"] = str(root / f"{command}-{method}")
         path = root / f"{command}-{method}.yaml"
         path.write_text(yaml.safe_dump(config))
@@ -155,6 +163,10 @@ def test_results_agree_across_kernels_within_the_envelope(default_run, tmp_path,
     residual_tol = yaml.safe_load(EXAMPLE.read_text())["solver"]["residual_tol"]
     for command, method in RUNS:
         for name in TABLES[command]:
+            if command == "simulate":
+                want = (default_run / f"{command}-{method}" / name).read_bytes()
+                assert (other / f"{command}-{method}" / name).read_bytes() == want, name
+                continue
             header, want = _rows(default_run / f"{command}-{method}" / name)
             got_header, got = _rows(other / f"{command}-{method}" / name)
             assert (got_header, len(got)) == (header, len(want)), (command, method, name)

@@ -154,6 +154,36 @@ def test_missing_config_exits_three(tmp_path):
     assert main(["design", str(tmp_path / "nope.yaml")]) == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["design"], ["design", "configs/example.yaml", "--seed", "abc"], ["bogus"]],
+    ids=["no-config", "bad-seed", "unknown-command"],
+)
+def test_command_line_error_exits_one(argv, capsys):
+    # Exit code 2 is a solver error; a bad command line is a configuration error.
+    assert main(argv) == 1
+    assert "usage: wsriccati" in capsys.readouterr().err
+
+
+def test_help_exits_zero(capsys):
+    assert main(["-h"]) == 0
+    assert "usage: wsriccati" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "command, section", [("design", "solver"), ("simulate", "task"), ("robustness", "task")]
+)
+def test_seed_override_sets_the_commands_seed(tmp_path, monkeypatch, command, section):
+    seen = []
+    monkeypatch.setattr(cli, "_require_task_inputs", lambda command, config: None)
+    monkeypatch.setitem(cli._COMMANDS, command, lambda config: seen.append(config) or {})
+    cfg = write_config(tmp_path, base_config(tmp_path / "out"))
+    assert main([command, str(cfg), "--seed", "99"]) == 0
+    other = "task" if section == "solver" else "solver"
+    assert getattr(seen[0], section).seed == 99
+    assert getattr(seen[0], other).seed != 99
+
+
 def test_solver_failure_exits_two(tmp_path):
     out = tmp_path / "out"
     cfg = write_config(

@@ -429,7 +429,7 @@ def test_aliased_workspace_matches_per_step_reference(n, m, horizon):
 
 @pytest.mark.parametrize(
     "n, m, horizon, block, want",
-    [(2, 1, 300, simulate._BLOCK, 7_380_992), (1, 1, 300, 512, None), (3, 2, 37, 512, None),
+    [(2, 1, 300, simulate._BLOCK, 3_690_496), (1, 1, 300, 512, None), (3, 2, 37, 512, None),
      (1, 2, 2, 3, None), (2, 1, 5, 1, None), (2, 2, 0, 7, None), (3, 1, 1, 1, None)],
 )
 def test_workspace_bytes_follow_the_docstring_formula(n, m, horizon, block, want):
@@ -439,6 +439,33 @@ def test_workspace_bytes_follow_the_docstring_formula(n, m, horizon, block, want
     assert total == _workspace_bytes(n, m, horizon, block)
     if want is not None:
         assert total == want
+
+
+@pytest.mark.parametrize(
+    "gain", [[[6.683243074124488, 7.448763532065042]], [[-6.5, -6.5]]], ids=["stable", "diverging"]
+)
+def test_study_bytes_do_not_depend_on_the_block_width(benchmark_dist, monkeypatch, gain):
+    # (block, chunk bytes): 512 and 256 trials in chunks of 72 and 36, and
+    # blocks of 5 in chunks of one trial, whose last block is a lone trial.
+    # At n = 2 every width sums each product in the same order.
+    widths = [(512, 2**20), (256, 2**19), (5, 2**12)]
+    trials, horizon = 601, 300
+    args = (benchmark_dist, np.array(gain), 3.0 * np.eye(2), np.eye(1), [1.0, 1.0], horizon)
+    studies = []
+    for block, chunk_bytes in widths:
+        monkeypatch.setattr(simulate, "_BLOCK", block)
+        monkeypatch.setattr(simulate, "_CHUNK_BYTES", chunk_bytes)
+        studies.append(ws.mc_cost_study(
+            *args, trials, [1, 5, 10, 20, 50, 100], seed=7, trajectory_count=trials
+        ))
+    assert trials % 5 == 1 and simulate._Workspace(benchmark_dist, horizon, 5).chunk == 1
+    first = studies[0]
+    assert (first.diverged > 0) == (gain[0][0] < 0)
+    for other in studies[1:]:
+        assert np.array_equal(other.costs, first.costs)
+        assert other.tail_averages == first.tail_averages
+        assert other.diverged == first.diverged
+        assert np.array_equal(np.stack(other.trajectories), np.stack(first.trajectories))
 
 
 @pytest.mark.parametrize(
@@ -529,7 +556,7 @@ PINNED = {
 
 def test_simulate_outputs_are_pinned(tmp_path):
     # The example system and costs with the frozen RRSL theta = 1 gain of its
-    # 10k-bank design: 1,500 trials, three blocks of 512 or fewer.
+    # 10k-bank design: 1,500 trials, six blocks of 256 or fewer.
     example = yaml.safe_load(EXAMPLE.read_text())
     config = {
         "system": example["system"],
