@@ -44,6 +44,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SystemConfig:
+    """The random system: the fields are :func:`build_distribution`'s parameters."""
+
     n: int
     m: int
     mean_a: list
@@ -222,19 +224,8 @@ def parse_config(data: dict) -> RunConfig:
 
 
 def make_distribution(config: RunConfig) -> ParameterDistribution:
-    sys = config.system
     try:
-        return build_distribution(
-            sys.n,
-            sys.m,
-            sys.mean_a,
-            sys.mean_b,
-            family_a=sys.family_a,
-            family_b=sys.family_b,
-            stddev_a=sys.stddev_a,
-            stddev_b=sys.stddev_b,
-            stddev_scale=sys.stddev_scale,
-        )
+        return build_distribution(**vars(config.system))
     except (ConfigurationError, ValueError) as exc:
         raise ConfigurationError(f"system: {exc}") from exc
 

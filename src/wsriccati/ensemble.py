@@ -255,7 +255,7 @@ def _moment_features(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return phi
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleBank:
     """A fixed set of (A, B) draws shared by every expectation in a run.
 
@@ -267,6 +267,7 @@ class SampleBank:
     quadratic forms z_i' H z_i are one product phi c
     (:func:`_quadratic_forms`), and E_w[Z' P Z] is a contraction of the
     moment with P (:func:`quadratic_expect`). None of them loops over draws.
+    A bank equals only itself and hashes by identity.
 
     Limits: ``phi`` takes 8 N d(d+1)/2 bytes (1.7 MB at N = 10k for n = 2,
     m = 1; 119 MB for n = 6, m = 3), and each product with it costs
@@ -279,8 +280,8 @@ class SampleBank:
 
     a: np.ndarray
     b: np.ndarray
-    phi: np.ndarray = field(init=False, repr=False, compare=False)
-    _plain: np.ndarray = field(init=False, repr=False, compare=False)
+    phi: np.ndarray = field(init=False, repr=False)
+    _plain: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float)

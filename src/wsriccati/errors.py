@@ -6,6 +6,18 @@ numerical/solver failures with 2, and I/O errors (plain ``OSError``) with 3.
 
 from __future__ import annotations
 
+__all__ = [
+    "WsriccatiError",
+    "ConfigurationError",
+    "NumericalError",
+    "DomainViolationError",
+    "ConvergenceError",
+    "WeightOverflowError",
+    "SingularJacobianError",
+    "EigenSolverError",
+    "NonFiniteError",
+]
+
 
 class WsriccatiError(Exception):
     """Base class for all package-specific errors."""

@@ -71,15 +71,18 @@ slice of 2,048 entries. The weights leave the pass only
 as the moments read off them, so the next round may overwrite the buffers;
 every step is the same operation as on fresh arrays, so the bits are the
 same. The workspace is freed when the lockstep returns, and a lockstep in
-another thread has its own. Without one (``work=None``, as in
-:func:`value_map` and :func:`implicit_residual`) a pass writes into fresh
-arrays.
+another thread has its own. Without one (``work=None``, as in the weight
+views of :mod:`~wsriccati.weights`) a pass writes into fresh arrays.
+:func:`value_map`, :func:`implicit_residual` and :func:`residual_jacobian`
+are one request run alone (:func:`_drive`), so a fixed-point solve's trace
+and closing check run a nested lockstep with a workspace of its own.
 """
 
 from __future__ import annotations
 
 import collections
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -399,7 +402,7 @@ def _symmetrize_all(arr: np.ndarray) -> np.ndarray:
 def value_map(value, gain, problem: DesignProblem) -> np.ndarray:
     """One application of the value map F at the given policy."""
     value = symmetrize(value, "value matrix")
-    return _stacked_maps([problem], [value], [gain])[0][0]
+    return _drive(problem, _request("maps", problem, (value, gain)))[0]
 
 
 def _check_stabilizing(value: np.ndarray, q: np.ndarray, label: str) -> None:
@@ -634,6 +637,12 @@ def _lockstep(solves) -> list:
     return results
 
 
+def _request(kind: str, problem: DesignProblem, point):
+    """The one-point request of ``kind`` at ``point``, as a generator returning its result."""
+    (result,) = yield kind, problem, [point]
+    return result
+
+
 def _drive(problem: DesignProblem, steps):
     """What the one solve ``steps`` on ``problem`` returns, run alone; its error raises."""
     (result,) = _lockstep(iter([(problem, 1, steps)]))
@@ -697,7 +706,7 @@ def unpack_solution(z: np.ndarray, n: int, m: int) -> tuple[np.ndarray, np.ndarr
 
 def implicit_residual(z, problem: DesignProblem) -> np.ndarray:
     """Residual h(z) whose root is the design solution: one row."""
-    return _stacked_residuals([problem], [z])[0]
+    return _drive(problem, _request("residual", problem, z))
 
 
 def _fd_jacobian(z: np.ndarray, problem: DesignProblem):
@@ -846,28 +855,18 @@ def _newton_solves(problems, options: SolverOptions):
     """The lockstep's (problem, width, steps) for each run of the Newton routes.
 
     A run is the (problem, theta grid) of each of the consecutive problems
-    on one bank and cost matrices. Each run is read whole, which reads the
-    problem after it too, before its solve is created, so no run grows once
-    its solve exists. Banks are compared with ``is`` to the run's first
-    problem: a freed bank's ``id`` is reused.
+    on one bank and cost matrices, a ``groupby`` group: banks compare by
+    identity, cost matrices by their entries. Each run is read whole, which
+    reads the problem after it too, before its solve is created, so no run
+    grows once its solve exists. The label, the run's index, names its start
+    in the DEBUG lines.
     """
-
-    def solve_of(run: list, label: int):
+    runs = itertools.groupby(problems, key=lambda p: (p.bank, p.q.tolist(), p.r.tolist()))
+    for label, (_, group) in enumerate(runs):
+        run = tuple((problem, _theta_steps(problem, options)) for problem in group)
         head = run[0][0]
         width = 2 * (head.n * (head.n + 1) // 2 + head.m * head.n)
-        return head, width, _newton_run(tuple(run), options, label)
-
-    run: list = []
-    label = 0  # the run's index, which names its start in the DEBUG lines
-    for problem in problems:
-        head = run[0][0] if run else problem
-        same = problem.bank is head.bank and np.array_equal(problem.q, head.q)
-        if not (same and np.array_equal(problem.r, head.r)):
-            yield solve_of(run, label)
-            run, label = [], label + 1
-        run.append((problem, _theta_steps(problem, options)))
-    if run:
-        yield solve_of(run, label)
+        yield head, width, _newton_run(run, options, label)
 
 
 def _newton_run(run: tuple, options: SolverOptions, label: int):

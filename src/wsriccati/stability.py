@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensemble import SampleBank, _closed_loop_operator
+from .errors import NonFiniteError
 from .matops import spectral_radius
 from .weights import WeightedBank
 
@@ -54,15 +55,24 @@ class StabilityReport:
         return self.radius_weighted < 1.0
 
 
+def _radius(moment: np.ndarray, gain) -> float:
+    """Spectral radius of the closed-loop operator of ``gain`` on ``moment``.
+
+    An operator with a non-finite entry (a gain so large that the products
+    overflow) raises :class:`NonFiniteError`, as a solve's evaluation does.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        operator = _closed_loop_operator(moment, np.asarray(gain, dtype=float))
+    if not np.isfinite(operator).all():
+        raise NonFiniteError("closed-loop stability operator is not finite")
+    return spectral_radius(operator)
+
+
 def ms_check(bank: SampleBank, gain) -> StabilityReport:
     """Mean-square stability verdict under the plain empirical distribution."""
-    gain = np.asarray(gain, dtype=float)
-    radius = spectral_radius(_closed_loop_operator(bank.moment(), gain))
-    return StabilityReport(radius_plain=radius)
+    return StabilityReport(radius_plain=_radius(bank.moment(), gain))
 
 
 def wms_check(wbank: WeightedBank, gain) -> StabilityReport:
     """Weighted mean-square verdict under the policy the weights encode."""
-    gain = np.asarray(gain, dtype=float)
-    operator = _closed_loop_operator(wbank.bank.moment(wbank.weights), gain)
-    return StabilityReport(radius_weighted=spectral_radius(operator))
+    return StabilityReport(radius_weighted=_radius(wbank.bank.moment(wbank.weights), gain))

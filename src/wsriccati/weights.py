@@ -349,11 +349,16 @@ def _weigh_all(banks, specs, thetas, gains, values, qs, rs, work: _Workspace | N
 
 
 def _weigh(bank: SampleBank, spec: WeightSpec, theta: float, gain, value, q, r):
-    """Predictive costs, raw and normalized weights of every draw of one bank."""
+    """Predictive costs, raw and normalized weights of every draw of one bank.
+
+    The pass runs under the solver's ``np.errstate``: every non-finite value
+    it hides raises the pass's own typed error.
+    """
     gain, value, q, r = (np.asarray(x, dtype=float) for x in (gain, value, q, r))
-    costs, raw, weights = _weigh_all(
-        [bank], [spec], [theta], gain[None], value[None], q[None], r[None]
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        costs, raw, weights = _weigh_all(
+            [bank], [spec], [theta], gain[None], value[None], q[None], r[None]
+        )
     return costs[0], raw[0], weights[0]
 
 

@@ -394,6 +394,14 @@ def test_stability_with_inline_gain(tmp_path):
     assert digest == INLINE_STABILITY_PINNED
 
 
+def test_stability_of_a_gain_whose_closed_loop_overflows_exits_two(tmp_path, caplog):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, base_config(out, task={"gain": [[1.0e300, 1.0e300]]}))
+    assert main(["stability", str(cfg)]) == 2
+    assert "solver error: closed-loop stability operator is not finite" in caplog.text
+    assert not out.exists()
+
+
 def test_stability_requires_gain_source(tmp_path):
     out = tmp_path / "out"
     cfg = write_config(tmp_path, base_config(out))

@@ -156,3 +156,14 @@ def test_stream_rng_and_derive_seed_are_pure():
     assert not np.array_equal(a, c)
     assert ws.derive_seed(99, 3) == ws.derive_seed(99, 3)
     assert ws.derive_seed(99, 3) != ws.derive_seed(99, 4)
+
+
+def test_a_bank_equals_only_itself(benchmark_dist):
+    bank = ws.draw_bank(benchmark_dist, 50, seed=1)
+    same_draws = ws.draw_bank(benchmark_dist, 50, seed=1)
+    other = ws.draw_bank(benchmark_dist, 50, seed=2)
+    assert bank == bank
+    assert bank != same_draws
+    assert bank != other
+    assert hash(bank) == object.__hash__(bank)
+    assert {bank: "a", same_draws: "b"}[bank] == "a"

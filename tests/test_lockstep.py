@@ -11,6 +11,7 @@ import dataclasses
 import functools
 import hashlib
 import logging
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -232,6 +233,41 @@ def test_every_public_view_is_its_row_of_the_stacked_pass(family, theta):
         assert np.array_equal(wbank.predictive, costs[i])
         got = ws.predictive_costs(p.bank.a, p.bank.b, gain, value, p.weights.sigma, p.q, p.r)
         assert np.array_equal(got, costs[i])
+
+
+#: Each public function of one point, called at (problem, value, gain).
+VIEWS = {
+    "value_map": lambda p, value, gain: ws.value_map(value, gain, p),
+    "implicit_residual": lambda p, value, gain: ws.implicit_residual(
+        ws.pack_solution(value, gain), p
+    ),
+    "residual_jacobian": lambda p, value, gain: ws.residual_jacobian(
+        ws.pack_solution(value, gain), p
+    ),
+    "weight_vector": lambda p, value, gain: ws.weight_vector(
+        p.bank, p.weights, p.theta, gain, value, p.q, p.r
+    ),
+    "build_weighted_bank": lambda p, value, gain: ws.build_weighted_bank(
+        p.bank, p.weights, p.theta, gain, value, p.q, p.r
+    ),
+    "predictive_costs": lambda p, value, gain: ws.predictive_costs(
+        p.bank.a, p.bank.b, gain, value, p.weights.sigma, p.q, p.r
+    ),
+}
+
+
+@pytest.mark.parametrize("view", sorted(VIEWS))
+def test_every_public_view_fails_the_way_a_solve_fails(view):
+    """At a point whose products overflow, each view raises the pass's typed error.
+
+    The evaluation runs under the solver's ``np.errstate``, so no numpy
+    warning escapes before the error.
+    """
+    problem = _problem("2x1", 200, 0, "RRSL", 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match="predictive cost non-finite at sample 0"):
+            VIEWS[view](problem, 1e300 * np.eye(2), np.array([[1e300, 1e300]]))
 
 
 def test_one_failing_problem_never_aborts_the_others():

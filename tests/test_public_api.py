@@ -9,6 +9,7 @@ as a parameter, and no ``DEFAULT_*`` constant is exported. The Jacobian
 takes the call form the benchmark's kernel timings use, with no mode.
 """
 
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -17,7 +18,8 @@ import pkgutil
 import pytest
 
 import wsriccati
-from wsriccati import riccati
+from wsriccati import ensemble, riccati
+from wsriccati.config import SystemConfig
 
 MODULES = ["wsriccati"] + [
     f"wsriccati.{info.name}" for info in pkgutil.iter_modules(wsriccati.__path__)
@@ -72,3 +74,21 @@ def test_solver_settings_are_declared_once():
 
 def test_residual_jacobian_takes_only_the_point_and_problem():
     assert list(inspect.signature(riccati.residual_jacobian).parameters) == ["z", "problem"]
+
+
+def test_the_package_exports_its_modules_all():
+    """``wsriccati.__all__`` is its modules' ``__all__`` end to end, each name once."""
+    tree = ast.parse(inspect.getsource(wsriccati))
+    imported = [
+        node.module for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1
+    ]
+    modules = [importlib.import_module(f"wsriccati.{name}") for name in imported]
+    assert [mod for mod in modules if not hasattr(mod, "__all__")] == []
+    concatenated = [name for mod in modules for name in mod.__all__]
+    assert wsriccati.__all__ == concatenated
+    assert len(set(concatenated)) == len(concatenated)
+
+
+def test_the_system_section_is_the_distributions_argument_list():
+    names = [f.name for f in dataclasses.fields(SystemConfig)]
+    assert names == list(inspect.signature(ensemble.build_distribution).parameters)

@@ -191,12 +191,29 @@ EXAMPLE_CHUNK = simulate._CHUNK_BYTES // (8 * 6 * 300)
 
 
 @pytest.mark.parametrize(
-    "trials", [1, EXAMPLE_CHUNK - 1, EXAMPLE_CHUNK, EXAMPLE_CHUNK + 1, 511, 512, 513, 1025]
+    "trials",
+    [
+        1,
+        EXAMPLE_CHUNK - 1,
+        EXAMPLE_CHUNK,
+        EXAMPLE_CHUNK + 1,
+        simulate._BLOCK - 1,
+        simulate._BLOCK,
+        simulate._BLOCK + 1,
+        511,
+        512,
+        513,
+        1025,
+    ],
 )
 @settings(max_examples=12, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_study_matches_per_step_reference(trials, data):
-    # Trial counts straddle the block size; the study's blocks must not show.
+    # Trial counts straddle the edges of the example's first draw chunk (C - 1,
+    # C, C + 1 for C = EXAMPLE_CHUNK), of the first block (B - 1, B, B + 1 for
+    # B = simulate._BLOCK = 256) and of the second (511, 512, 513 = 2B - 1, 2B,
+    # 2B + 1); 1025 = 4B + 1 opens a fifth block of one trial. The study's
+    # chunks and blocks must not show.
     case = data.draw(studies(trials))
     dist, gain, q, r, x0, horizon, trials, keep, seed = (
         case["dist"], case["gain"], case["q"], case["r"], case["x0"], case["horizon"],

@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import wsriccati as ws
-from wsriccati import vech
+from wsriccati import NonFiniteError, vech
 
 import reference
 from conftest import Q2, R1
@@ -135,3 +137,14 @@ def test_power_iteration_agrees_with_radius():
         stable_seen += report.ms_stable
         unstable_seen += not report.ms_stable
     assert stable_seen and unstable_seen
+
+
+def test_a_gain_whose_closed_loop_overflows_raises_a_typed_error(bank2k, rrsl_spec):
+    gain = [[1e300, 1e300]]
+    wbank = ws.build_weighted_bank(bank2k, rrsl_spec, 0.0, np.zeros((1, 2)), np.eye(2), Q2, R1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match="stability operator is not finite"):
+            ws.ms_check(bank2k, gain)
+        with pytest.raises(NonFiniteError, match="stability operator is not finite"):
+            ws.wms_check(wbank, gain)
