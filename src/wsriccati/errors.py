@@ -11,6 +11,7 @@ __all__ = [
     "ConfigurationError",
     "NumericalError",
     "DomainViolationError",
+    "UnstableGainError",
     "ConvergenceError",
     "WeightOverflowError",
     "SingularJacobianError",
@@ -37,6 +38,10 @@ class DomainViolationError(NumericalError):
     def __init__(self, message: str, smallest_eigenvalue: float | None = None):
         super().__init__(message)
         self.smallest_eigenvalue = smallest_eigenvalue
+
+
+class UnstableGainError(NumericalError):
+    """A converged gain does not stabilize its design bank in mean square."""
 
 
 class ConvergenceError(NumericalError):

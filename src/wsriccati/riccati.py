@@ -23,7 +23,8 @@ paper's plain step is taken. The Newton route solves the stacked residual
 
 for z = [vech(P); vec(L)], warm-started at the zero-sensitivity solution.
 Every route ends with the stabilizing-root postcondition P > 0, P - Q >= 0
-and raises :class:`NumericalError` when it fails.
+and a gain that is mean-square stable on the bank, and raises
+:class:`NumericalError` when it fails.
 
 Every route runs in lockstep. A solve is a generator that yields requests
 (kind, problem, points): kind ``maps`` asks for (F, G) at each (P, L) of
@@ -63,8 +64,8 @@ passes it through the maps (:func:`_stacked_maps`) and the residuals
 (:func:`_stacked_residuals`, so Newton's Jacobian requests too) to
 :func:`_zpz_all` and the stacked weight pass. The pass writes the round's
 predictive costs, sigmoid arguments, raw and normalized weights and its two
-masks into those buffers with ``out=`` ufuncs. With the RRSL window's index
-array that is the 34 bytes per draw per point the workspace declares
+masks into those buffers with ``out=`` ufuncs. With at most one RRSL window
+index per draw that is the 34 bytes per draw per point the workspace declares
 (``_Workspace.BYTES_PER_DRAW``), by which :func:`_footprint` sizes the
 batches; beyond them a round holds only the sigmoid's temporaries of one
 slice of 2,048 entries. The weights leave the pass only
@@ -96,8 +97,10 @@ from .errors import (
     NonFiniteError,
     NumericalError,
     SingularJacobianError,
+    UnstableGainError,
 )
 from .matops import _pair_index, symmetrize, unvech, vech
+from .stability import ms_check
 from .weights import WeightSpec, _Workspace, _unit_weights, _weigh_all
 
 __all__ = [
@@ -422,6 +425,21 @@ def _check_stabilizing(value: np.ndarray, q: np.ndarray, label: str) -> None:
         )
 
 
+def _check_mean_square(bank: SampleBank, gain: np.ndarray, label: str) -> None:
+    """Postcondition of every route: the gain stabilizes ``bank`` in mean square.
+
+    The radius is the plain one, under the bank's own unweighted law: past
+    the RSL fold a root's weights can sit on a few draws on which its gain
+    is stable while the closed loop diverges on the bank.
+    """
+    report = ms_check(bank, gain)
+    if not report.ms_stable:
+        raise UnstableGainError(
+            f"{label}: gain is not mean-square stable on the design bank "
+            f"(radius {report.radius_plain:.4f})"
+        )
+
+
 def _map_step(problem: DesignProblem, value, gain):
     """Map image (F, G) of (P, L) and the fixed-point residual ||F-P||_F + ||G-L||_F.
 
@@ -441,21 +459,21 @@ def _frobenius(x: np.ndarray) -> float:
 def _anderson_step(problem: DesignProblem, history, best: float):
     """Safeguarded type-II Anderson candidate, or None when it is rejected.
 
-    ``history`` holds the packed recent accepted iterates z_j with their map
-    images g_j, as (z_j, g_j) pairs, oldest first. The candidate g_k - dG
-    gamma, with gamma minimizing ||f_k - dF gamma|| over the differences of
-    the residuals f_j = g_j - z_j (Walker & Ni 2011), is rejected when P - Q
-    has a negative eigenvalue, when evaluating the maps at it fails (for
-    instance a weighted input-cost matrix that is not positive definite), or
-    when its fixed-point residual is not below the smallest residual of any
-    accepted iterate.
+    ``history`` holds the packed map images g_j of the recent accepted
+    iterates z_j with their residuals f_j = g_j - z_j, as (g_j, f_j) pairs,
+    oldest first. The candidate g_k - dG gamma, with gamma minimizing
+    ||f_k - dF gamma|| over the differences dG and dF of consecutive images
+    and residuals (Walker & Ni 2011), is rejected when P - Q has a negative
+    eigenvalue, when evaluating the maps at it fails (for instance a
+    weighted input-cost matrix that is not positive definite), or when its
+    fixed-point residual is not below the smallest residual of any accepted
+    iterate. An accepted candidate is returned packed, with its (P, L),
+    their map image and its residual.
     """
-    points, images = (np.column_stack(x) for x in zip(*history))
-    d_g = images[:, 1:] - images[:, :-1]
-    residuals = images - points
-    d_f = residuals[:, 1:] - residuals[:, :-1]
-    gamma = np.linalg.lstsq(d_f, images[:, -1] - points[:, -1], rcond=None)[0]
-    value, gain = unpack_solution(images[:, -1] - d_g @ gamma, problem.n, problem.m)
+    images, residuals = (np.column_stack(x) for x in zip(*history))
+    gamma = np.linalg.lstsq(np.diff(residuals, axis=1), residuals[:, -1], rcond=None)[0]
+    z = images[:, -1] - np.diff(images, axis=1) @ gamma
+    value, gain = unpack_solution(z, problem.n, problem.m)
     if np.linalg.eigvalsh(value - problem.q).min() < 0.0:
         return None
     try:
@@ -464,7 +482,7 @@ def _anderson_step(problem: DesignProblem, history, best: float):
         return None
     if not delta < best:
         return None
-    return value, gain, new_value, new_gain, delta
+    return z, value, gain, new_value, new_gain, delta
 
 
 def _debug_logger():
@@ -506,14 +524,17 @@ def _fixed_point_steps(
     deltas = [delta]
     best = delta
     accelerated = False
-    # The last ANDERSON_MEMORY + 1 accepted iterates and their images, each
-    # packed as [vech(P); vec(L)] without pack_solution's checks, so that a
-    # non-finite iterate ends as the evaluation's NumericalError.
+    # The map images of the last ANDERSON_MEMORY + 1 accepted iterates and
+    # their residuals, with the iterate z, each packed as [vech(P); vec(L)]
+    # without pack_solution's checks, so that a non-finite iterate ends as
+    # the evaluation's NumericalError.
     history = collections.deque(maxlen=ANDERSON_MEMORY + 1)
     rows, cols, _ = _pair_index(n)
 
     def pack(value, gain):
         return np.concatenate([value[cols, rows], gain.reshape(-1, order="F")])
+
+    z = pack(value, gain)
 
     while True:
         if log is not None:
@@ -530,7 +551,8 @@ def _fixed_point_steps(
                 f"(last delta {delta:.3e})",
                 history=tuple(deltas),
             )
-        history.append((pack(value, gain), pack(new_value, new_gain)))
+        image = pack(new_value, new_gain)
+        history.append((image, image - z))
         step = None
         if len(history) > 1:
             step = yield from _anderson_step(problem, history, best)
@@ -538,8 +560,10 @@ def _fixed_point_steps(
                 history.clear()
         accelerated = step is not None
         if step is None:
-            step = (new_value, new_gain) + (yield from _map_step(problem, new_value, new_gain))
-        value, gain, new_value, new_gain, step_delta = step
+            step = (image, new_value, new_gain) + (
+                yield from _map_step(problem, new_value, new_gain)
+            )
+        z, value, gain, new_value, new_gain, step_delta = step
         record(delta)
         delta = step_delta
         deltas.append(delta)
@@ -557,6 +581,7 @@ def _fixed_point_steps(
             history=tuple(deltas),
         )
     _check_stabilizing(value, problem.q, "fixed-point solve")
+    _check_mean_square(problem.bank, gain, "fixed-point solve")
     return DesignSolution(
         value=value,
         gain=gain,
@@ -677,11 +702,11 @@ def fixed_point_solve(
     (or raises after ``options.fp_max_iters`` iterates) and returns the map
     image of that iterate, then checks the stacked residual norm against
     ``options.residual_tol`` and the stabilizing-root postcondition P > 0,
-    P - Q >= 0; ``options.method`` is not read. With ``record_trace`` the
-    trace holds the start, one row per accepted iterate and the returned
-    pair, each with the residual of the iterate before it. This is
-    :func:`solve` under the fixed-point route, the lockstep of
-    :func:`solve_all` on one problem.
+    P - Q >= 0 and a mean-square stable gain; ``options.method`` is not
+    read. With ``record_trace`` the trace holds the start, one row per
+    accepted iterate and the returned pair, each with the residual of the
+    iterate before it. This is :func:`solve` under the fixed-point route,
+    the lockstep of :func:`solve_all` on one problem.
     """
     return _drive(problem, _fixed_point_steps(problem, options, record_trace, 0))
 
@@ -779,6 +804,7 @@ def _newton_steps(problem: DesignProblem, z: np.ndarray, options: SolverOptions)
     value, gain = unpack_solution(z, problem.n, problem.m)
     value = symmetrize(value)
     _check_stabilizing(value, problem.q, "Newton solve")
+    _check_mean_square(problem.bank, gain, "Newton solve")
     return DesignSolution(
         value=value,
         gain=gain,

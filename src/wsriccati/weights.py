@@ -140,13 +140,13 @@ class _Workspace:
     any shape takes its first entries as C-contiguous arrays (:meth:`take`),
     so its rows lie as a fresh stack's would. A pass on a new
     ``_Workspace()`` returns arrays that nothing else holds. Beyond these
-    buffers a pass holds only the RRSL window's flat indices and the
-    temporaries of one ``_SLICE`` of them (:func:`_rrsl_raw`).
+    buffers a pass holds at most 8 ``_SLICE`` flat indices of the RRSL
+    window and the temporaries of one ``_SLICE`` of them (:func:`_rrsl_raw`).
     """
 
     _DTYPES = (np.float64,) * 3 + (np.bool_,) * 2
     #: Scratch of a pass per draw per point, one slice's temporaries aside:
-    #: the buffers (3 x 8 + 2 = 26 bytes) and the draw's window index (8),
+    #: the buffers (3 x 8 + 2 = 26 bytes) and at most one window index (8),
     #: 34 bytes. The solver's lockstep sizes its batches by it.
     BYTES_PER_DRAW = sum(np.dtype(t).itemsize for t in _DTYPES) + np.dtype(np.intp).itemsize
 
@@ -205,9 +205,15 @@ def _rrsl_raw(theta, x: np.ndarray, raw, saturated, window) -> np.ndarray:
     full expression, so the result equals it bit for bit and a NaN still
     reaches :func:`_normalize_into`.
 
-    The window's entries are taken ``_SLICE`` at a time; entry j of the
-    flattened stack takes the theta of row j // N. Every step is
-    elementwise, so the slice length does not change a bit.
+    The window's flat indices are taken one segment of the flattened stack
+    at a time: the whole stack when its window holds at most 8 ``_SLICE``
+    entries, as in most rounds of a solve, else segments of 8 ``_SLICE``
+    entries. So the index array holds at most min(8 ``_SLICE``, rows N)
+    entries (128 KB), within the 8 bytes per draw that
+    ``_Workspace.BYTES_PER_DRAW`` declares for it, and a small window is
+    not cut into part slices. Each segment's entries are taken ``_SLICE``
+    at a time; entry j of the flattened stack takes the theta of row j // N.
+    Every step is elementwise, so neither length changes a bit.
 
     ``theta`` is a (rows, 1) column of one theta per row of the (rows, N)
     stack ``x``. ``saturated`` and ``window`` are boolean scratch of the
@@ -219,11 +225,15 @@ def _rrsl_raw(theta, x: np.ndarray, raw, saturated, window) -> np.ndarray:
     np.less(x, np.array([[_window_floor(t)] for t in theta[:, 0]]), out=window)
     window |= saturated
     np.logical_not(window, out=window)
-    mid = np.flatnonzero(window)
-    flat_x, flat_raw = x.reshape(-1), raw.reshape(-1)
-    for start in range(0, mid.size, _SLICE):
-        part = mid[start : start + _SLICE]
-        flat_raw[part] = 1.0 + theta[part // x.shape[1], 0] * _expit(flat_x[part])
+    flat_x, flat_raw, flat_window = x.reshape(-1), raw.reshape(-1), window.reshape(-1)
+    cap = 8 * _SLICE
+    segment = cap if np.count_nonzero(flat_window) > cap else max(flat_window.size, 1)
+    for offset in range(0, flat_window.size, segment):
+        mid = np.flatnonzero(flat_window[offset : offset + segment])
+        mid += offset
+        for start in range(0, mid.size, _SLICE):
+            part = mid[start : start + _SLICE]
+            flat_raw[part] = 1.0 + theta[part // x.shape[1], 0] * _expit(flat_x[part])
     return raw
 
 

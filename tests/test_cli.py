@@ -402,6 +402,25 @@ def test_stability_of_a_gain_whose_closed_loop_overflows_exits_two(tmp_path, cap
     assert not out.exists()
 
 
+@pytest.mark.parametrize("index, radius", [(20, "1.2183"), (51, "1.2496")])
+def test_design_past_the_rsl_fold_whose_gain_is_not_ms_stable_exits_two(
+    tmp_path, caplog, index, radius
+):
+    # On these 2k banks the fixed-point route converges at RSL theta = 0.0025
+    # to a root past the fold. Its weights sit on a few draws, on which the
+    # gain is stable, while the closed loop diverges on the bank's own law.
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, base_config(
+        out,
+        weight={"family": "RSL", "theta": 0.0025},
+        solver={"bank_size": 2000, "seed": ws.derive_seed(7, index), "fp_max_iters": 2000},
+    ))
+    assert main(["design", str(cfg)]) == 2
+    assert "solver error: fixed-point solve: gain is not mean-square stable" in caplog.text
+    assert f"(radius {radius})" in caplog.text
+    assert not out.exists()
+
+
 def test_stability_requires_gain_source(tmp_path):
     out = tmp_path / "out"
     cfg = write_config(tmp_path, base_config(out))

@@ -362,7 +362,8 @@ def test_an_rrsl_pass_allocates_no_stack_sized_temporaries(benchmark_dist):
     # At the policy (0, 0) every cost is tr(Q) = 6, so x = -6 for every draw
     # of the (10, 10k) stack: the whole stack lies in the sigmoid window, as
     # in the first round of every RRSL solve. Past the workspace, the pass
-    # holds the 800 KB index array of the window and slices far below LARGE.
+    # holds at most 8 _SLICE of the window's flat indices (128 KB, where an
+    # index of the whole window took 800 KB) and slices far below LARGE.
     bank = ws.draw_bank(benchmark_dist, 10_000, seed=5)
     rows = 10
     spec = ws.WeightSpec(family="RRSL", alpha=10.0, beta=11.0)
@@ -383,6 +384,37 @@ def test_an_rrsl_pass_allocates_no_stack_sized_temporaries(benchmark_dist):
     finally:
         tracemalloc.stop()
     assert peak - start <= 2**20, peak - start
+
+
+#: Bytes a weight pass may allocate beyond its workspace, whatever its stack:
+#: at most 8 ``_SLICE`` flat indices of the RRSL window (128 KB) and one
+#: slice's temporaries, about 200 KB at most.
+PASS_CAP = 2**19
+
+
+@pytest.mark.parametrize("rows", [10, 20])
+def test_an_rrsl_pass_holds_a_capped_window_index(benchmark_dist, rows):
+    # At the policy (0, 0) every draw of the (rows, 10k) stack lies in the
+    # sigmoid window, as in the first round of every RRSL solve; an index
+    # of the whole window would take 8 bytes of each of its draws.
+    bank = ws.draw_bank(benchmark_dist, 10_000, seed=5)
+    spec = ws.WeightSpec(family="RRSL", alpha=10.0, beta=11.0)
+    args = (
+        [bank] * rows, [spec] * rows, [0.25 * (k + 1) for k in range(rows)],
+        np.zeros((rows, 1, 2)), np.zeros((rows, 2, 2)),
+        np.repeat(Q2[None], rows, axis=0), np.repeat(R1[None], rows, axis=0),
+    )
+    work = weights._Workspace()
+    weights._weigh_all(*args, work=work)
+    assert work._buffers[4][: rows * bank.size].all()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        weights._weigh_all(*args, work=work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= PASS_CAP, peak - start
 
 
 #: Bytes per window entry of every temporary ``weights._rrsl_raw`` makes for
