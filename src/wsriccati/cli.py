@@ -151,13 +151,16 @@ def _require_task_inputs(command: str, config: RunConfig) -> None:
         raise ConfigurationError("task.x0 is required for simulate")
 
 
-def _stability_columns(bank, gain, problem=None, value=None) -> list:
+def _stability_columns(bank, gain, problem=None, value=None, plain=None) -> list:
     """[rho_plain, rho_weighted, ms_stable, wms_stable] of ``gain`` on ``bank``.
 
-    The verdicts are "true" or "false". The weighted pair needs the design
-    ``problem`` and its ``value`` matrix; without them it is None.
+    The verdicts are "true" or "false". ``plain`` is the plain report a
+    solve's postcondition took on ``bank`` (``DesignSolution.stability``);
+    without it the plain radius is computed here. The weighted pair needs
+    the design ``problem`` and its ``value`` matrix; without them it is None.
     """
-    plain = ms_check(bank, gain)
+    if plain is None:
+        plain = ms_check(bank, gain)
     if value is None:
         return [plain.radius_plain, None, str(plain.ms_stable).lower(), None]
     wbank = build_weighted_bank(
@@ -227,7 +230,9 @@ def cmd_sweep(config: RunConfig) -> dict:
         try:
             if isinstance(solution, NumericalError):
                 raise solution
-            columns = _stability_columns(bank, solution.gain, problem, solution.value)
+            columns = _stability_columns(
+                bank, solution.gain, problem, solution.value, solution.stability
+            )
             rows.append([theta, "ok", solution.iterations, solution.residual, *columns, ""])
         except NumericalError as exc:
             log.warning("theta=%s failed: %s", theta, exc)

@@ -100,7 +100,7 @@ from .errors import (
     UnstableGainError,
 )
 from .matops import _pair_index, symmetrize, unvech, vech
-from .stability import ms_check
+from .stability import StabilityReport, ms_check
 from .weights import WeightSpec, _Workspace, _unit_weights, _weigh_all
 
 __all__ = [
@@ -244,6 +244,8 @@ class DesignSolution:
     of its grid, without the theta = 0 fixed-point start, while ``deltas``
     and ``residual`` are those of the last theta alone; so under
     ``newton-continuation`` ``iterations`` may exceed ``len(deltas) - 1``.
+    ``stability`` reports the gain's plain mean-square radius on the design
+    bank, which every route's postcondition has checked below 1.
     """
 
     value: np.ndarray
@@ -253,6 +255,7 @@ class DesignSolution:
     residual: float
     deltas: tuple[float, ...]
     trace: tuple | None = None
+    stability: StabilityReport | None = None
 
 
 def _zpz_all(problems, values, gains, work=None):
@@ -425,19 +428,23 @@ def _check_stabilizing(value: np.ndarray, q: np.ndarray, label: str) -> None:
         )
 
 
-def _check_mean_square(bank: SampleBank, gain: np.ndarray, label: str) -> None:
-    """Postcondition of every route: the gain stabilizes ``bank`` in mean square.
+def _check_mean_square(bank: SampleBank, solution: DesignSolution, label: str):
+    """Postcondition of every route's result: the gain stabilizes ``bank`` in mean square.
 
     The radius is the plain one, under the bank's own unweighted law: past
     the RSL fold a root's weights can sit on a few draws on which its gain
-    is stable while the closed loop diverges on the bank.
+    is stable while the closed loop diverges on the bank. Returns the
+    solution with its report in ``stability``. Only what a route returns is
+    checked, not the theta = 0 start of a Newton run nor a continuation
+    step before the last.
     """
-    report = ms_check(bank, gain)
+    report = ms_check(bank, solution.gain)
     if not report.ms_stable:
         raise UnstableGainError(
             f"{label}: gain is not mean-square stable on the design bank "
             f"(radius {report.radius_plain:.4f})"
         )
+    return dataclasses.replace(solution, stability=report)
 
 
 def _map_step(problem: DesignProblem, value, gain):
@@ -467,13 +474,13 @@ def _anderson_step(problem: DesignProblem, history, best: float):
     eigenvalue, when evaluating the maps at it fails (for instance a
     weighted input-cost matrix that is not positive definite), or when its
     fixed-point residual is not below the smallest residual of any accepted
-    iterate. An accepted candidate is returned packed, with its (P, L),
-    their map image and its residual.
+    iterate.
     """
     images, residuals = (np.column_stack(x) for x in zip(*history))
     gamma = np.linalg.lstsq(np.diff(residuals, axis=1), residuals[:, -1], rcond=None)[0]
-    z = images[:, -1] - np.diff(images, axis=1) @ gamma
-    value, gain = unpack_solution(z, problem.n, problem.m)
+    value, gain = unpack_solution(
+        images[:, -1] - np.diff(images, axis=1) @ gamma, problem.n, problem.m
+    )
     if np.linalg.eigvalsh(value - problem.q).min() < 0.0:
         return None
     try:
@@ -482,7 +489,7 @@ def _anderson_step(problem: DesignProblem, history, best: float):
         return None
     if not delta < best:
         return None
-    return z, value, gain, new_value, new_gain, delta
+    return value, gain, new_value, new_gain, delta
 
 
 def _debug_logger():
@@ -525,16 +532,14 @@ def _fixed_point_steps(
     best = delta
     accelerated = False
     # The map images of the last ANDERSON_MEMORY + 1 accepted iterates and
-    # their residuals, with the iterate z, each packed as [vech(P); vec(L)]
-    # without pack_solution's checks, so that a non-finite iterate ends as
-    # the evaluation's NumericalError.
+    # their residuals, each packed as [vech(P); vec(L)] without
+    # pack_solution's checks, so that a non-finite iterate ends as the
+    # evaluation's NumericalError.
     history = collections.deque(maxlen=ANDERSON_MEMORY + 1)
     rows, cols, _ = _pair_index(n)
 
     def pack(value, gain):
         return np.concatenate([value[cols, rows], gain.reshape(-1, order="F")])
-
-    z = pack(value, gain)
 
     while True:
         if log is not None:
@@ -552,7 +557,7 @@ def _fixed_point_steps(
                 history=tuple(deltas),
             )
         image = pack(new_value, new_gain)
-        history.append((image, image - z))
+        history.append((image, image - pack(value, gain)))
         step = None
         if len(history) > 1:
             step = yield from _anderson_step(problem, history, best)
@@ -560,10 +565,8 @@ def _fixed_point_steps(
                 history.clear()
         accelerated = step is not None
         if step is None:
-            step = (image, new_value, new_gain) + (
-                yield from _map_step(problem, new_value, new_gain)
-            )
-        z, value, gain, new_value, new_gain, step_delta = step
+            step = (new_value, new_gain) + (yield from _map_step(problem, new_value, new_gain))
+        value, gain, new_value, new_gain, step_delta = step
         record(delta)
         delta = step_delta
         deltas.append(delta)
@@ -581,7 +584,6 @@ def _fixed_point_steps(
             history=tuple(deltas),
         )
     _check_stabilizing(value, problem.q, "fixed-point solve")
-    _check_mean_square(problem.bank, gain, "fixed-point solve")
     return DesignSolution(
         value=value,
         gain=gain,
@@ -708,7 +710,15 @@ def fixed_point_solve(
     iterate before it. This is :func:`solve` under the fixed-point route,
     the lockstep of :func:`solve_all` on one problem.
     """
-    return _drive(problem, _fixed_point_steps(problem, options, record_trace, 0))
+    return _drive(problem, _fixed_point_route(problem, options, record_trace, 0))
+
+
+def _fixed_point_route(
+    problem: DesignProblem, options: SolverOptions, record_trace: bool, label: int
+):
+    """:func:`_fixed_point_steps` with the mean-square postcondition on what it returns."""
+    solution = yield from _fixed_point_steps(problem, options, record_trace, label)
+    return _check_mean_square(problem.bank, solution, "fixed-point solve")
 
 
 def pack_solution(value, gain) -> np.ndarray:
@@ -804,7 +814,6 @@ def _newton_steps(problem: DesignProblem, z: np.ndarray, options: SolverOptions)
     value, gain = unpack_solution(z, problem.n, problem.m)
     value = symmetrize(value)
     _check_stabilizing(value, problem.q, "Newton solve")
-    _check_mean_square(problem.bank, gain, "Newton solve")
     return DesignSolution(
         value=value,
         gain=gain,
@@ -832,7 +841,9 @@ def newton_solve(
     """
     if z0 is None:
         return solve(problem, dataclasses.replace(options, method="newton"))
-    return _drive(problem, _newton_steps(problem, np.array(z0, dtype=float).reshape(-1), options))
+    z0 = np.array(z0, dtype=float).reshape(-1)
+    solution = _drive(problem, _newton_steps(problem, z0, options))
+    return _check_mean_square(problem.bank, solution, "Newton solve")
 
 
 def _theta_steps(problem: DesignProblem, options: SolverOptions) -> tuple[float, ...]:
@@ -899,7 +910,8 @@ def _newton_run(run: tuple, options: SolverOptions, label: int):
     """A Newton route on each problem of ``run`` from one theta = 0 start, as a generator.
 
     Each problem runs Newton through its theta grid, each step from the
-    solution of the one before. Returns each problem's solution or error; a
+    solution of the one before, and its last solution alone meets the
+    mean-square postcondition. Returns each problem's solution or error; a
     start that fails is the error of every problem of the run.
     """
     try:
@@ -915,6 +927,7 @@ def _newton_run(run: tuple, options: SolverOptions, label: int):
                 solution = yield from _newton_steps(problem.with_theta(theta), z, options)
                 z = pack_solution(solution.value, solution.gain)
                 iterations += solution.iterations
+            solution = _check_mean_square(problem.bank, solution, "Newton solve")
         except NumericalError as exc:
             results.append(exc)
             continue
@@ -934,6 +947,6 @@ def solve_all(problems, options: SolverOptions = SolverOptions()) -> list:
     join.
     """
     if options.method == "fixed-point":
-        steps = ((p, 1, _fixed_point_steps(p, options, False, k)) for k, p in enumerate(problems))
+        steps = ((p, 1, _fixed_point_route(p, options, False, k)) for k, p in enumerate(problems))
         return _lockstep(steps)
     return [result for run in _lockstep(_newton_solves(problems, options)) for result in run]

