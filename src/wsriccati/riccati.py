@@ -75,13 +75,13 @@ same. The workspace is freed when the lockstep returns, and a lockstep in
 another thread has its own. Without one (``work=None``, as in the weight
 views of :mod:`~wsriccati.weights`) a pass writes into fresh arrays.
 :func:`value_map`, :func:`implicit_residual` and :func:`residual_jacobian`
-are one request run alone (:func:`_drive`), so a fixed-point solve's trace
-and closing check run a nested lockstep with a workspace of its own.
+are one request run alone (:func:`_drive`). Only the trace rows of a
+fixed-point solve still run one, a nested lockstep with a workspace of its
+own; its closing residual check is a ``residual`` request of the solve.
 """
 
 from __future__ import annotations
 
-import collections
 import dataclasses
 import itertools
 import math
@@ -463,24 +463,25 @@ def _frobenius(x: np.ndarray) -> float:
     return math.sqrt(flat.dot(flat))
 
 
-def _anderson_step(problem: DesignProblem, history, best: float):
+def _anderson_step(problem: DesignProblem, d_images, d_residuals, image, residual, best: float):
     """Safeguarded type-II Anderson candidate, or None when it is rejected.
 
-    ``history`` holds the packed map images g_j of the recent accepted
-    iterates z_j with their residuals f_j = g_j - z_j, as (g_j, f_j) pairs,
-    oldest first. The candidate g_k - dG gamma, with gamma minimizing
-    ||f_k - dF gamma|| over the differences dG and dF of consecutive images
-    and residuals (Walker & Ni 2011), is rejected when P - Q has a negative
-    eigenvalue, when evaluating the maps at it fails (for instance a
-    weighted input-cost matrix that is not positive definite), or when its
-    fixed-point residual is not below the smallest residual of any accepted
-    iterate.
+    ``image`` is the packed map image g_k of the last accepted iterate z_k and
+    ``residual`` its residual f_k = g_k - z_k. The columns of ``d_images``
+    and ``d_residuals`` are the differences g_{j+1} - g_j and f_{j+1} - f_j
+    of consecutive accepted iterates, oldest first. The candidate
+    g_k - dG gamma, with gamma minimizing ||f_k - dF gamma|| (Walker & Ni
+    2011), is rejected when P - Q has a negative eigenvalue, when evaluating
+    the maps at it fails (for instance a weighted input-cost matrix that is
+    not positive definite), or when its fixed-point residual is not below
+    the smallest residual of any accepted iterate. An accepted candidate is
+    returned packed, with its (P, L) and their map image and residual.
     """
-    images, residuals = (np.column_stack(x) for x in zip(*history))
-    gamma = np.linalg.lstsq(np.diff(residuals, axis=1), residuals[:, -1], rcond=None)[0]
-    value, gain = unpack_solution(
-        images[:, -1] - np.diff(images, axis=1) @ gamma, problem.n, problem.m
-    )
+    gamma = np.linalg.lstsq(d_residuals, residual, rcond=None)[0]
+    point = image - d_images @ gamma
+    head = problem.n * (problem.n + 1) // 2
+    value = point[_pair_index(problem.n)[2]]
+    gain = point[head:].reshape(problem.m, problem.n, order="F")
     if np.linalg.eigvalsh(value - problem.q).min() < 0.0:
         return None
     try:
@@ -489,7 +490,7 @@ def _anderson_step(problem: DesignProblem, history, best: float):
         return None
     if not delta < best:
         return None
-    return value, gain, new_value, new_gain, delta
+    return point, value, gain, new_value, new_gain, delta
 
 
 def _debug_logger():
@@ -509,9 +510,10 @@ def _fixed_point_steps(
 ):
     """The iteration of :func:`fixed_point_solve` from (0, 0) as a generator for the lockstep.
 
-    It yields each (P, L) at which it needs the maps, is sent their image or
-    thrown the error evaluating them raised, and returns the
-    :class:`DesignSolution`. ``label`` names the problem in the DEBUG lines.
+    It yields each (P, L) at which it needs the maps, then the returned pair
+    packed for its closing residual, is sent each result or thrown the error
+    evaluating it raised, and returns the :class:`DesignSolution`. ``label``
+    names the problem in the DEBUG lines.
     """
     n, m = problem.n, problem.m
     value, gain = np.zeros((n, n)), np.zeros((m, n))
@@ -531,16 +533,20 @@ def _fixed_point_steps(
     deltas = [delta]
     best = delta
     accelerated = False
-    # The map images of the last ANDERSON_MEMORY + 1 accepted iterates and
-    # their residuals, each packed as [vech(P); vec(L)] without
+    # Iterates and map images are packed as [vech(P); vec(L)] without
     # pack_solution's checks, so that a non-finite iterate ends as the
-    # evaluation's NumericalError.
-    history = collections.deque(maxlen=ANDERSON_MEMORY + 1)
+    # evaluation's NumericalError. The history is the image and residual of
+    # the last accepted iterate, when there is one, and the differences of
+    # up to ANDERSON_MEMORY + 1 consecutive ones, the first ``held`` columns
+    # of the two difference matrices.
     rows, cols, _ = _pair_index(n)
+    d_images, d_residuals = diffs = np.empty((2, n * (n + 1) // 2 + m * n, ANDERSON_MEMORY))
+    held, last = 0, None
 
     def pack(value, gain):
         return np.concatenate([value[cols, rows], gain.reshape(-1, order="F")])
 
+    point = pack(value, gain)
     while True:
         if log is not None:
             log.debug(
@@ -557,16 +563,28 @@ def _fixed_point_steps(
                 history=tuple(deltas),
             )
         image = pack(new_value, new_gain)
-        history.append((image, image - pack(value, gain)))
+        residual = image - point
+        if last is not None:
+            if held == ANDERSON_MEMORY:
+                diffs[..., :-1] = diffs[..., 1:]
+                held -= 1
+            np.subtract(image, last[0], out=d_images[:, held])
+            np.subtract(residual, last[1], out=d_residuals[:, held])
+            held += 1
+        last = image, residual
         step = None
-        if len(history) > 1:
-            step = yield from _anderson_step(problem, history, best)
+        if held:
+            step = yield from _anderson_step(
+                problem, d_images[:, :held], d_residuals[:, :held], image, residual, best
+            )
             if step is None:
-                history.clear()
+                held, last = 0, None
         accelerated = step is not None
         if step is None:
-            step = (new_value, new_gain) + (yield from _map_step(problem, new_value, new_gain))
-        value, gain, new_value, new_gain, step_delta = step
+            step = (image, new_value, new_gain) + (
+                yield from _map_step(problem, new_value, new_gain)
+            )
+        point, value, gain, new_value, new_gain, step_delta = step
         record(delta)
         delta = step_delta
         deltas.append(delta)
@@ -574,9 +592,8 @@ def _fixed_point_steps(
 
     value, gain = new_value, new_gain
     record(delta)
-    residual = float(
-        np.linalg.norm(implicit_residual(pack_solution(value, gain), problem))
-    )
+    (closing,) = yield "residual", problem, [pack(value, gain)]
+    residual = float(np.linalg.norm(closing))
     if residual > options.residual_tol:
         raise ConvergenceError(
             f"fixed point stalled: residual {residual:.3e} exceeds "
@@ -690,10 +707,13 @@ def fixed_point_solve(
     ``deltas``; on a plain step this is exactly the change P_{k+1} - P_k,
     L_{k+1} - L_k of the paper's iteration. The next iterate is the type-II
     Anderson combination of the last ``ANDERSON_MEMORY + 1`` iterates and
-    their map images (see :func:`_anderson_step`); when that candidate is
-    rejected the history is cleared and the plain step x_{k+1} = (F, G)(x_k)
-    is taken instead. An accepted candidate costs one evaluation of the maps,
-    a rejected one up to two, so ``iterations`` counts accepted iterates, not
+    their map images (see :func:`_anderson_step`). The history is two
+    preallocated difference matrices, of consecutive map images and of
+    consecutive residuals, each accepted iterate adding one column and the
+    oldest shifted out when they are full; when a candidate is rejected the
+    history is cleared and the plain step x_{k+1} = (F, G)(x_k) is taken
+    instead. An accepted candidate costs one evaluation of the maps, a
+    rejected one up to two, so ``iterations`` counts accepted iterates, not
     map evaluations.
 
     Every accepted candidate has a smaller residual than all earlier accepted
@@ -702,13 +722,14 @@ def fixed_point_solve(
 
     Starts at (0, 0), stops when the residual falls below ``options.fp_tol``
     (or raises after ``options.fp_max_iters`` iterates) and returns the map
-    image of that iterate, then checks the stacked residual norm against
-    ``options.residual_tol`` and the stabilizing-root postcondition P > 0,
-    P - Q >= 0 and a mean-square stable gain; ``options.method`` is not
-    read. With ``record_trace`` the trace holds the start, one row per
-    accepted iterate and the returned pair, each with the residual of the
-    iterate before it. This is :func:`solve` under the fixed-point route,
-    the lockstep of :func:`solve_all` on one problem.
+    image of that iterate, then checks the stacked residual norm, one more
+    request of the solve, against ``options.residual_tol`` and the
+    stabilizing-root postcondition P > 0, P - Q >= 0 and a mean-square
+    stable gain; ``options.method`` is not read. With ``record_trace`` the
+    trace holds the start, one row per accepted iterate and the returned
+    pair, each with the residual of the iterate before it. This is
+    :func:`solve` under the fixed-point route, the lockstep of
+    :func:`solve_all` on one problem.
     """
     return _drive(problem, _fixed_point_route(problem, options, record_trace, 0))
 

@@ -337,7 +337,8 @@ def _weigh_all(banks, specs, thetas, gains, values, qs, rs, work: _Workspace | N
     on the same operands.
     """
     count, n = values.shape[:2]
-    sigma = np.array([spec.resolved_sigma(n) for spec in specs])
+    eye = np.eye(n)
+    sigma = np.array([eye if spec.sigma is None else spec.resolved_sigma(n) for spec in specs])
     k_mat = np.empty((count, n + gains.shape[1], n))
     k_mat[:, :n] = np.eye(n)
     np.negative(gains, out=k_mat[:, n:])

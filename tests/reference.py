@@ -78,6 +78,7 @@ from wsriccati.riccati import (
     ANDERSON_MEMORY,
     DEFAULT_MAX_HALVINGS,
     DesignSolution,
+    _check_mean_square,
     _check_stabilizing,
     _theta_steps,
     implicit_residual,
@@ -339,8 +340,14 @@ def sequential_fixed_point_solve(problem, options) -> DesignSolution:
     """The safeguarded Anderson iteration from (0, 0), one map evaluation at a time.
 
     ``options`` gives the stopping rules ``fp_tol``, ``fp_max_iters`` and
-    ``residual_tol``.
+    ``residual_tol``. The returned gain must be mean-square stable on the
+    bank, as every route's result must.
     """
+    return _check_mean_square(problem.bank, _fixed_point(problem, options), "fixed-point solve")
+
+
+def _fixed_point(problem, options) -> DesignSolution:
+    """:func:`sequential_fixed_point_solve` without the mean-square postcondition."""
     n, m = problem.n, problem.m
     value, gain = np.zeros((n, n)), np.zeros((m, n))
     new_value, new_gain, delta = _map_step(problem, value, gain)
@@ -464,10 +471,11 @@ def sequential_newton_solve(problems, options) -> list:
     """The Newton route ``options.method`` on each problem in turn: its solution or its error.
 
     Each run of consecutive problems on the same bank and cost matrices
-    shares one theta = 0 start (:func:`sequential_fixed_point_solve`), and a
+    shares one theta = 0 start (:func:`_fixed_point`), and a
     start that fails is the error of every problem of its run. Each problem
     then runs Newton through its theta grid, each step from the solution of
-    the one before.
+    the one before, and only its last solution must have a gain that is
+    mean-square stable on the bank.
     """
     results: list = []
     owner = None  # the problem whose theta = 0 solution ``start`` is
@@ -481,7 +489,7 @@ def sequential_newton_solve(problems, options) -> list:
             ):
                 owner = problem
                 try:
-                    start = sequential_fixed_point_solve(problem.with_theta(0.0), options)
+                    start = _fixed_point(problem.with_theta(0.0), options)
                 except NumericalError as exc:
                     start = exc
             if isinstance(start, NumericalError):
@@ -496,6 +504,7 @@ def sequential_newton_solve(problems, options) -> list:
                     )
                     z = pack_solution(solution.value, solution.gain)
                     iterations += solution.iterations
+                solution = _check_mean_square(problem.bank, solution, "Newton solve")
             except NumericalError as exc:
                 results.append(exc)
                 continue

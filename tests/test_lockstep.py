@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import HealthCheck, Phase, given, settings
+from hypothesis import HealthCheck, Phase, example, given, settings
 from hypothesis import strategies as st
 
 import wsriccati as ws
@@ -28,6 +28,7 @@ from wsriccati.errors import (
     DomainViolationError,
     NonFiniteError,
     NumericalError,
+    UnstableGainError,
     WeightOverflowError,
 )
 
@@ -134,10 +135,42 @@ def _in_lockstep(problems, window, options):
         return ws.solve_all(iter(problems), options)
 
 
+#: Problems whose runs each fill the Anderson history past ANDERSON_MEMORY
+#: differences and clear it after a rejected candidate.
+HISTORY_CASE = [_problem("3x2", 120, 0, "RN", 0.0), _problem("2x1", 200, 2, "RRSL", 1.0)]
+
+
+def _history_events(problem):
+    """``_solo(problem)`` and whether the oracle's history shifted and was cleared.
+
+    The oracle keeps ANDERSON_MEMORY + 1 points; a candidate accepted at
+    that length, with a later step, drops the oldest. A rejected candidate
+    clears them.
+    """
+    calls = []
+    step = reference._anderson_step
+
+    def spy(problem, points, images, best):
+        result = step(problem, points, images, best)
+        calls.append((len(points), result is None))
+        return result
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reference, "_anderson_step", spy)
+        result = _solo(problem)
+    full = riccati.ANDERSON_MEMORY + 1
+    shifted = any(size == full and not rejected for size, rejected in calls[:-1])
+    cleared = any(rejected for _, rejected in calls[:-1])
+    return result, shifted, cleared
+
+
 @PROPERTY
 @given(_problems(5))
+@example(HISTORY_CASE)
 def test_lockstep_matches_sequential_oracle_for_every_window(problems):
-    want = [_solo(problem) for problem in problems]
+    want, shifted, cleared = zip(*(_history_events(problem) for problem in problems))
+    if problems is HISTORY_CASE:
+        assert all(shifted) and all(cleared)
     for window in range(1, len(problems) + 1):
         got = _in_lockstep(problems, window, ws.SolverOptions(fp_max_iters=MAX_ITERS))
         assert len(got) == len(problems)
@@ -363,6 +396,43 @@ def test_fixed_point_solve_all_default_window_matches_solo_solves(rrsl_problem_2
     got = ws.solve_all(problems)
     for problem, result in zip(problems, got):
         _assert_same(result, ws.fixed_point_solve(problem))
+
+
+def _spy_on_calls(monkeypatch, *names) -> list:
+    """Patch each named riccati function to record its name when it is called."""
+    calls = []
+    for name in names:
+        def spy(*args, name=name, function=getattr(riccati, name)):
+            calls.append(name)
+            return function(*args)
+
+        monkeypatch.setattr(riccati, name, spy)
+    return calls
+
+
+def test_an_untraced_fixed_point_solve_all_runs_one_lockstep(rrsl_problem_2k, monkeypatch):
+    # Each solve's closing residual check is a request of the solve itself,
+    # not a nested lockstep of its own.
+    calls = _spy_on_calls(monkeypatch, "_lockstep", "implicit_residual")
+    problems = [rrsl_problem_2k.with_theta(theta) for theta in (0.0, 0.5, 1.0)]
+    got = ws.solve_all(problems)
+    assert calls == ["_lockstep"]
+    assert not any(isinstance(result, NumericalError) for result in got)
+
+
+def test_a_gain_that_is_not_ms_stable_fails_lockstep_and_oracle_alike(benchmark_dist):
+    # Past the RSL fold the fixed-point route converges on this bank to a
+    # root whose gain diverges in mean square on the bank's own law.
+    bank = ws.draw_bank(benchmark_dist, 2000, seed=ws.derive_seed(7, 20))
+    problem = ws.DesignProblem(bank=bank, q=Q2, r=R1, weights=ws.WeightSpec("RSL", 0.0025))
+    healthy = _problem("2x1", 200, 0, "RRSL", 1.0)
+    want = [_solo(p, max_iters=2000) for p in (problem, healthy)]
+    assert isinstance(want[0], UnstableGainError)
+    assert "(radius 1.2183)" in str(want[0])
+    for window in (1, 2):
+        got = _in_lockstep([problem, healthy], window, ws.SolverOptions(fp_max_iters=2000))
+        for result, expected in zip(got, want):
+            _assert_same(result, expected)
 
 
 #: sha256 of the files ``robustness`` writes on configs/example.yaml as
