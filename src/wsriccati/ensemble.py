@@ -35,7 +35,6 @@ __all__ = [
     "ParameterDistribution",
     "SampleBank",
     "build_distribution",
-    "point_mass",
     "draw_bank",
     "quadratic_expect",
     "stream_rng",
@@ -115,12 +114,6 @@ class ParameterDistribution:
     def dim(self) -> int:
         return self.n * (self.n + self.m)
 
-    def mean_a(self) -> np.ndarray:
-        return self.mean[: self.n * self.n].reshape(self.n, self.n, order="F")
-
-    def mean_b(self) -> np.ndarray:
-        return self.mean[self.n * self.n :].reshape(self.n, self.m, order="F")
-
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw ``size`` parameter vectors, one per row.
 
@@ -188,26 +181,6 @@ def build_distribution(
     stddev = np.concatenate([std_a.reshape(-1, order="F"), std_b.reshape(-1, order="F")])
     families = tuple(fam_a.reshape(-1, order="F")) + tuple(fam_b.reshape(-1, order="F"))
     return ParameterDistribution(n=n, m=m, families=families, mean=mean, stddev=stddev)
-
-
-def point_mass(mean_a, mean_b) -> ParameterDistribution:
-    """Deterministic system: every draw returns the mean matrices."""
-    mean_a = np.asarray(mean_a, dtype=float)
-    mean_a = mean_a.reshape(mean_a.shape[0], -1)
-    mean_b = np.asarray(mean_b, dtype=float)
-    if mean_b.ndim < 2:
-        mean_b = mean_b.reshape(mean_a.shape[0], -1)
-    n, m = mean_b.shape
-    return build_distribution(
-        n,
-        m,
-        mean_a,
-        mean_b,
-        family_a="point",
-        family_b="point",
-        stddev_a=np.zeros((n, n)),
-        stddev_b=np.zeros((n, m)),
-    )
 
 
 def _family_entries(family, shape, name) -> np.ndarray:

@@ -30,12 +30,8 @@ SYMMETRY_TOL = 1e-12
 
 
 def as_matrix(value, name: str = "matrix") -> np.ndarray:
-    """Coerce to a 2-d float array with finite entries."""
+    """Check that ``value`` is 2-d with finite entries and return it as floats, never reshaped."""
     arr = np.asarray(value, dtype=float)
-    if arr.ndim == 0:
-        arr = arr.reshape(1, 1)
-    elif arr.ndim == 1:
-        arr = arr.reshape(-1, 1)
     if arr.ndim != 2:
         raise ValueError(f"{name} must be 2-dimensional, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):

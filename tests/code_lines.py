@@ -1,4 +1,4 @@
-"""Total and code lines of the Python files under a directory.
+"""Total and code lines of the Python files under a directory, or of one file.
 
 A code line holds at least one token that is not a comment and is not part
 of a docstring (the string that opens a module, class or function body).
@@ -6,6 +6,9 @@ Blank lines, comment lines and docstring lines are left out; a line that
 ends in a comment after code counts. Run from the repository root:
 
     python tests/code_lines.py src
+    python tests/code_lines.py src/wsriccati/riccati.py
+
+A path that does not exist is an error: the script prints it and exits 1.
 """
 
 from __future__ import annotations
@@ -52,9 +55,11 @@ def count(source: str) -> tuple[int, int]:
 
 
 def count_tree(root: Path) -> tuple[int, int]:
-    """Total lines and code lines summed over the ``*.py`` files under ``root``."""
+    """Total lines and code lines summed over the ``*.py`` files under ``root``, or of one file."""
+    if not root.exists():
+        raise FileNotFoundError(f"{root}: no such file or directory")
     total = code = 0
-    for path in sorted(root.rglob("*.py")):
+    for path in [root] if root.is_file() else sorted(root.rglob("*.py")):
         lines, kept = count(path.read_text(encoding="utf-8"))
         total += lines
         code += kept
@@ -63,7 +68,11 @@ def count_tree(root: Path) -> tuple[int, int]:
 
 def main(argv: list[str]) -> int:
     for name in argv or ["src"]:
-        total, code = count_tree(Path(name))
+        try:
+            total, code = count_tree(Path(name))
+        except FileNotFoundError as exc:
+            print(exc, file=sys.stderr)
+            return 1
         print(f"{name}: {total} lines, {code} code lines")
     return 0
 

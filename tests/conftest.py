@@ -3,6 +3,8 @@ import pytest
 
 import wsriccati as ws
 
+from reference import point_mass
+
 # Two-state benchmark system with a nearly unstable mean drift and weak
 # control authority; used throughout the suite.
 MEAN_A = [[0.97, -0.03], [0.1, 1.03]]
@@ -52,7 +54,7 @@ def rrsl_solution_2k(rrsl_problem_2k):
 @pytest.fixture()
 def scalar_problem():
     """Deterministic scalar system a=0.5, b=1 with unit costs."""
-    dist = ws.point_mass([[0.5]], [[1.0]])
+    dist = point_mass([[0.5]], [[1.0]])
     bank = ws.draw_bank(dist, 4, seed=1)
     return ws.DesignProblem(
         bank=bank, q=[[1.0]], r=[[1.0]], weights=ws.WeightSpec(family="RN")

@@ -51,6 +51,11 @@ each, the package path it checks:
   as plain loops, one problem and one ``riccati.implicit_residual`` call at
   a time; ``riccati.solve_all`` must give the same bits for each problem it
   solves in lockstep.
+- :func:`point_mass`: a distribution of one system, the ``point`` family
+  of ``ensemble.build_distribution`` on every entry with zero stddevs, as a
+  run configuration's ``system`` section gives it.
+- :func:`mean_a` and :func:`mean_b`: E[A] and E[B] of a distribution, read
+  off its column-major ``mean``.
 - :func:`per_step_trials`: ``simulate.mc_cost_study`` as a per-step loop
   over a batch of trials. Its state update sums the products left to right,
   as the block kernel's product does on a block of two or more trials, so it
@@ -66,7 +71,7 @@ import dataclasses
 import numpy as np
 
 from wsriccati import riccati
-from wsriccati.ensemble import SampleBank
+from wsriccati.ensemble import ParameterDistribution, SampleBank, build_distribution
 from wsriccati.errors import (
     ConvergenceError,
     NonFiniteError,
@@ -512,6 +517,38 @@ def sequential_newton_solve(problems, options) -> list:
                 dataclasses.replace(solution, method=options.method, iterations=iterations)
             )
     return results
+
+
+def point_mass(mean_a, mean_b) -> ParameterDistribution:
+    """Deterministic system: every draw returns the mean matrices."""
+    mean_a = np.asarray(mean_a, dtype=float)
+    mean_a = mean_a.reshape(mean_a.shape[0], -1)
+    mean_b = np.asarray(mean_b, dtype=float)
+    if mean_b.ndim < 2:
+        mean_b = mean_b.reshape(mean_a.shape[0], -1)
+    n, m = mean_b.shape
+    return build_distribution(
+        n,
+        m,
+        mean_a,
+        mean_b,
+        family_a="point",
+        family_b="point",
+        stddev_a=np.zeros((n, n)),
+        stddev_b=np.zeros((n, m)),
+    )
+
+
+def mean_a(dist: ParameterDistribution) -> np.ndarray:
+    """E[A], the first n*n entries of ``dist.mean`` in column-major order."""
+    n = dist.n
+    return dist.mean[: n * n].reshape(n, n, order="F")
+
+
+def mean_b(dist: ParameterDistribution) -> np.ndarray:
+    """E[B], the entries of ``dist.mean`` after E[A], in column-major order."""
+    n = dist.n
+    return dist.mean[n * n :].reshape(n, dist.m, order="F")
 
 
 def per_step_trials(draws, gain, q, r, x0, limit):

@@ -15,7 +15,12 @@ import yaml
 import wsriccati as ws
 from wsriccati.cli import main as cli_main
 
-from reference import analytic_jacobian_theta0, duplication_matrix, elimination_matrix
+from reference import (
+    analytic_jacobian_theta0,
+    duplication_matrix,
+    elimination_matrix,
+    point_mass,
+)
 
 MEAN_A = [[0.97, -0.03], [0.1, 1.03]]
 MEAN_B = [[0.005], [0.01]]
@@ -81,7 +86,7 @@ def dare_fixed_point_oracle(a, b, q, r, iters=500_000, tol=1e-14):
 
 def test_criterion_1_deterministic_reduction():
     start = time.perf_counter()
-    point = ws.point_mass(MEAN_A, MEAN_B)
+    point = point_mass(MEAN_A, MEAN_B)
     bank0 = ws.draw_bank(point, 4, seed=0)
     sol = ws.fixed_point_solve(
         ws.DesignProblem(bank=bank0, q=Q2, r=R1, weights=ws.WeightSpec(family="RN"))
@@ -89,7 +94,7 @@ def test_criterion_1_deterministic_reduction():
     p_ref = dare_fixed_point_oracle(MEAN_A, MEAN_B, Q2, R1)
     frob = float(np.linalg.norm(sol.value - p_ref))
 
-    scalar = ws.point_mass([[0.5]], [[1.0]])
+    scalar = point_mass([[0.5]], [[1.0]])
     scalar_bank = ws.draw_bank(scalar, 4, seed=0)
     scalar_sol = ws.fixed_point_solve(
         ws.DesignProblem(

@@ -34,7 +34,7 @@ from wsriccati.errors import (
 
 import reference
 from conftest import MEAN_A, MEAN_B, Q2, R1
-from reference import sequential_fixed_point_solve, sequential_newton_solve
+from reference import point_mass, sequential_fixed_point_solve, sequential_newton_solve
 from test_cli import base_config, write_config
 
 # Shrinking would rerun whole solves many times over; a failing example is
@@ -928,7 +928,7 @@ def test_problems_of_other_weight_parameters_are_evaluated_apart():
 
 def _point_mass_problem(weights, size=10):
     """The system A = 2I, B = [1; 0]: its second state is unstable and uncontrollable."""
-    bank = ws.draw_bank(ws.point_mass(2.0 * np.eye(2), [[1.0], [0.0]]), size, seed=0)
+    bank = ws.draw_bank(point_mass(2.0 * np.eye(2), [[1.0], [0.0]]), size, seed=0)
     return ws.DesignProblem(bank=bank, q=np.eye(2), r=np.eye(1), weights=weights)
 
 

@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from wsriccati import (
     EigenSolverError,
+    as_matrix,
     spectral_radius,
     symmetrize,
     unvech,
@@ -24,6 +27,12 @@ def test_vec_column_stacking():
 def test_vech_lower_triangle_columns():
     assert np.array_equal(vech([[1, 2], [2, 3]]), [1, 2, 3])
     assert np.array_equal(vech(np.eye(3)), [1, 0, 0, 1, 0, 1])
+
+
+@pytest.mark.parametrize("value, shape", [(3.0, "()"), ([1.0, 2.0], "(2,)")])
+def test_as_matrix_rejects_a_scalar_or_vector(value, shape):
+    with pytest.raises(ValueError, match=re.escape(f"must be 2-dimensional, got shape {shape}")):
+        as_matrix(value)
 
 
 def test_vech_rejects_non_square():

@@ -12,6 +12,11 @@ not move. RN weights never do. The RSL weight exp(theta J) keeps its value
 under theta / c, and the RRSL sigmoid of alpha J - beta mean(J) under
 (alpha, beta) / c with theta kept. The root is then (cP, L).
 
+A change of state coordinates x -> T x leaves every draw's predictive cost
+as it is when A_i -> T A_i T^-1, B_i -> T B_i, Q -> T^-T Q T^-1 and the
+reference state's second moment Sigma -> T Sigma T'. The weights then do not
+move, and the root is (T^-T P T^-1, L T^-1).
+
 The roots are compared, never the iteration counts, under a tolerance fixed
 before the first run: 1e-9 of the root's norm.
 """
@@ -85,3 +90,29 @@ def test_scaling_the_costs_scales_the_value_and_keeps_the_gain(bank2k, family, m
     got_value, got_gain = _scaled_design(bank2k, family, method, c)
     assert np.linalg.norm(got_value - c * value) <= ROOT_RTOL * np.linalg.norm(c * value)
     assert np.linalg.norm(got_gain - gain) <= ROOT_RTOL * np.linalg.norm(gain)
+
+
+#: The state change of coordinates x -> T x.
+T = np.array([[1.3, 0.4], [-0.2, 0.8]])
+
+
+def _transformed_design(bank, family: str, method: str):
+    """The design in the coordinates T x, from the identity second moment of x."""
+    t_inv = np.linalg.inv(T)
+    transformed = ws.SampleBank(a=T @ bank.a @ t_inv, b=T @ bank.b)
+    q = t_inv.T @ Q2 @ t_inv
+    weights = dataclasses.replace(SPECS[family], sigma=T @ T.T)
+    problem = ws.DesignProblem(bank=transformed, q=(q + q.T) / 2.0, r=R1, weights=weights)
+    solution = ws.solve(problem, ws.SolverOptions(method=method))
+    return solution.value, solution.gain
+
+
+@pytest.mark.parametrize("method", ["fixed-point", "newton-continuation"])
+@pytest.mark.parametrize("family", sorted(SPECS))
+def test_a_change_of_state_coordinates_transforms_the_root(bank2k, family, method):
+    value, gain = ws.unpack_solution(_root(bank2k, family, method), 2, 1)
+    got_value, got_gain = _transformed_design(bank2k, family, method)
+    t_inv = np.linalg.inv(T)
+    want_value, want_gain = t_inv.T @ value @ t_inv, gain @ t_inv
+    assert np.linalg.norm(got_value - want_value) <= ROOT_RTOL * np.linalg.norm(want_value)
+    assert np.linalg.norm(got_gain - want_gain) <= ROOT_RTOL * np.linalg.norm(want_gain)

@@ -3,7 +3,8 @@
 Every name a module lists in ``__all__`` must resolve. The per-draw forms of
 the bank expectations are test oracles (``tests/reference.py``), and the
 drivers that only the tests call live there too, so no package module may
-define or export either. The solver's stopping rules are declared once, as
+define or export either; nor does the distribution carry accessors only
+the tests read. The solver's stopping rules are declared once, as
 fields of ``riccati.SolverOptions``: no public solver function restates one
 as a parameter, and no ``DEFAULT_*`` constant is exported. The Jacobian
 takes the call form the benchmark's kernel timings use, with no mode.
@@ -37,6 +38,7 @@ REFERENCE_ONLY = (
     "compress",
     "analytic_jacobian_theta0",
     "richardson_jacobian",
+    "point_mass",
 )
 
 
@@ -51,6 +53,12 @@ def test_exported_names_resolve(module):
 def test_reference_forms_are_not_in_the_package(module):
     mod = importlib.import_module(module)
     assert [name for name in REFERENCE_ONLY if hasattr(mod, name)] == []
+
+
+def test_the_distribution_has_no_mean_matrix_accessors():
+    """E[A] and E[B] are read off ``mean`` by the oracles ``reference.mean_a`` and ``mean_b``."""
+    dist = ensemble.ParameterDistribution
+    assert [name for name in ("mean_a", "mean_b") if hasattr(dist, name)] == []
 
 
 #: Parameter names that would restate a solver setting, or a fixed-point start.

@@ -44,9 +44,6 @@ _ERROR = "raised only by a solve that fails this way, which no example configura
 #: Functions no command reaches, with the reason each stays in the package.
 #: No branch of a reached function is kept for a test.
 ALLOWED = {
-    "ensemble.ParameterDistribution.mean_a": "public specification of E[A]",
-    "ensemble.ParameterDistribution.mean_b": "public specification of E[B]",
-    "ensemble.point_mass": "public constructor of a degenerate distribution",
     "ensemble.stream_rng": "specification of the trial streams; " + _PERFBENCH,
     "errors.ConvergenceError.__init__": _ERROR,
     "errors.DomainViolationError.__init__": _ERROR,

@@ -17,6 +17,7 @@ from wsriccati import (
 
 import reference
 from conftest import MEAN_A, MEAN_B, Q2, R1, scalar_closed_form
+from reference import point_mass
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +118,7 @@ def test_scalar_newton_from_origin(scalar_problem):
 # ---------------------------------------------------------------------------
 
 def test_zero_covariance_matches_textbook_dare():
-    dist = ws.point_mass(MEAN_A, MEAN_B)
+    dist = point_mass(MEAN_A, MEAN_B)
     bank = ws.draw_bank(dist, 4, seed=0)
     problem = ws.DesignProblem(
         bank=bank, q=Q2, r=R1, weights=ws.WeightSpec(family="RN")
@@ -619,7 +620,7 @@ def test_three_state_two_input_solution_routes_agree():
 def test_three_state_zero_covariance_matches_oracle():
     mean_a = [[0.9, 0.05, 0.0], [-0.1, 0.8, 0.1], [0.0, 0.2, 0.7]]
     mean_b = [[1.0, 0.0], [0.0, 1.0], [0.5, 0.2]]
-    dist = ws.point_mass(mean_a, mean_b)
+    dist = point_mass(mean_a, mean_b)
     bank = ws.draw_bank(dist, 3, seed=0)
     q = np.diag([1.0, 2.0, 0.5])
     r = np.eye(2)

@@ -5,13 +5,14 @@ import wsriccati as ws
 from wsriccati import ConfigurationError, NumericalError
 
 from conftest import MEAN_A, MEAN_B, Q2, R1, scalar_closed_form
+from reference import point_mass
 
 
 def test_rollout_cost_equals_value_function():
     # deterministic scalar loop: infinite-horizon cost from x0=1 is the
     # converged value matrix entry
     value, gain = scalar_closed_form()
-    dist = ws.point_mass([[0.5]], [[1.0]])
+    dist = point_mass([[0.5]], [[1.0]])
     result = ws.rollout(dist, [[gain]], [[1.0]], [[1.0]], [1.0], 400, seed=3)
     assert result.diverged_at is None
     assert result.cost == pytest.approx(value, abs=1e-9)
@@ -19,7 +20,7 @@ def test_rollout_cost_equals_value_function():
 
 
 def test_rollout_dead_beat_case():
-    dist = ws.point_mass([[0.0]], [[1.0]])
+    dist = point_mass([[0.0]], [[1.0]])
     result = ws.rollout(dist, np.zeros((1, 1)), [[2.0]], [[1.0]], [3.0], 5, seed=0)
     assert result.states[1, 0] == 0.0
     assert result.cost == pytest.approx(2.0 * 9.0, abs=1e-12)
@@ -36,7 +37,7 @@ def test_rollout_seed_determinism(benchmark_dist):
 
 
 def test_rollout_overflow_is_reported():
-    dist = ws.point_mass([[3.0]], [[0.0001]])
+    dist = point_mass([[3.0]], [[0.0001]])
     result = ws.rollout(dist, np.zeros((1, 1)), [[1.0]], [[1.0]], [1.0], 200, seed=0)
     assert result.diverged_at is not None
     assert np.isinf(result.cost)
@@ -44,7 +45,7 @@ def test_rollout_overflow_is_reported():
 
 
 def test_rollout_zero_horizon():
-    dist = ws.point_mass([[0.5]], [[1.0]])
+    dist = point_mass([[0.5]], [[1.0]])
     result = ws.rollout(dist, [[0.2]], [[2.0]], [[1.0]], [2.0], 0, seed=0)
     # single term: x0 Q x0 + u0 R u0 with u0 = -0.2 * 2
     assert result.cost == pytest.approx(8.0 + 0.16, abs=1e-12)
@@ -98,7 +99,7 @@ def test_mc_study_reproducible_and_matches_single_rollouts(benchmark_dist):
 
 
 def test_mc_study_records_divergence():
-    dist = ws.point_mass([[2.5]], [[0.0001]])
+    dist = point_mass([[2.5]], [[0.0001]])
     summary = ws.mc_cost_study(
         dist, np.zeros((1, 1)), [[1.0]], [[1.0]], [1.0], 300, 8, [100.0], seed=1
     )
@@ -146,7 +147,7 @@ def test_mean_cost_approaches_value_function(benchmark_dist):
 
 
 def test_robustness_point_mass_has_zero_dispersion():
-    dist = ws.point_mass(MEAN_A, MEAN_B)
+    dist = point_mass(MEAN_A, MEAN_B)
     spec = ws.WeightSpec(family="RN")
     summary = ws.robustness_study(
         dist, Q2, R1, spec, repetitions=3, bank_size=4, base_seed=5

@@ -8,10 +8,11 @@ from wsriccati import NonFiniteError, vech
 
 import reference
 from conftest import Q2, R1
+from reference import point_mass
 
 
 def scalar_bank(a_value, b_value=1.0, size=3):
-    dist = ws.point_mass([[a_value]], [[b_value]])
+    dist = point_mass([[a_value]], [[b_value]])
     return ws.draw_bank(dist, size, seed=0)
 
 
