@@ -176,7 +176,7 @@ def _stability_columns(bank, gain, problem=None, value=None, plain=None) -> list
 def cmd_design(config: RunConfig) -> dict:
     bank = config_mod.make_bank(config)
     problem = config_mod.make_problem(config, bank)
-    solution = solve(problem, config.solver, record_trace=config.solver.trace)
+    solution = solve(problem, config.solver)
     n, m = problem.n, problem.m
     names = _solution_names(n, m)
     tables = {

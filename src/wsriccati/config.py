@@ -80,7 +80,6 @@ class WeightConfig:
 class SolverConfig(SolverOptions):
     bank_size: int = 10_000
     seed: int = 0
-    trace: bool = False
     dump_weights: bool = False
 
     def __post_init__(self):

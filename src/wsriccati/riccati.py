@@ -75,9 +75,10 @@ same. The workspace is freed when the lockstep returns, and a lockstep in
 another thread has its own. Without one (``work=None``, as in the weight
 views of :mod:`~wsriccati.weights`) a pass writes into fresh arrays.
 :func:`value_map`, :func:`implicit_residual` and :func:`residual_jacobian`
-are one request run alone (:func:`_drive`). Only the trace rows of a
-fixed-point solve still run one, a nested lockstep with a workspace of its
-own; its closing residual check is a ``residual`` request of the solve.
+are one request run alone (:func:`_drive`). No lockstep runs inside
+another: a fixed-point solve's closing residual check is a ``residual``
+request of the solve, and a traced solve takes the residuals of its trace
+rows after its own lockstep has returned.
 """
 
 from __future__ import annotations
@@ -140,7 +141,7 @@ _METHODS = ("fixed-point", "newton", "newton-continuation")
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """The solution route and its stopping rules, checked when built.
+    """The solution route, its stopping rules and its trace, checked when built.
 
     The only place a solver setting is declared: every front-end takes the
     options whole. ``fp_tol``, ``fp_max_iters`` and ``residual_tol`` govern
@@ -149,7 +150,8 @@ class SolverOptions:
     Newton run (see :func:`newton_solve`); each must be finite and > 0.
     ``continuation`` is the theta grid of ``newton-continuation``, finite
     entries ending at the problem's theta; without it the grid is half the
-    target, then the target.
+    target, then the target. ``trace`` asks :func:`fixed_point_solve` for
+    its iterates; no other route records them.
     """
 
     method: str = "fixed-point"
@@ -159,6 +161,7 @@ class SolverOptions:
     newton_tol: float = 1e-9
     newton_max_iters: int = 100
     continuation: tuple[float, ...] | None = None
+    trace: bool = False
 
     def __post_init__(self):
         if self.method not in _METHODS:
@@ -505,28 +508,24 @@ def _debug_logger():
     return log if log.isEnabledFor(logging.DEBUG) else None
 
 
-def _fixed_point_steps(
-    problem: DesignProblem, options: SolverOptions, record_trace: bool, label: int
-):
+def _fixed_point_steps(problem: DesignProblem, options: SolverOptions, label: int):
     """The iteration of :func:`fixed_point_solve` from (0, 0) as a generator for the lockstep.
 
     It yields each (P, L) at which it needs the maps, then the returned pair
     packed for its closing residual, is sent each result or thrown the error
-    evaluating it raised, and returns the :class:`DesignSolution`. ``label``
-    names the problem in the DEBUG lines.
+    evaluating it raised, and returns the :class:`DesignSolution`. Under
+    ``options.trace`` its trace holds the rows (s, P, L, delta) without
+    their residuals. ``label`` names the problem in the DEBUG lines.
     """
     n, m = problem.n, problem.m
     value, gain = np.zeros((n, n)), np.zeros((m, n))
     log = _debug_logger()
 
-    trace: list[tuple] | None = [] if record_trace else None
+    trace: list[tuple] | None = [] if options.trace else None
 
     def record(delta: float) -> None:
         if trace is not None:
-            res = float(
-                np.linalg.norm(implicit_residual(pack_solution(value, gain), problem))
-            )
-            trace.append((len(trace), value.copy(), gain.copy(), delta, res))
+            trace.append((len(trace), value.copy(), gain.copy(), delta))
 
     record(float("nan"))
     new_value, new_gain, delta = yield from _map_step(problem, value, gain)
@@ -608,7 +607,7 @@ def _fixed_point_steps(
         iterations=len(deltas),
         residual=residual,
         deltas=tuple(deltas),
-        trace=tuple(trace) if record_trace else None,
+        trace=None if trace is None else tuple(trace),
     )
 
 
@@ -632,9 +631,10 @@ def _lockstep(solves) -> list:
 
     ``solves`` yields (problem, width, steps): a problem on the solve's bank,
     the most points it requests at once and its generator, taken only when
-    the solve joins. Each round sends every solve in flight the list of its
-    results, or throws in the first error among them in point order. A solve
-    joins while the bytes in flight stay within ``LOCKSTEP_BYTES`` (see
+    the solve joins; a solve evaluates nothing before its first request, so
+    joining raises no :class:`NumericalError`. Each round sends every solve
+    in flight the list of its results, or throws in the first error among
+    them in point order. A solve joins while the bytes in flight stay within ``LOCKSTEP_BYTES`` (see
     :func:`_footprint`). Every round writes its weights into one
     :class:`~wsriccati.weights._Workspace` that lives as long as this call.
     Returns what each solve returned, or the :class:`NumericalError` it
@@ -655,14 +655,9 @@ def _lockstep(solves) -> list:
                 if flight and held + cost > LOCKSTEP_BYTES:
                     break
                 results.append(None)
-                try:
-                    flight.append([len(results) - 1, problem, steps, next(steps), cost])
-                    held += cost
-                except NumericalError as exc:
-                    results[-1] = exc
+                flight.append([len(results) - 1, problem, steps, next(steps), cost])
+                held += cost
                 pending = next(solves, None)
-            if not flight:
-                continue
             outcomes = _evaluate([item[3] for item in flight], work)
             still = []
             for item, outcome in zip(flight, outcomes):
@@ -696,9 +691,7 @@ def _drive(problem: DesignProblem, steps):
 
 
 def fixed_point_solve(
-    problem: DesignProblem,
-    options: SolverOptions = SolverOptions(),
-    record_trace: bool = False,
+    problem: DesignProblem, options: SolverOptions = SolverOptions()
 ) -> DesignSolution:
     """Safeguarded Anderson-accelerated iteration of (P, L) <- (F(P, L), G(P, L)).
 
@@ -725,20 +718,27 @@ def fixed_point_solve(
     image of that iterate, then checks the stacked residual norm, one more
     request of the solve, against ``options.residual_tol`` and the
     stabilizing-root postcondition P > 0, P - Q >= 0 and a mean-square
-    stable gain; ``options.method`` is not read. With ``record_trace`` the
+    stable gain; ``options.method`` is not read. Under ``options.trace`` the
     trace holds the start, one row per accepted iterate and the returned
-    pair, each with the residual of the iterate before it. This is
+    pair, each (s, P, L, delta, residual) with the delta of the iterate
+    before it and the norm of :func:`implicit_residual` at its own (P, L),
+    taken row by row once the solve's lockstep has returned. This is
     :func:`solve` under the fixed-point route, the lockstep of
     :func:`solve_all` on one problem.
     """
-    return _drive(problem, _fixed_point_route(problem, options, record_trace, 0))
+    solution = _drive(problem, _fixed_point_route(problem, options, 0))
+    if solution.trace is None:
+        return solution
+    rows = tuple(
+        row + (float(np.linalg.norm(implicit_residual(pack_solution(*row[1:3]), problem))),)
+        for row in solution.trace
+    )
+    return dataclasses.replace(solution, trace=rows)
 
 
-def _fixed_point_route(
-    problem: DesignProblem, options: SolverOptions, record_trace: bool, label: int
-):
+def _fixed_point_route(problem: DesignProblem, options: SolverOptions, label: int):
     """:func:`_fixed_point_steps` with the mean-square postcondition on what it returns."""
-    solution = yield from _fixed_point_steps(problem, options, record_trace, label)
+    solution = yield from _fixed_point_steps(problem, options, label)
     return _check_mean_square(problem.bank, solution, "fixed-point solve")
 
 
@@ -885,11 +885,7 @@ def _check_grid_end(steps: tuple[float, ...], theta: float) -> None:
         raise ConfigurationError(f"continuation grid must end at theta={theta}, got {steps[-1]}")
 
 
-def solve(
-    problem: DesignProblem,
-    options: SolverOptions = SolverOptions(),
-    record_trace: bool = False,
-) -> DesignSolution:
+def solve(problem: DesignProblem, options: SolverOptions = SolverOptions()) -> DesignSolution:
     """Solve ``problem`` by the route ``options.method``, under ``options``' stopping rules.
 
     The options pass through whole: the fixed-point route is
@@ -898,11 +894,13 @@ def solve(
     theta values, warm-starting each run at the previous solution.
     ``newton`` uses the one-point grid (theta,); ``newton-continuation``
     uses ``options.continuation`` (default: half the target, then the
-    target). Only the fixed-point route records a trace. A Newton route is
-    :func:`solve_all` on one problem.
+    target). Only the fixed-point route records a trace, under
+    ``options.trace``, with each row's residual taken after the solve (see
+    :func:`fixed_point_solve`). A Newton route is :func:`solve_all` on one
+    problem.
     """
     if options.method == "fixed-point":
-        return fixed_point_solve(problem, options, record_trace)
+        return fixed_point_solve(problem, options)
     (result,) = solve_all([problem], options)
     if isinstance(result, NumericalError):
         raise result
@@ -936,7 +934,7 @@ def _newton_run(run: tuple, options: SolverOptions, label: int):
     start that fails is the error of every problem of the run.
     """
     try:
-        start = yield from _fixed_point_steps(run[0][0].with_theta(0.0), options, False, label)
+        start = yield from _fixed_point_steps(run[0][0].with_theta(0.0), options, label)
     except NumericalError as exc:
         return [exc] * len(run)
     results = []
@@ -965,9 +963,10 @@ def solve_all(problems, options: SolverOptions = SolverOptions()) -> list:
     same bank and cost matrices (a sweep's points) is one solve
     (:func:`_newton_run`): one theta = 0 fixed-point start, then Newton on
     each problem in turn. ``problems`` may be a generator, read as problems
-    join.
+    join. No solve records a trace: ``options.trace`` is not read.
     """
+    options = dataclasses.replace(options, trace=False)
     if options.method == "fixed-point":
-        steps = ((p, 1, _fixed_point_route(p, options, False, k)) for k, p in enumerate(problems))
+        steps = ((p, 1, _fixed_point_route(p, options, k)) for k, p in enumerate(problems))
         return _lockstep(steps)
     return [result for run in _lockstep(_newton_solves(problems, options)) for result in run]

@@ -420,6 +420,32 @@ def test_an_untraced_fixed_point_solve_all_runs_one_lockstep(rrsl_problem_2k, mo
     assert not any(isinstance(result, NumericalError) for result in got)
 
 
+def test_no_lockstep_runs_inside_another(rrsl_problem_2k, tmp_path, monkeypatch):
+    # A traced solve takes the residuals of its trace rows once its own
+    # lockstep has returned, each in a lockstep of its own.
+    depths, depth = [], [0]
+    lockstep = riccati._lockstep
+
+    def spy(solves):
+        depth[0] += 1
+        depths.append(depth[0])
+        try:
+            return lockstep(solves)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(riccati, "_lockstep", spy)
+    traced = ws.fixed_point_solve(rrsl_problem_2k, ws.SolverOptions(fp_tol=1e-8, trace=True))
+    assert len(traced.trace) == traced.iterations + 1
+    assert max(depths) == 1
+    depths.clear()
+    out = tmp_path / "out"
+    solver = {"method": "fixed-point", "bank_size": 300, "seed": 3, "trace": True}
+    assert main(["design", str(write_config(tmp_path, base_config(out, solver=solver)))]) == 0
+    assert (out / "trace.csv").is_file()
+    assert max(depths) == 1
+
+
 def test_a_gain_that_is_not_ms_stable_fails_lockstep_and_oracle_alike(benchmark_dist):
     # Past the RSL fold the fixed-point route converges on this bank to a
     # root whose gain diverges in mean square on the bank's own law.

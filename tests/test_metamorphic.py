@@ -17,6 +17,11 @@ as it is when A_i -> T A_i T^-1, B_i -> T B_i, Q -> T^-T Q T^-1 and the
 reference state's second moment Sigma -> T Sigma T'. The weights then do not
 move, and the root is (T^-T P T^-1, L T^-1).
 
+A change of input coordinates u -> M v leaves every draw's closed loop
+A_i - B_i L and its input cost L' R L as they are when B_i -> B_i M,
+R -> M' R M and L -> M^-1 L. The weights then do not move, and the root is
+(P, M^-1 L).
+
 The roots are compared, never the iteration counts, under a tolerance fixed
 before the first run: 1e-9 of the root's norm.
 """
@@ -115,4 +120,25 @@ def test_a_change_of_state_coordinates_transforms_the_root(bank2k, family, metho
     t_inv = np.linalg.inv(T)
     want_value, want_gain = t_inv.T @ value @ t_inv, gain @ t_inv
     assert np.linalg.norm(got_value - want_value) <= ROOT_RTOL * np.linalg.norm(want_value)
+    assert np.linalg.norm(got_gain - want_gain) <= ROOT_RTOL * np.linalg.norm(want_gain)
+
+
+def _input_design(bank, family: str, method: str, m_mat: np.ndarray):
+    """The design in the input coordinates v of u = M v."""
+    transformed = ws.SampleBank(a=bank.a, b=bank.b @ m_mat)
+    r = m_mat.T @ R1 @ m_mat
+    problem = ws.DesignProblem(bank=transformed, q=Q2, r=(r + r.T) / 2.0, weights=SPECS[family])
+    solution = ws.solve(problem, ws.SolverOptions(method=method))
+    return solution.value, solution.gain
+
+
+@pytest.mark.parametrize("m_entry", [2.5, -0.4])
+@pytest.mark.parametrize("method", ["fixed-point", "newton-continuation"])
+@pytest.mark.parametrize("family", sorted(SPECS))
+def test_a_change_of_input_coordinates_transforms_the_gain(bank2k, family, method, m_entry):
+    m_mat = np.array([[m_entry]])
+    value, gain = ws.unpack_solution(_root(bank2k, family, method), 2, 1)
+    got_value, got_gain = _input_design(bank2k, family, method, m_mat)
+    want_gain = np.linalg.inv(m_mat) @ gain
+    assert np.linalg.norm(got_value - value) <= ROOT_RTOL * np.linalg.norm(value)
     assert np.linalg.norm(got_gain - want_gain) <= ROOT_RTOL * np.linalg.norm(want_gain)

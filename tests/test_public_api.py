@@ -67,6 +67,7 @@ RESTATED = {f.name for f in dataclasses.fields(riccati.SolverOptions)} | {
     "max_iters",
     "value0",
     "gain0",
+    "record_trace",
 }
 
 

@@ -197,7 +197,7 @@ def test_weighted_fixed_point_converges(rrsl_solution_2k, rrsl_problem_2k):
 
 
 def test_iterates_dominate_state_cost(rrsl_problem_2k):
-    sol = ws.fixed_point_solve(rrsl_problem_2k, ws.SolverOptions(fp_tol=1e-8), record_trace=True)
+    sol = ws.fixed_point_solve(rrsl_problem_2k, ws.SolverOptions(fp_tol=1e-8, trace=True))
     assert sol.trace is not None
     for s, value, _gain, _delta, _res in sol.trace:
         if s == 0:
