@@ -59,13 +59,14 @@ bits. So does the Frobenius norm taken over a stack (``np.linalg.norm`` with
 residual.
 
 Each :func:`_lockstep` creates one :class:`~wsriccati.weights._Workspace`
-and every round of its solves writes its weights there: :func:`_evaluate`
-passes it through the maps (:func:`_stacked_maps`) and the residuals
+and every round of its solves weighs there: :func:`_evaluate` passes it
+through the maps (:func:`_stacked_maps`) and the residuals
 (:func:`_stacked_residuals`, so Newton's Jacobian requests too) to
-:func:`_zpz_all` and the stacked weight pass. The pass writes the round's
-predictive costs, sigmoid arguments, raw and normalized weights and its two
-masks into those buffers with ``out=`` ufuncs. With at most one RRSL window
-index per draw that is the 34 bytes per draw per point the workspace declares
+:func:`_zpz_all` and the stacked weight pass. The pass works in place in
+one float stack, the round's predictive costs, then its sigmoid arguments,
+raw and normalized weights, beside two masks, written with ``out=``
+ufuncs. With at most one RRSL window index and one window value per draw
+that is the 26 bytes per draw per point the workspace declares
 (``_Workspace.BYTES_PER_DRAW``), by which :func:`_footprint` sizes the
 batches; beyond them a round holds only the sigmoid's temporaries of one
 slice of 2,048 entries. The weights leave the pass only
@@ -73,12 +74,12 @@ as the moments read off them, so the next round may overwrite the buffers;
 every step is the same operation as on fresh arrays, so the bits are the
 same. The workspace is freed when the lockstep returns, and a lockstep in
 another thread has its own. Without one (``work=None``, as in the weight
-views of :mod:`~wsriccati.weights`) a pass writes into fresh arrays.
+views of :mod:`~wsriccati.weights`) a pass works in a fresh stack.
 :func:`value_map`, :func:`implicit_residual` and :func:`residual_jacobian`
 are one request run alone (:func:`_drive`). No lockstep runs inside
 another: a fixed-point solve's closing residual check is a ``residual``
 request of the solve, and a traced solve takes the residuals of its trace
-rows after its own lockstep has returned.
+rows in one more lockstep after its own has returned.
 """
 
 from __future__ import annotations
@@ -130,10 +131,10 @@ ANDERSON_MEMORY = 5
 
 #: Bytes that solves in lockstep may hold beyond one solve's (see
 #: :func:`_footprint`). On the example system that is all 11 fixed-point
-#: sweep points on one 10k bank (340 KB each), and 21 fixed-point or 9 Newton
-#: redesigns on their own 2k banks (500 KB or 1.1 MB each, bank included),
-#: so all 20 of the example's ``robustness`` redesigns under the fixed-point
-#: route. A solve whose own footprint is larger still runs, alone.
+#: sweep points on one 10k bank (260 KB each), and 22 fixed-point or 11
+#: Newton redesigns on their own 2k banks (484 or 952 KB each, bank
+#: included), so all 20 of the example's ``robustness`` redesigns under the
+#: fixed-point route. A solve whose own footprint is larger still runs, alone.
 LOCKSTEP_BYTES = 5 * 2**21
 
 _METHODS = ("fixed-point", "newton", "newton-continuation")
@@ -270,7 +271,7 @@ def _zpz_all(problems, values, gains, work=None):
     weights are exactly one); the weighted problems share weight family,
     alpha and beta. A weight check that fails raises (see
     :func:`~wsriccati.weights._weigh_all`). The weights are written into
-    ``work``, the lockstep's workspace (fresh arrays when ``None``), and
+    ``work``, the lockstep's workspace (a new one when ``None``), and
     used only here, for the moments, which are read off one stack
     (:func:`~wsriccati.ensemble._weighted_moments`).
     """
@@ -285,8 +286,9 @@ def _zpz_all(problems, values, gains, work=None):
         banks = [p.bank for p in sub]
         weights = _weigh_all(
             banks, [p.weights for p in sub], [p.theta for p in sub],
-            *(x[weighted] for x in (gains, values, qs, rs)), work=work,
-        )[2]
+            *(x[weighted] for x in (gains, values, qs, rs)),
+            work=_Workspace() if work is None else work,
+        )
         moments[weighted] = _weighted_moments(banks, weights)
     zpz = quadratic_expect(moments, values)
     return values, gains, qs, rs, 0.5 * (zpz + zpz.transpose(0, 2, 1))
@@ -722,16 +724,17 @@ def fixed_point_solve(
     trace holds the start, one row per accepted iterate and the returned
     pair, each (s, P, L, delta, residual) with the delta of the iterate
     before it and the norm of :func:`implicit_residual` at its own (P, L),
-    taken row by row once the solve's lockstep has returned. This is
-    :func:`solve` under the fixed-point route, the lockstep of
+    taken for every row in one call once the solve's lockstep has returned.
+    This is :func:`solve` under the fixed-point route, the lockstep of
     :func:`solve_all` on one problem.
     """
     solution = _drive(problem, _fixed_point_route(problem, options, 0))
     if solution.trace is None:
         return solution
+    points = np.array([pack_solution(value, gain) for _, value, gain, _ in solution.trace])
+    residuals = implicit_residual(points, problem)
     rows = tuple(
-        row + (float(np.linalg.norm(implicit_residual(pack_solution(*row[1:3]), problem))),)
-        for row in solution.trace
+        row + (float(np.linalg.norm(h)),) for row, h in zip(solution.trace, residuals)
     )
     return dataclasses.replace(solution, trace=rows)
 
@@ -761,8 +764,21 @@ def unpack_solution(z: np.ndarray, n: int, m: int) -> tuple[np.ndarray, np.ndarr
 
 
 def implicit_residual(z, problem: DesignProblem) -> np.ndarray:
-    """Residual h(z) whose root is the design solution: one row."""
-    return _drive(problem, _request("residual", problem, z))
+    """Residual h(z) whose root is the design solution.
+
+    One point z gives one row; a (k, dim) stack of points gives one row per
+    point. Each point is a solve of one ``residual`` request, and one
+    lockstep runs them all, as many a round as its byte budget holds (see
+    :func:`_footprint`), so each row is the same bits as its point alone.
+    The error of the first point that fails raises.
+    """
+    points = np.asarray(z, dtype=float)
+    solves = ((problem, 1, _request("residual", problem, x)) for x in np.atleast_2d(points))
+    rows = _lockstep(solves)
+    error = next((row for row in rows if isinstance(row, NumericalError)), None)
+    if error is not None:
+        raise error
+    return np.array(rows) if points.ndim == 2 else rows[0]
 
 
 def _fd_jacobian(z: np.ndarray, problem: DesignProblem):
@@ -895,7 +911,7 @@ def solve(problem: DesignProblem, options: SolverOptions = SolverOptions()) -> D
     ``newton`` uses the one-point grid (theta,); ``newton-continuation``
     uses ``options.continuation`` (default: half the target, then the
     target). Only the fixed-point route records a trace, under
-    ``options.trace``, with each row's residual taken after the solve (see
+    ``options.trace``, with its rows' residuals taken after the solve (see
     :func:`fixed_point_solve`). A Newton route is :func:`solve_all` on one
     problem.
     """

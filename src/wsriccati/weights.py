@@ -16,10 +16,11 @@ where mean(J) is the unweighted bank average. Weights are then normalized
 by their empirical mean so the weighted expectation of 1 is exactly 1. One
 stacked pass (:func:`_weigh_all`) takes the costs of a bank, one product
 with its moment matrix (see :class:`~wsriccati.ensemble.SampleBank`), and
-weighs them; :func:`predictive_costs` (the pass at unit weights),
-:func:`weight_vector` and :func:`build_weighted_bank` are its views. The
-per-draw cost and weight the tests check them against are in
-``tests/reference.py``.
+weighs them in place: each step writes over the one before in one float
+stack, 10 bytes per draw with its two masks (see :class:`_Workspace`).
+:func:`predictive_costs` (the pass at unit weights), :func:`weight_vector`
+and :func:`build_weighted_bank` are its views. The per-draw cost and weight
+the tests check them against are in ``tests/reference.py``.
 
 The RRSL sigmoid saturates in double precision: outside a window of
 x = alpha J - beta mean(J) the raw weight is exactly 1 + theta or exactly 1
@@ -132,50 +133,60 @@ class WeightSpec:
 
 
 class _Workspace:
-    """Reused buffers of the stacked weight pass: 3 float64 and 2 bool arrays.
+    """Reused buffers of the stacked weight pass: one float64 and two bool arrays.
 
-    They hold the predictive costs, the sigmoid arguments or RSL exponents
-    (later the normalized weights), the raw weights and the two RRSL masks.
-    Each is one flat buffer, grown to the largest stack seen, and a pass of
-    any shape takes its first entries as C-contiguous arrays (:meth:`take`),
-    so its rows lie as a fresh stack's would. A pass on a new
-    ``_Workspace()`` returns arrays that nothing else holds. Beyond these
-    buffers a pass holds at most 8 ``_SLICE`` flat indices of the RRSL
-    window and the temporaries of one ``_SLICE`` of them (:func:`_rrsl_raw`).
+    The float buffer holds the pass's stack, written over in turn: the
+    predictive costs, the RSL exponents or RRSL sigmoid arguments, the raw
+    weights, the normalized weights. The bool buffers hold the two RRSL
+    masks, the saturated draws and the sigmoid window (``WINDOW``). Each is
+    one flat buffer, grown to the largest stack seen, and a pass of any
+    shape takes its first entries as C-contiguous arrays (:meth:`take`), so
+    its rows lie as a fresh stack's would. A pass on a new ``_Workspace()``
+    returns arrays that nothing else holds. Beyond these buffers a pass
+    holds at most 8 ``_SLICE`` flat indices of the RRSL window, their
+    sigmoid values and the temporaries of one ``_SLICE`` of them
+    (:func:`_rrsl_raw`).
     """
 
-    _DTYPES = (np.float64,) * 3 + (np.bool_,) * 2
+    _DTYPES = (np.float64, np.bool_, np.bool_)
+    #: Index of the sigmoid window mask among the buffers.
+    WINDOW = 2
     #: Scratch of a pass per draw per point, one slice's temporaries aside:
-    #: the buffers (3 x 8 + 2 = 26 bytes) and at most one window index (8),
-    #: 34 bytes. The solver's lockstep sizes its batches by it.
-    BYTES_PER_DRAW = sum(np.dtype(t).itemsize for t in _DTYPES) + np.dtype(np.intp).itemsize
+    #: the buffers (8 + 1 + 1 = 10 bytes), at most one window index (8) and
+    #: one window value (8), 26 bytes. The solver's lockstep sizes its
+    #: batches by it.
+    BYTES_PER_DRAW = (
+        sum(np.dtype(t).itemsize for t in _DTYPES)
+        + np.dtype(np.intp).itemsize
+        + np.dtype(np.float64).itemsize
+    )
 
     def __init__(self):
         self._buffers = ()
 
     def take(self, shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-        """Costs, arguments, raw weights and the two masks of one pass, each of ``shape``."""
+        """The stack and the two masks of one pass, each of ``shape``."""
         cells = math.prod(shape)
         if not self._buffers or cells > self._buffers[0].size:
             self._buffers = tuple(np.empty(cells, dtype=t) for t in self._DTYPES)
         return tuple(buf[:cells].reshape(shape) for buf in self._buffers)
 
 
-def _raw_into(spec, theta, costs, mean_predictive, args, raw, saturated, window):
-    """Raw weights of a (rows, N) stack of predictive costs, written into ``raw``.
+def _raw_into(spec, theta, stack, mean_predictive, saturated, window):
+    """Raw weights of a (rows, N) stack of predictive costs, written over the costs.
 
     ``theta`` and ``mean_predictive`` are (rows, 1) columns, one entry per
     row, and every row shares the family, alpha and beta of ``spec``. An RSL
     exponent beyond ``RSL_MAX_EXPONENT`` raises for the first row that has
-    one, with that row's largest exponent. The buffers have the shape of
-    ``costs``: ``args`` ends up holding the RSL exponents or the RRSL sigmoid
-    arguments, the masks are scratch, and ``raw`` is returned.
+    one, with that row's largest exponent. ``stack`` holds the RSL
+    exponents or the RRSL sigmoid arguments in between; the masks have its
+    shape and are scratch. Returns ``stack``.
     """
     if spec.family == FAMILY_RN:
-        raw[...] = 1.0
-        return raw
+        stack[...] = 1.0
+        return stack
     if spec.family == FAMILY_RSL:
-        exponents = np.multiply(theta, costs, out=args)
+        exponents = np.multiply(theta, stack, out=stack)
         if exponents.size and exponents.max() > RSL_MAX_EXPONENT:
             worst = exponents.max(axis=-1).reshape(-1)
             row = int(np.argmax(worst > RSL_MAX_EXPONENT))
@@ -183,14 +194,14 @@ def _raw_into(spec, theta, costs, mean_predictive, args, raw, saturated, window)
                 f"RSL weight overflow: theta * J reaches {worst[row]:.6g}, "
                 f"beyond exp({RSL_MAX_EXPONENT:.0f})"
             )
-        return np.exp(exponents, out=raw)
-    x = np.multiply(spec.alpha, costs, out=args)
+        return np.exp(exponents, out=exponents)
+    x = np.multiply(spec.alpha, stack, out=stack)
     np.subtract(x, spec.beta * mean_predictive, out=x)
-    return _rrsl_raw(theta, x, raw, saturated, window)
+    return _rrsl_raw(theta, x, saturated, window)
 
 
-def _rrsl_raw(theta, x: np.ndarray, raw, saturated, window) -> np.ndarray:
-    """1 + theta * expit(x) into ``raw``, taking the sigmoid only where the result is not exact.
+def _rrsl_raw(theta, x: np.ndarray, saturated, window) -> np.ndarray:
+    """1 + theta * expit(x) over ``x``, taking the sigmoid only where the result is not exact.
 
     For x >= 40, exp(-x) < 2**-53, so 1 + exp(-x) rounds to 1, expit(x) is
     exactly 1.0 and the weight exactly 1 + theta. For x below
@@ -199,44 +210,61 @@ def _rrsl_raw(theta, x: np.ndarray, raw, saturated, window) -> np.ndarray:
     below 2**-54, half an ulp of 1 from below, so 1 + theta * expit(x)
     rounds to 1.0 (at theta = 0 for every finite x). One product and one
     sum set both exact values, theta [x >= 40] + 1: 1 + theta where x >= 40
-    and 0 + 1 = 1 elsewhere. At theta = +-inf or NaN, whose product with 0
-    is NaN, no x lies below the window, so every entry that is not
+    and 0 + 1 = 1 elsewhere. The window is the complement of x below it or
+    x >= 40, so NaN lies in it. At theta = +-inf or NaN, whose product with
+    0 is NaN, no x lies below the window, so every entry that is not
     saturated is overwritten. Every other entry, NaN included, takes the
     full expression, so the result equals it bit for bit and a NaN still
     reaches :func:`_normalize_into`.
 
-    The window's flat indices are taken one segment of the flattened stack
-    at a time: the whole stack when its window holds at most 8 ``_SLICE``
-    entries, as in 97% of the RRSL passes of perfbench's ``design-10k`` and
-    ``robustness-2k`` workloads, else segments of 8 ``_SLICE`` entries. So
-    the index array holds at most min(8 ``_SLICE``, rows N) entries
-    (128 KB), within the 8 bytes per draw that ``_Workspace.BYTES_PER_DRAW``
-    declares for it, and a small window is not cut into part slices (fixed
-    segments throughout made ``design-10k`` 3-4% slower). Each segment's
-    entries are taken ``_SLICE`` at a time; entry j of the flattened stack
-    takes the theta of row j // N. Every step is elementwise, so neither
-    length changes a bit.
+    The exact values overwrite x, so each block of the stack gathers the
+    sigmoid values of its window before it writes them, then scatters the
+    values back (:func:`_rrsl_block`). The block is the whole stack when
+    its window holds at most 8 ``_SLICE`` entries, as in 97% of the RRSL
+    passes of perfbench's ``design-10k`` and ``robustness-2k`` workloads,
+    else each run of 8 ``_SLICE`` draws of one row. So the window's indices
+    and values hold at most min(8 ``_SLICE``, rows N) entries each (128
+    KB), within the 16 bytes per draw that ``_Workspace.BYTES_PER_DRAW``
+    declares for them, and a small window is not cut into part slices
+    (fixed segments throughout made ``design-10k`` 3-4% slower). Every step
+    is elementwise, so neither block changes a bit.
 
     ``theta`` is a (rows, 1) column of one theta per row of the (rows, N)
     stack ``x``. ``saturated`` and ``window`` are boolean scratch of the
-    shape of ``x``.
+    shape of ``x``; ``window`` ends up holding the window.
     """
     np.greater_equal(x, _EXPIT_ONE, out=saturated)
-    np.multiply(saturated, theta, out=raw)
-    raw += 1.0
     np.less(x, np.array([[_window_floor(t)] for t in theta[:, 0]]), out=window)
     window |= saturated
     np.logical_not(window, out=window)
-    flat_x, flat_raw, flat_window = x.reshape(-1), raw.reshape(-1), window.reshape(-1)
+    rows, size = x.shape
     cap = 8 * _SLICE
-    segment = cap if np.count_nonzero(flat_window) > cap else max(flat_window.size, 1)
-    for offset in range(0, flat_window.size, segment):
-        mid = np.flatnonzero(flat_window[offset : offset + segment])
-        mid += offset
-        for start in range(0, mid.size, _SLICE):
-            part = mid[start : start + _SLICE]
-            flat_raw[part] = 1.0 + theta[part // x.shape[1], 0] * _expit(flat_x[part])
-    return raw
+    if np.count_nonzero(window) <= cap:
+        blocks = [(slice(None), slice(None))]
+    else:
+        blocks = [
+            (slice(r, r + 1), slice(c, c + cap)) for r in range(rows) for c in range(0, size, cap)
+        ]
+    for block in blocks:
+        _rrsl_block(theta[block[0]], x[block], saturated[block], window[block])
+    return x
+
+
+def _rrsl_block(theta, x, saturated, window) -> None:
+    """:func:`_rrsl_raw` on one block, whole rows or part of one row, written over ``x``.
+
+    The block's window entries are taken ``_SLICE`` at a time; entry j of
+    the flattened block takes the theta of its row j // width.
+    """
+    flat = x.reshape(-1)
+    mid = np.flatnonzero(window)
+    values = np.empty(mid.size)
+    for start in range(0, mid.size, _SLICE):
+        part = mid[start : start + _SLICE]
+        values[start : start + _SLICE] = 1.0 + theta[part // x.shape[1], 0] * _expit(flat[part])
+    np.multiply(saturated, theta, out=x)
+    x += 1.0
+    flat[mid] = values
 
 
 def _expit(x: np.ndarray) -> np.ndarray:
@@ -329,12 +357,16 @@ def _weigh_all(banks, specs, thetas, gains, values, qs, rs, work: _Workspace | N
     :class:`NumericalError` of the first row it flags, so on a single row
     the error is the row's own.
 
-    The (rows, N) arrays are written with ``out=`` into the buffers of
-    ``work``, which the next pass on it overwrites; without it, into new
-    ones. The solver's lockstep passes the workspace it created for its
-    rounds (``riccati._lockstep``); no other caller in the package passes
-    one. Either way the bits are the same: each step is the same operation
-    on the same operands.
+    The pass runs in place in one (rows, N) stack: the costs, the RSL
+    exponents or sigmoid arguments, the raw and the normalized weights are
+    each written over the one before (see :class:`_Workspace`). With
+    ``work``, the workspace the solver's lockstep created for its rounds
+    (``riccati._lockstep``; no other caller in the package passes one),
+    the stack is its buffer, which the next pass on it overwrites, and only
+    the normalized weights are returned. Without it the stack is new, and
+    the costs and raw weights are copied out on the way for the views of
+    one bank (:func:`_weigh`). Either way the bits are the same: each step
+    is the same operation on the same operands.
     """
     count, n = values.shape[:2]
     eye = np.eye(n)
@@ -349,16 +381,17 @@ def _weigh_all(banks, specs, thetas, gains, values, qs, rs, work: _Workspace | N
     dim = outer.shape[1] * n
     kron = (outer[:, :, None, :, None] * values[:, None, :, None, :]).reshape(count, dim, dim)
     size = banks[0].size
-    costs, args, raw, saturated, window = (work if work is not None else _Workspace()).take(
-        (count, size)
-    )
-    _quadratic_forms(banks, kron, costs)
-    costs += base[:, None]
-    sums = np.add.reduce(costs, axis=1)
-    _check_costs(costs, sums)
+    stack, saturated, window = (work if work is not None else _Workspace()).take((count, size))
+    _quadratic_forms(banks, kron, stack)
+    stack += base[:, None]
+    sums = np.add.reduce(stack, axis=1)
+    _check_costs(stack, sums)
+    costs = stack.copy() if work is None else None
     theta = np.array(thetas, dtype=float)[:, None]
-    raw = _raw_into(specs[0], theta, costs, sums[:, None] / size, args, raw, saturated, window)
-    return costs, raw, _normalize_into(raw, args)
+    raw = _raw_into(specs[0], theta, stack, sums[:, None] / size, saturated, window)
+    if work is not None:
+        return _normalize_into(raw, raw)
+    return costs, raw.copy(), _normalize_into(raw, raw)
 
 
 def _weigh(bank: SampleBank, spec: WeightSpec, theta: float, gain, value, q, r):

@@ -223,8 +223,9 @@ def _raw_from_costs(spec, theta, costs, mean_predictive) -> np.ndarray:
         if mean_predictive is not None:
             mean_predictive = np.full((1, 1), mean_predictive, dtype=float)
         return _raw_from_costs(spec, theta, costs[None], mean_predictive)[0]
-    _, args, raw, saturated, window = _Workspace().take(costs.shape)
-    return _raw_into(spec, theta, costs, mean_predictive, args, raw, saturated, window)
+    stack, saturated, window = _Workspace().take(costs.shape)
+    stack[...] = costs
+    return _raw_into(spec, theta, stack, mean_predictive, saturated, window)
 
 
 def normalize_weights(raw) -> np.ndarray:

@@ -422,7 +422,7 @@ def test_an_untraced_fixed_point_solve_all_runs_one_lockstep(rrsl_problem_2k, mo
 
 def test_no_lockstep_runs_inside_another(rrsl_problem_2k, tmp_path, monkeypatch):
     # A traced solve takes the residuals of its trace rows once its own
-    # lockstep has returned, each in a lockstep of its own.
+    # lockstep has returned, in one more lockstep.
     depths, depth = [], [0]
     lockstep = riccati._lockstep
 
@@ -444,6 +444,49 @@ def test_no_lockstep_runs_inside_another(rrsl_problem_2k, tmp_path, monkeypatch)
     assert main(["design", str(write_config(tmp_path, base_config(out, solver=solver)))]) == 0
     assert (out / "trace.csv").is_file()
     assert max(depths) == 1
+
+
+def test_a_traced_fixed_point_solve_runs_two_locksteps(rrsl_problem_2k, monkeypatch):
+    # The solve's own, then one for the residuals of all its trace rows.
+    calls = _spy_on_calls(monkeypatch, "_lockstep")
+    traced = ws.fixed_point_solve(rrsl_problem_2k, ws.SolverOptions(fp_tol=1e-8, trace=True))
+    assert len(traced.trace) > 2
+    assert calls == ["_lockstep"] * 2
+
+
+def test_a_stack_of_residuals_is_each_points_row(rrsl_problem_2k, monkeypatch):
+    # Seven points, a budget of three points a round: one lockstep of three
+    # rounds, each row the bits of its point alone.
+    rng = np.random.default_rng(41)
+    value, gain = 40.0 * np.eye(2) + Q2, np.array([[6.0, 7.0]])
+    zs = ws.pack_solution(value, gain) + 0.1 * rng.standard_normal((7, 5))
+    alone = [ws.implicit_residual(z, rrsl_problem_2k) for z in zs]
+    per_point = riccati._footprint(rrsl_problem_2k, [])
+    monkeypatch.setattr(riccati, "LOCKSTEP_BYTES", 3 * per_point)
+    calls = _spy_on_calls(monkeypatch, "_lockstep")
+    sizes = _spy_on_evaluate(monkeypatch)
+    got = ws.implicit_residual(zs, rrsl_problem_2k)
+    assert calls == ["_lockstep"] and sizes == [3, 3, 1]
+    assert got.shape == (7, 5)
+    for row, want in zip(got, alone):
+        assert np.array_equal(row, want)
+    assert np.array_equal(ws.implicit_residual(zs[2], rrsl_problem_2k), alone[2])
+
+
+def test_a_stack_of_residuals_raises_its_first_points_error(bank2k):
+    # RSL at theta = 5: the second and third points overflow, each with
+    # its own largest exponent in the message.
+    problem = ws.DesignProblem(bank=bank2k, q=Q2, r=R1, weights=ws.WeightSpec("RSL", theta=5.0))
+    points = np.array([ws.pack_solution(s * np.eye(2), np.zeros((1, 2))) for s in (0.1, 100, 200)])
+    errors = []
+    for z in points[1:]:
+        with pytest.raises(ws.WeightOverflowError) as alone:
+            ws.implicit_residual(z, problem)
+        errors.append(str(alone.value))
+    assert errors[0] != errors[1]
+    with pytest.raises(ws.WeightOverflowError) as caught:
+        ws.implicit_residual(points, problem)
+    assert str(caught.value) == errors[0]
 
 
 def test_a_gain_that_is_not_ms_stable_fails_lockstep_and_oracle_alike(benchmark_dist):
