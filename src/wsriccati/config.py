@@ -239,6 +239,8 @@ def make_weight_spec(config: RunConfig, theta: float | None = None) -> WeightSpe
         sigma = None
         if not (isinstance(w.sigma, str) and w.sigma == "identity"):
             sigma = np.asarray(w.sigma, dtype=float)
+            n = config.system.n
+            sigma = sigma.reshape(n, n) if sigma.size == n * n else sigma
         spec = WeightSpec(
             family=w.family,
             theta=w.theta if theta is None else float(theta),

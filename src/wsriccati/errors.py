@@ -57,11 +57,7 @@ class WeightOverflowError(NumericalError):
 
 
 class SingularJacobianError(NumericalError):
-    """The residual Jacobian could not be inverted."""
-
-    def __init__(self, message: str, condition_estimate: float | None = None):
-        super().__init__(message)
-        self.condition_estimate = condition_estimate
+    """The residual Jacobian could not be inverted; the message names its condition estimate."""
 
 
 class EigenSolverError(NumericalError):

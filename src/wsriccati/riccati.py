@@ -74,12 +74,15 @@ as the moments read off them, so the next round may overwrite the buffers;
 every step is the same operation as on fresh arrays, so the bits are the
 same. The workspace is freed when the lockstep returns, and a lockstep in
 another thread has its own. Without one (``work=None``, as in the weight
-views of :mod:`~wsriccati.weights`) a pass works in a fresh stack.
-:func:`value_map`, :func:`implicit_residual` and :func:`residual_jacobian`
-are one request run alone (:func:`_drive`). No lockstep runs inside
-another: a fixed-point solve's closing residual check is a ``residual``
-request of the solve, and a traced solve takes the residuals of its trace
-rows in one more lockstep after its own has returned.
+views of :mod:`~wsriccati.weights`) a pass works in a fresh stack. Every
+one-shot front-end runs its solves in one lockstep (:func:`_drive`):
+:func:`value_map` and :func:`residual_jacobian` one request,
+:func:`implicit_residual` one request a point and :func:`fixed_point_solve`
+its solve; :func:`solve_all` is the only other caller of :func:`_lockstep`.
+No lockstep runs inside another: a fixed-point solve's closing residual
+check is a ``residual`` request of the solve, and a traced solve takes the
+residuals of its trace rows in one more lockstep after its own has
+returned.
 """
 
 from __future__ import annotations
@@ -413,7 +416,7 @@ def _symmetrize_all(arr: np.ndarray) -> np.ndarray:
 def value_map(value, gain, problem: DesignProblem) -> np.ndarray:
     """One application of the value map F at the given policy."""
     value = symmetrize(value, "value matrix")
-    return _drive(problem, _request("maps", problem, (value, gain)))[0]
+    return _drive(problem, [_request("maps", problem, (value, gain))])[0][0]
 
 
 def _check_stabilizing(value: np.ndarray, q: np.ndarray, label: str) -> None:
@@ -684,12 +687,18 @@ def _request(kind: str, problem: DesignProblem, point):
     return result
 
 
-def _drive(problem: DesignProblem, steps):
-    """What the one solve ``steps`` on ``problem`` returns, run alone; its error raises."""
-    (result,) = _lockstep(iter([(problem, 1, steps)]))
-    if isinstance(result, NumericalError):
-        raise result
-    return result
+def _drive(problem: DesignProblem, solves: list) -> list:
+    """What each solve of ``solves`` on ``problem`` returns, all in one lockstep.
+
+    Each solve counts one point against the lockstep's byte budget (see
+    :func:`_footprint`). The error of the first solve that fails, in input
+    order, raises.
+    """
+    results = _lockstep((problem, 1, steps) for steps in solves)
+    error = next((result for result in results if isinstance(result, NumericalError)), None)
+    if error is not None:
+        raise error
+    return results
 
 
 def fixed_point_solve(
@@ -728,7 +737,7 @@ def fixed_point_solve(
     This is :func:`solve` under the fixed-point route, the lockstep of
     :func:`solve_all` on one problem.
     """
-    solution = _drive(problem, _fixed_point_route(problem, options, 0))
+    solution = _drive(problem, [_fixed_point_route(problem, options, 0)])[0]
     if solution.trace is None:
         return solution
     points = np.array([pack_solution(value, gain) for _, value, gain, _ in solution.trace])
@@ -767,17 +776,13 @@ def implicit_residual(z, problem: DesignProblem) -> np.ndarray:
     """Residual h(z) whose root is the design solution.
 
     One point z gives one row; a (k, dim) stack of points gives one row per
-    point. Each point is a solve of one ``residual`` request, and one
-    lockstep runs them all, as many a round as its byte budget holds (see
-    :func:`_footprint`), so each row is the same bits as its point alone.
-    The error of the first point that fails raises.
+    point. Each point is a solve of one ``residual`` request, and
+    :func:`_drive` runs them all, as many a round as its byte budget holds
+    (see :func:`_footprint`), so each row is the same bits as its point
+    alone. The error of the first point that fails raises.
     """
     points = np.asarray(z, dtype=float)
-    solves = ((problem, 1, _request("residual", problem, x)) for x in np.atleast_2d(points))
-    rows = _lockstep(solves)
-    error = next((row for row in rows if isinstance(row, NumericalError)), None)
-    if error is not None:
-        raise error
+    rows = _drive(problem, [_request("residual", problem, x) for x in np.atleast_2d(points)])
     return np.array(rows) if points.ndim == 2 else rows[0]
 
 
@@ -802,7 +807,7 @@ def residual_jacobian(z, problem: DesignProblem) -> np.ndarray:
     the Jacobian of every Newton step (:func:`_fd_jacobian`).
     """
     z = np.asarray(z, dtype=float).reshape(-1)
-    return _drive(problem, _fd_jacobian(z, problem))
+    return _drive(problem, [_fd_jacobian(z, problem)])[0]
 
 
 def _newton_steps(problem: DesignProblem, z: np.ndarray, options: SolverOptions):
@@ -827,11 +832,9 @@ def _newton_steps(problem: DesignProblem, z: np.ndarray, options: SolverOptions)
         try:
             step = np.linalg.solve(jac, residual)
         except np.linalg.LinAlgError as exc:
-            cond = float(np.linalg.cond(jac))
             raise SingularJacobianError(
                 f"singular Jacobian at iteration {iterations} "
-                f"(condition estimate {cond:.3e})",
-                condition_estimate=cond,
+                f"(condition estimate {np.linalg.cond(jac):.3e})"
             ) from exc
         for halvings in range(DEFAULT_MAX_HALVINGS + 1):
             candidate = z - 0.5**halvings * step
@@ -849,7 +852,6 @@ def _newton_steps(problem: DesignProblem, z: np.ndarray, options: SolverOptions)
         history.append(norm)
 
     value, gain = unpack_solution(z, problem.n, problem.m)
-    value = symmetrize(value)
     _check_stabilizing(value, problem.q, "Newton solve")
     return DesignSolution(
         value=value,
@@ -862,25 +864,18 @@ def _newton_steps(problem: DesignProblem, z: np.ndarray, options: SolverOptions)
 
 
 def newton_solve(
-    problem: DesignProblem,
-    z0: np.ndarray | None = None,
-    options: SolverOptions = SolverOptions(),
+    problem: DesignProblem, options: SolverOptions = SolverOptions()
 ) -> DesignSolution:
-    """Damped Newton iteration on the stacked residual, under ``options``' Newton settings.
+    """Damped Newton iteration on the stacked residual: :func:`solve` under the ``newton`` route.
 
-    When ``z0`` is omitted this is :func:`solve` under the ``newton`` route:
     Newton starts at the zero-sensitivity solution of the fixed-point route
     (run with ``options``' fixed-point settings), the initialization with a
-    convergence guarantee near theta = 0. Steps are halved (at most
-    ``DEFAULT_MAX_HALVINGS`` times) whenever the residual norm fails to
-    decrease. From ``z0`` this is :func:`_newton_steps` run alone.
-    ``options.method`` and ``options.continuation`` are not read.
+    convergence guarantee near theta = 0, and runs under ``options``' Newton
+    settings. Steps are halved (at most ``DEFAULT_MAX_HALVINGS`` times)
+    whenever the residual norm fails to decrease. ``options.method`` and
+    ``options.continuation`` are not read.
     """
-    if z0 is None:
-        return solve(problem, dataclasses.replace(options, method="newton"))
-    z0 = np.array(z0, dtype=float).reshape(-1)
-    solution = _drive(problem, _newton_steps(problem, z0, options))
-    return _check_mean_square(problem.bank, solution, "Newton solve")
+    return solve(problem, dataclasses.replace(options, method="newton"))
 
 
 def _theta_steps(problem: DesignProblem, options: SolverOptions) -> tuple[float, ...]:

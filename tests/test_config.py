@@ -220,6 +220,26 @@ def test_fingerprint_of_every_solver_key_is_pinned(method):
     assert design_fingerprint(parse_config(data)) == SOLVER_FINGERPRINTS[method]
 
 
+ONE_STATE = {"n": 1, "m": 1, "mean_a": [[0.9]], "mean_b": [[0.1]]}
+
+
+@pytest.mark.parametrize(
+    "system, sigma, want",
+    [
+        (ONE_STATE, 2.0, [[2.0]]),
+        (ONE_STATE, [2.0], [[2.0]]),
+        ({}, [1.0, 0.0, 0.0, 2.0], [[1.0, 0.0], [0.0, 2.0]]),
+    ],
+)
+def test_weight_sigma_reads_flat_entries_as_cost_q_does(system, sigma, want):
+    # n x n entries, nested or flat, read in row-major order; a scalar at n = 1.
+    data = base_config("out", system=system, weight={"sigma": sigma})
+    if system:
+        data["cost"] = {"q": [[1.0]], "r": [[1.0]]}
+    spec = config_mod.make_weight_spec(parse_config(data))
+    assert spec.sigma.tolist() == want
+
+
 @pytest.mark.parametrize(
     "command, section, values, message",
     [

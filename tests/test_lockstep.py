@@ -7,9 +7,11 @@ sequential oracles in ``tests/reference.py`` bit for bit, whatever the
 number of solves in flight.
 """
 
+import ast
 import dataclasses
 import functools
 import hashlib
+import inspect
 import logging
 import warnings
 from pathlib import Path
@@ -446,6 +448,18 @@ def test_no_lockstep_runs_inside_another(rrsl_problem_2k, tmp_path, monkeypatch)
     assert max(depths) == 1
 
 
+def test_only_drive_and_solve_all_run_a_lockstep():
+    # Every one-shot front-end reaches the engine through ``_drive``.
+    callers = {
+        fn.name
+        for fn in ast.parse(inspect.getsource(riccati)).body
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_lockstep"
+    }
+    assert callers == {"_drive", "solve_all"}
+
+
 def test_a_traced_fixed_point_solve_runs_two_locksteps(rrsl_problem_2k, monkeypatch):
     # The solve's own, then one for the residuals of all its trace rows.
     calls = _spy_on_calls(monkeypatch, "_lockstep")
@@ -704,7 +718,7 @@ def test_newton_start_is_shared_only_by_the_same_bank_and_costs(benchmark_dist):
     got = ws.solve_all(problems, ws.SolverOptions("newton"))
     for problem, result in zip(problems, got):
         start = ws.fixed_point_solve(problem.with_theta(0.0))
-        want = ws.newton_solve(problem, z0=ws.pack_solution(start.value, start.gain))
+        want = reference.newton_from(problem, ws.pack_solution(start.value, start.gain))
         assert np.array_equal(result.value, want.value)
         assert np.array_equal(result.gain, want.gain)
         assert result.deltas == want.deltas

@@ -23,7 +23,11 @@ R -> M' R M and L -> M^-1 L. The weights then do not move, and the root is
 (P, M^-1 L).
 
 The roots are compared, never the iteration counts, under a tolerance fixed
-before the first run: 1e-9 of the root's norm.
+before the first run: 1e-9 of the root's norm. Besides fixed scales,
+Hypothesis draws the cost scale c in [0.1, 10] and the input coordinates
+M = [[m]] with |m| in [0.2, 5] of either sign. T stays fixed: fixed-point's
+stop test works in the raw coordinates, so its distance from the root moves
+with the condition number of T.
 """
 
 import dataclasses
@@ -31,6 +35,8 @@ import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wsriccati as ws
 
@@ -38,6 +44,9 @@ from conftest import Q2, R1
 
 #: Largest distance between two roots, relative to the norm of the first.
 ROOT_RTOL = 1e-9
+
+#: Drawn scales per family and route: 5 each, so every run checks 60 drawn cases.
+DRAWN = settings(max_examples=5, deadline=None, derandomize=True)
 
 SPECS = {
     "RN": ws.WeightSpec(family="RN"),
@@ -97,6 +106,14 @@ def test_scaling_the_costs_scales_the_value_and_keeps_the_gain(bank2k, family, m
     assert np.linalg.norm(got_gain - gain) <= ROOT_RTOL * np.linalg.norm(gain)
 
 
+@pytest.mark.parametrize("method", ["fixed-point", "newton-continuation"])
+@pytest.mark.parametrize("family", sorted(SPECS))
+@DRAWN
+@given(c=st.floats(0.1, 10.0))
+def test_scaling_the_costs_by_a_drawn_c_scales_the_value(bank2k, family, method, c):
+    test_scaling_the_costs_scales_the_value_and_keeps_the_gain(bank2k, family, method, c)
+
+
 #: The state change of coordinates x -> T x.
 T = np.array([[1.3, 0.4], [-0.2, 0.8]])
 
@@ -142,3 +159,13 @@ def test_a_change_of_input_coordinates_transforms_the_gain(bank2k, family, metho
     want_gain = np.linalg.inv(m_mat) @ gain
     assert np.linalg.norm(got_value - value) <= ROOT_RTOL * np.linalg.norm(value)
     assert np.linalg.norm(got_gain - want_gain) <= ROOT_RTOL * np.linalg.norm(want_gain)
+
+
+@pytest.mark.parametrize("method", ["fixed-point", "newton-continuation"])
+@pytest.mark.parametrize("family", sorted(SPECS))
+@DRAWN
+@given(size=st.floats(0.2, 5.0), sign=st.sampled_from([1.0, -1.0]))
+def test_a_drawn_change_of_input_coordinates_transforms_the_gain(
+    bank2k, family, method, size, sign
+):
+    test_a_change_of_input_coordinates_transforms_the_gain(bank2k, family, method, sign * size)

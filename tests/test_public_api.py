@@ -7,7 +7,9 @@ define or export either; nor does the distribution carry accessors only
 the tests read. The solver's stopping rules are declared once, as
 fields of ``riccati.SolverOptions``: no public solver function restates one
 as a parameter, and no ``DEFAULT_*`` constant is exported. The Jacobian
-takes the call form the benchmark's kernel timings use, with no mode.
+takes the call form the benchmark's kernel timings use, with no mode, and
+``newton_solve`` takes no start: Newton from a start of the caller's is the
+oracle ``reference.newton_from``.
 """
 
 import ast
@@ -83,6 +85,10 @@ def test_solver_settings_are_declared_once():
 
 def test_residual_jacobian_takes_only_the_point_and_problem():
     assert list(inspect.signature(riccati.residual_jacobian).parameters) == ["z", "problem"]
+
+
+def test_newton_solve_takes_only_the_problem_and_options():
+    assert list(inspect.signature(wsriccati.newton_solve).parameters) == ["problem", "options"]
 
 
 def test_the_package_exports_its_modules_all():

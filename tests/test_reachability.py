@@ -47,7 +47,6 @@ ALLOWED = {
     "ensemble.stream_rng": "specification of the trial streams; " + _PERFBENCH,
     "errors.ConvergenceError.__init__": _ERROR,
     "errors.DomainViolationError.__init__": _ERROR,
-    "errors.SingularJacobianError.__init__": _ERROR,
     "riccati.newton_solve": _PERFBENCH,
     "riccati.residual_jacobian": _PERFBENCH,
     "riccati.value_map": _PERFBENCH,

